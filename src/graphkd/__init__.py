@@ -32,8 +32,6 @@ from .graphs import (
     symmetric_eig,
 )
 from .losses import (
-    LossBreakdown,
-    combined_loss,
     gkd_loss,
     huber,
     ikd_loss,

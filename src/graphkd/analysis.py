@@ -17,10 +17,9 @@ from .graphs import (
     fiedler_vector,
     laplacian,
     smoothness,
-    symmetric_eig,
 )
 from .losses import per_example_gkd, per_example_rkdd
-from .models import OUTPUT_TAP, BlockNet, forward_with_taps
+from .models import OUTPUT_TAP, BlockNet, frozen_forward
 
 __all__ = [
     "loss_concentration",
@@ -72,19 +71,8 @@ class ConcentrationReport:
     per_tap: dict[str, float | None] = field(default_factory=dict)
 
 
-def _tap_names(net: BlockNet) -> list[str]:
-    return [OUTPUT_TAP if t == OUTPUT_TAP else f"block{t}" for t in net.tap_set]
-
-
 def _frozen_taps(net: BlockNet, features: np.ndarray):
-    flags = [p.requires_grad for p in net.parameters()]
-    net.set_requires_grad(False)
-    try:
-        out = forward_with_taps(net, features)
-    finally:
-        for p, f in zip(net.parameters(), flags):
-            p.requires_grad = f
-    return out.for_taps(net.tap_set)
+    return frozen_forward(net, features).for_taps(net.tap_set)
 
 
 def concentration_report(
@@ -114,7 +102,7 @@ def concentration_report(
     if loss == "gkd" and graph is None:
         graph = GraphParams(k=batch_size - 1)
     rng = np.random.default_rng(seed)
-    names = _tap_names(student)
+    names = student.tap_names()
     collected: dict[str, list[float]] = {name: [] for name in names}
     for _ in range(n_batches):
         idx = rng.choice(len(data), size=batch_size, replace=False)
@@ -296,7 +284,7 @@ def spectral_report(
     xb, yb = data.features[idx], data.labels[idx]
     if k is None:
         k = n - 1
-    names = _tap_names(teacher)
+    names = teacher.tap_names()
 
     teacher_taps = _frozen_taps(teacher, xb)
     indicator_signals = [
@@ -306,9 +294,9 @@ def spectral_report(
     for name, tap in zip(names, teacher_taps):
         lap_t = laplacian(build_similarity_graph(tap.data, k=k).weights)
         fied = fiedler_vector(lap_t)
-        # degenerate second eigenvalue => disconnected graph
-        eigvals, _ = symmetric_eig(lap_t)
-        if eigvals[1] < _CONNECTIVITY_EPS:
+        # the Rayleigh quotient of the unit Fiedler vector is lambda_2;
+        # a degenerate (near-zero) lambda_2 means a disconnected graph
+        if smoothness(lap_t, fied) < _CONNECTIVITY_EPS:
             warnings.warn(
                 f"teacher graph at {name} is disconnected; Fiedler vector is degenerate",
                 RuntimeWarning,

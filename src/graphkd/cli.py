@@ -140,10 +140,7 @@ def main(argv=None) -> int:
                 seed=args.seed,
             )
             print(f"graph dump written to {out}")
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, RuntimeError) as err:  # ConfigError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0

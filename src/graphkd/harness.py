@@ -28,7 +28,7 @@ from .models import (
     BlockNet,
     build_blocknet,
     checkpoint_digest,
-    forward_with_taps,
+    frozen_forward,
     load_checkpoint,
     save_checkpoint,
 )
@@ -411,11 +411,10 @@ def run_dump_graph(
         p=base.p if p is None else int(p),
         mask_mode=base.mask_mode if mask_mode is None else str(mask_mode),
     )
-    net.set_requires_grad(False)
-    taps = forward_with_taps(net, xb).for_taps(net.tap_set)
-    tap_names = [("output" if t == "output" else f"block{t}") for t in net.tap_set]
+    tap_names = net.tap_names()
     if block not in tap_names:
         raise ConfigError(f"unknown tap {block!r}; available: {tap_names}")
+    taps = frozen_forward(net, xb).for_taps(net.tap_set)
     reps = taps[tap_names.index(block)].data
     graph = build_similarity_graph(
         reps, k=params.k, p=params.p, mask_mode=params.mask_mode, labels=yb

@@ -15,8 +15,6 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .autodiff import (
@@ -35,31 +33,17 @@ from .autodiff import (
 from .graphs import SimilarityGraph
 
 __all__ = [
-    "LossBreakdown",
     "task_loss",
     "huber",
     "ikd_loss",
     "rkdd_loss",
     "gkd_loss",
-    "combined_loss",
     "per_example_gkd",
     "per_example_rkdd",
-    "per_example_ikd",
     "normalized_pairwise_distances",
 ]
 
 KD_LOSSES = ("ikd", "rkdd", "gkd")
-
-
-@dataclass
-class LossBreakdown:
-    """Scalar loss components of one batch, plus the per-example KD split."""
-
-    task: float
-    kd: float
-    lambda_kd: float
-    total: float
-    per_example_kd: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def task_loss(logits, labels) -> Tensor:
@@ -227,27 +211,6 @@ def _adjacency_array(g) -> np.ndarray:
     return g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
 
 
-def combined_loss(task: float, kd: float, lambda_kd: float, per_example_kd=None) -> LossBreakdown:
-    """Assemble the training objective total = task + lambda_kd * kd."""
-    lambda_kd = float(lambda_kd)
-    if lambda_kd < 0:
-        raise ValueError(f"combined_loss: lambda_kd must be nonnegative, got {lambda_kd}")
-    task = float(task)
-    kd = float(kd)
-    per_example = (
-        np.asarray(per_example_kd, dtype=np.float64)
-        if per_example_kd is not None
-        else np.zeros(0)
-    )
-    return LossBreakdown(
-        task=task,
-        kd=kd,
-        lambda_kd=lambda_kd,
-        total=task + lambda_kd * kd,
-        per_example_kd=per_example,
-    )
-
-
 # ---------------------------------------------------------------------------
 # per-example attribution (plain arrays; used for loss-concentration analysis)
 
@@ -277,13 +240,3 @@ def per_example_rkdd(student_tap, teacher_tap) -> np.ndarray:
     h = np.where(d <= 1.0, 0.5 * d * d, d - 0.5)
     np.fill_diagonal(h, 0.0)
     return 0.5 * (h.sum(axis=1) + h.sum(axis=0)) / (n * (n - 1))
-
-
-def per_example_ikd(student_tap, teacher_tap) -> np.ndarray:
-    """Per-example squared distance for one tap (unnormalized)."""
-    s = student_tap.data if isinstance(student_tap, Tensor) else np.asarray(student_tap)
-    t = teacher_tap.data if isinstance(teacher_tap, Tensor) else np.asarray(teacher_tap)
-    if s.shape != t.shape:
-        raise ValueError(f"per_example_ikd: shapes differ: {s.shape} vs {t.shape}")
-    diff = np.asarray(s, dtype=np.float64) - np.asarray(t, dtype=np.float64)
-    return (diff * diff).sum(axis=1)

@@ -22,6 +22,7 @@ __all__ = [
     "TapOutput",
     "build_blocknet",
     "forward_with_taps",
+    "frozen_forward",
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_digest",
@@ -168,6 +169,17 @@ def forward_with_taps(net: BlockNet, batch) -> TapOutput:
     w, b = net.head
     logits = add(matmul(h, w), matmul(ones, b))
     return TapOutput(taps=taps, logits=logits)
+
+
+def frozen_forward(net: BlockNet, batch) -> TapOutput:
+    """Forward pass that keeps the parameters off the tape; their flags are restored."""
+    flags = [p.requires_grad for p in net.parameters()]
+    net.set_requires_grad(False)
+    try:
+        return forward_with_taps(net, batch)
+    finally:
+        for p, f in zip(net.parameters(), flags):
+            p.requires_grad = f
 
 
 # ---------------------------------------------------------------------------

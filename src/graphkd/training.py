@@ -15,18 +15,9 @@ import numpy as np
 from .autodiff import Tensor, add, backward, mul, zero_grads
 from .config import DistillConfig
 from .datasets import DataSplit, minibatch_indices
-from .losses import (
-    combined_loss,
-    gkd_loss,
-    ikd_loss,
-    per_example_gkd,
-    per_example_ikd,
-    per_example_rkdd,
-    rkdd_loss,
-    task_loss,
-)
+from .losses import gkd_loss, ikd_loss, rkdd_loss, task_loss
 from .graphs import build_similarity_graph
-from .models import BlockNet, forward_with_taps
+from .models import BlockNet, forward_with_taps, frozen_forward
 
 __all__ = [
     "Schedule",
@@ -129,13 +120,7 @@ class TrainResult:
 
 def evaluate_error(net: BlockNet, dataset) -> float:
     """Top-1 error rate on a dataset, computed without touching the tape."""
-    flags = [p.requires_grad for p in net.parameters()]
-    net.set_requires_grad(False)
-    try:
-        logits = forward_with_taps(net, dataset.features).logits.data
-    finally:
-        for p, f in zip(net.parameters(), flags):
-            p.requires_grad = f
+    logits = frozen_forward(net, dataset.features).logits.data
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred != dataset.labels))
 
@@ -184,8 +169,8 @@ def _validate_setup(net, data: DataSplit, config: DistillConfig, teacher) -> Non
             )
 
 
-def _kd_terms(config: DistillConfig, student_out, teacher_out, net, teacher, labels):
-    """Return (kd tensor, per-example vector) for the configured KD loss."""
+def _kd_loss(config: DistillConfig, student_out, teacher_out, net, teacher, labels) -> Tensor:
+    """Return the configured KD loss as a tensor on the student's tape."""
     s_taps = student_out.for_taps(net.tap_set)
     t_taps = teacher_out.for_taps(teacher.tap_set)
     if config.loss == "gkd":
@@ -198,24 +183,10 @@ def _kd_terms(config: DistillConfig, student_out, teacher_out, net, teacher, lab
             build_similarity_graph(tap.detach(), k=g.k, p=g.p, mask_mode=g.mask_mode, labels=labels)
             for tap in t_taps
         ]
-        kd = gkd_loss(s_graphs, t_graphs)
-        per_ex = np.zeros(len(labels))
-        for sg, tg in zip(s_graphs, t_graphs):
-            per_ex += per_example_gkd(sg, tg)
-        return kd, per_ex
+        return gkd_loss(s_graphs, t_graphs)
     if config.loss == "rkdd":
-        kd = rkdd_loss(s_taps, t_taps)
-        per_ex = np.zeros(len(labels))
-        for s, t in zip(s_taps, t_taps):
-            per_ex += per_example_rkdd(s, t)
-        return kd, per_ex
-    # ikd
-    kd = ikd_loss(s_taps, t_taps)
-    per_ex = np.zeros(len(labels))
-    for s, t in zip(s_taps, t_taps):
-        per_ex += per_example_ikd(s, t)
-    per_ex /= len(labels) * len(s_taps)
-    return kd, per_ex
+        return rkdd_loss(s_taps, t_taps)
+    return ikd_loss(s_taps, t_taps)
 
 
 def train(
@@ -259,22 +230,22 @@ def train(
             yb = labels[idx]
             student_out = forward_with_taps(net, xb)
             task_t = task_loss(student_out.logits, yb)
+            task = float(task_t.data)
             if kd_active:
                 teacher_out = forward_with_taps(teacher, xb)
-                kd_t, per_ex = _kd_terms(config, student_out, teacher_out, net, teacher, yb)
+                kd_t = _kd_loss(config, student_out, teacher_out, net, teacher, yb)
                 total_t = add(task_t, mul(kd_t, config.lambda_kd))
-                breakdown = combined_loss(
-                    float(task_t.data), float(kd_t.data), config.lambda_kd, per_ex
-                )
+                kd = float(kd_t.data)
+                total = task + config.lambda_kd * kd
             else:
                 total_t = task_t
-                breakdown = combined_loss(float(task_t.data), 0.0, 0.0, np.zeros(len(yb)))
+                kd, total = 0.0, task
 
             zero_grads(params)
             backward(total_t)
             sgd_momentum_step(params, [p.grad for p in params], state)
 
-            batch_sums += (breakdown.task, breakdown.kd, breakdown.total)
+            batch_sums += (task, kd, total)
             hits += int(np.sum(np.argmax(student_out.logits.data, axis=1) == yb))
             seen += len(yb)
 

@@ -97,6 +97,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="weighted"):
             parse_config(obj)
 
+    def test_negative_lambda_rejected(self):
+        with pytest.raises(ConfigError, match="lambda_kd must be nonnegative"):
+            parse_config(tiny_config_dict(loss="gkd", lambda_kd=-0.5))
+
     def test_vanilla_with_nonzero_lambda_rejected(self):
         with pytest.raises(ConfigError, match="lambda"):
             parse_config(tiny_config_dict(lambda_kd=1.0))
@@ -410,6 +414,30 @@ class TestCliEndToEnd:
         )
         assert code == 2
         assert "not found" in capsys.readouterr().err
+
+    # a diverging run leaves a non-finite checkpoint (and numpy overflow
+    # warnings); analysing it must end in one error line, not a traceback
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_analyze_diverged_checkpoint_exits_two(self, tmp_path, capsys):
+        schedule = {"base_lr": 1e200, "decay_factor": 0.2, "milestones": [], "total_epochs": 2}
+        config_path = write_config(tmp_path, schedule=schedule)
+        ckpt = self._train_teacher(tmp_path, config_path)
+        capsys.readouterr()
+        code = main(
+            [
+                "analyze",
+                "--config", str(config_path),
+                "--out", str(tmp_path / "analysis"),
+                "--teacher", str(ckpt),
+                "--student", str(ckpt),
+                "--batches", "2",
+                "--batch-size", "16",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "diverged" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestTwoArcsConfig:

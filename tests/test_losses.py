@@ -7,13 +7,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from graphkd.autodiff import Tensor, backward
 from graphkd.graphs import build_similarity_graph
 from graphkd.losses import (
-    combined_loss,
     gkd_loss,
     huber,
     ikd_loss,
     normalized_pairwise_distances,
     per_example_gkd,
-    per_example_ikd,
     per_example_rkdd,
     rkdd_loss,
     task_loss,
@@ -129,13 +127,6 @@ class TestIkd:
         with pytest.raises(ValueError, match=r"\(3, 4\).*\(3, 2\)"):
             ikd_loss(s, t)
 
-    def test_per_example_sums_to_tap_total(self):
-        rng = np.random.default_rng(6)
-        s, t = rng.normal(size=(5, 3)), rng.normal(size=(5, 3))
-        per = per_example_ikd(s, t)
-        loss = ikd_loss([Tensor(s)], [Tensor(t)]).data
-        assert_allclose(per.sum() / 5.0, loss, rtol=1e-12)
-
 
 class TestRkdd:
     def test_hand_worked_three_points(self):
@@ -249,27 +240,6 @@ class TestGkd:
         x = Tensor(s0, requires_grad=True)
         backward(gkd_loss([build_similarity_graph(x, k=2)], [g_t]))
         assert_allclose(x.grad, fd_gradient(value, s0), rtol=1e-4, atol=1e-7)
-
-
-class TestCombined:
-    def test_example_arithmetic(self):
-        out = combined_loss(0.7, 0.01, 25.0)
-        assert out.total == 0.7 + 25.0 * 0.01
-        assert_allclose(out.total, 0.95, atol=1e-15)
-
-    def test_zero_lambda_returns_task_alone(self):
-        out = combined_loss(1.3, 99.0, 0.0)
-        assert out.total == 1.3
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            combined_loss(1.0, 1.0, -0.5)
-
-    def test_breakdown_carries_per_example(self):
-        per = np.array([0.1, 0.2])
-        out = combined_loss(1.0, 0.3, 2.0, per_example_kd=per)
-        assert_array_equal(out.per_example_kd, per)
-        assert out.kd == 0.3 and out.lambda_kd == 2.0
 
 
 class TestPermutationInvariance:
