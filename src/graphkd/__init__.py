@@ -7,7 +7,7 @@ experiment CLI.
 """
 
 from .autodiff import Tensor, backward
-from .config import ConfigError, DistillConfig, load_config, parse_config
+from .config import ConfigError, DistillConfig, Schedule, load_config, parse_config
 from .datasets import (
     DataSplit,
     Dataset,
@@ -47,7 +47,7 @@ from .models import (
     load_checkpoint,
     save_checkpoint,
 )
-from .training import Schedule, lr_at, sgd_momentum_step, train
+from .training import lr_at, sgd_momentum_step, train
 from .analysis import (
     ConsistencyCurve,
     LogisticProbe,

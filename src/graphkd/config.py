@@ -1,15 +1,17 @@
 """Experiment configuration: JSON parsing, validation, canonical digests.
 
-Configs are strict: a required ``version`` field, unknown keys rejected at
-every level, and cross-field rules (teacher/graph sections, k vs batch size)
-checked up front so misconfigurations fail before any training step.
+Configs are strict: a required ``version`` field and unknown keys rejected at
+every level by the parser.  Each config type checks its own rules in
+``__post_init__`` (cross-field ones such as graph k vs batch size in
+:class:`DistillConfig`), so a config built by ``dataclasses.replace`` is held
+to the same rules as a parsed one and fails before any training step.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .graphs import MASK_MODES, GraphParams
@@ -19,6 +21,7 @@ __all__ = [
     "ArchSpec",
     "DatasetSpec",
     "DistillConfig",
+    "Schedule",
     "parse_config",
     "load_config",
     "config_digest",
@@ -54,6 +57,17 @@ class ArchSpec:
     depths: tuple[int, ...]
     widths: tuple[int, ...]
 
+    def __post_init__(self):
+        if len(self.depths) != len(self.widths) or not self.depths:
+            raise ConfigError(
+                f"depths and widths must be equal-length non-empty lists, "
+                f"got {self.depths} and {self.widths}"
+            )
+        if any(d < 1 for d in self.depths) or any(w < 1 for w in self.widths):
+            raise ConfigError(
+                f"depths and widths must be positive, got {self.depths} and {self.widths}"
+            )
+
 
 @dataclass(frozen=True)
 class DatasetSpec:
@@ -61,15 +75,37 @@ class DatasetSpec:
     params: dict
 
 
-@dataclass
-class ScheduleSpec:
+@dataclass(frozen=True)
+class Schedule:
+    """Step learning-rate schedule: base_lr * decay_factor^(milestones passed)."""
+
     base_lr: float
     decay_factor: float
     milestones: tuple[int, ...]
     total_epochs: int
 
+    def __post_init__(self):
+        if self.base_lr <= 0:
+            raise ConfigError(f"schedule: base_lr must be positive, got {self.base_lr}")
+        if not 0 < self.decay_factor <= 1:
+            raise ConfigError(
+                f"schedule: decay_factor must lie in (0, 1], got {self.decay_factor}"
+            )
+        if self.total_epochs < 1:
+            raise ConfigError(
+                f"schedule: total_epochs must be positive, got {self.total_epochs}"
+            )
+        if any(m1 >= m2 for m1, m2 in zip(self.milestones, self.milestones[1:])):
+            raise ConfigError(
+                f"schedule: milestones must be strictly increasing, got {self.milestones}"
+            )
+        if any(not 0 <= m < self.total_epochs for m in self.milestones):
+            raise ConfigError(
+                f"schedule: milestones must lie in [0, total_epochs), got {self.milestones}"
+            )
 
-@dataclass
+
+@dataclass(frozen=True)
 class DistillConfig:
     version: int
     dataset: DatasetSpec
@@ -78,10 +114,45 @@ class DistillConfig:
     loss: str
     lambda_kd: float
     graph: GraphParams | None
-    schedule: ScheduleSpec
+    schedule: Schedule
     batch_size: int
     momentum: float
     seeds: tuple[int, ...]
+
+    def __post_init__(self):
+        """Cross-field rules; ``dataclasses.replace`` re-runs them too."""
+        if self.loss not in LOSSES:
+            raise ConfigError(f"config: unknown loss {self.loss!r}, expected one of {LOSSES}")
+        if self.batch_size < 2:
+            raise ConfigError(f"config: batch_size must be at least 2, got {self.batch_size}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"config: momentum must lie in [0, 1), got {self.momentum}")
+        if self.lambda_kd < 0:
+            raise ConfigError(f"config: lambda_kd must be nonnegative, got {self.lambda_kd}")
+        if self.loss == "vanilla" and self.lambda_kd != 0.0:
+            raise ConfigError("config: vanilla training must have lambda_kd = 0")
+        if self.loss != "gkd" and self.graph is not None:
+            raise ConfigError(
+                f"config: graph parameters are only valid for loss='gkd', not {self.loss!r}"
+            )
+        if self.loss == "gkd":
+            graph = self.graph
+            if graph is None:
+                raise ConfigError("config: gkd training requires graph parameters")
+            if graph.mask_mode not in MASK_MODES:
+                raise ConfigError(
+                    f"graph: unknown mask_mode {graph.mask_mode!r}, expected one of {MASK_MODES}"
+                )
+            if graph.p < 1:
+                raise ConfigError(f"graph: p must be a positive integer, got {graph.p}")
+            if not 1 <= graph.k <= self.batch_size - 1:
+                raise ConfigError(
+                    f"graph: k={graph.k} must lie in [1, batch_size-1] = [1, {self.batch_size - 1}]"
+                )
+        if not self.seeds:
+            raise ConfigError("config: seeds must be a non-empty list")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"config: seeds must be distinct, got {self.seeds}")
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -108,13 +179,10 @@ def _parse_arch(obj, context: str) -> ArchSpec:
     _reject_unknown(obj, {"depths", "widths"}, context)
     depths = tuple(int(d) for d in _require(obj, "depths", context))
     widths = tuple(int(w) for w in _require(obj, "widths", context))
-    if len(depths) != len(widths) or not depths:
-        raise ConfigError(
-            f"{context}: depths and widths must be equal-length non-empty lists"
-        )
-    if any(d < 1 for d in depths) or any(w < 1 for w in widths):
-        raise ConfigError(f"{context}: depths and widths must be positive")
-    return ArchSpec(depths=depths, widths=widths)
+    try:
+        return ArchSpec(depths=depths, widths=widths)
+    except ConfigError as err:
+        raise ConfigError(f"{context}: {err}") from None
 
 
 def _parse_dataset(obj, context: str = "dataset") -> DatasetSpec:
@@ -142,33 +210,18 @@ def _parse_dataset(obj, context: str = "dataset") -> DatasetSpec:
     return DatasetSpec(name=name, params=params)
 
 
-def _parse_schedule(obj, context: str = "schedule") -> ScheduleSpec:
+def _parse_schedule(obj, context: str = "schedule") -> Schedule:
     if not isinstance(obj, dict):
         raise ConfigError(f"{context}: expected an object")
     merged = dict(DEFAULT_SCHEDULE)
     _reject_unknown(obj, set(merged), context)
     merged.update(obj)
-    schedule = ScheduleSpec(
+    return Schedule(
         base_lr=float(merged["base_lr"]),
         decay_factor=float(merged["decay_factor"]),
         milestones=tuple(int(m) for m in merged["milestones"]),
         total_epochs=int(merged["total_epochs"]),
     )
-    if schedule.base_lr <= 0:
-        raise ConfigError(f"{context}: base_lr must be positive, got {schedule.base_lr}")
-    if not 0 < schedule.decay_factor <= 1:
-        raise ConfigError(
-            f"{context}: decay_factor must lie in (0, 1], got {schedule.decay_factor}"
-        )
-    if schedule.total_epochs < 1:
-        raise ConfigError(f"{context}: total_epochs must be positive, got {schedule.total_epochs}")
-    if any(m1 >= m2 for m1, m2 in zip(schedule.milestones, schedule.milestones[1:])):
-        raise ConfigError(f"{context}: milestones must be strictly increasing")
-    if any(not 0 <= m < schedule.total_epochs for m in schedule.milestones):
-        raise ConfigError(
-            f"{context}: milestones must lie in [0, total_epochs), got {schedule.milestones}"
-        )
-    return schedule
 
 
 def parse_config(obj: dict) -> DistillConfig:
@@ -192,28 +245,10 @@ def parse_config(obj: dict) -> DistillConfig:
     }
     _reject_unknown(obj, allowed, "config")
 
-    dataset = _parse_dataset(_require(obj, "dataset", "config"))
-    teacher = _parse_arch(_require(obj, "teacher", "config"), "teacher")
-    student = _parse_arch(_require(obj, "student", "config"), "student")
     loss = _require(obj, "loss", "config")
-    if loss not in LOSSES:
-        raise ConfigError(f"config: unknown loss {loss!r}, expected one of {LOSSES}")
-
     batch_size = int(obj.get("batch_size", DEFAULT_BATCH_SIZE))
-    if batch_size < 2:
-        raise ConfigError(f"config: batch_size must be at least 2, got {batch_size}")
-    momentum = float(obj.get("momentum", DEFAULT_MOMENTUM))
-    if not 0 <= momentum < 1:
-        raise ConfigError(f"config: momentum must lie in [0, 1), got {momentum}")
-
-    lambda_kd = float(obj.get("lambda_kd", 0.0 if loss == "vanilla" else DEFAULT_LAMBDA_KD))
-    if lambda_kd < 0:
-        raise ConfigError(f"config: lambda_kd must be nonnegative, got {lambda_kd}")
-    if loss == "vanilla" and lambda_kd != 0.0:
-        raise ConfigError("config: vanilla training must have lambda_kd = 0")
-
     graph = None
-    if loss == "gkd":
+    if loss == "gkd" or "graph" in obj:
         graph_obj = obj.get("graph", {})
         if not isinstance(graph_obj, dict):
             raise ConfigError("graph: expected an object")
@@ -223,38 +258,18 @@ def parse_config(obj: dict) -> DistillConfig:
             p=int(graph_obj.get("p", 1)),
             mask_mode=str(graph_obj.get("mask_mode", "all")),
         )
-        if graph.mask_mode not in MASK_MODES:
-            raise ConfigError(
-                f"graph: unknown mask_mode {graph.mask_mode!r}, expected one of {MASK_MODES}"
-            )
-        if graph.p < 1:
-            raise ConfigError(f"graph: p must be a positive integer, got {graph.p}")
-        if not 1 <= graph.k <= batch_size - 1:
-            raise ConfigError(
-                f"graph: k={graph.k} must lie in [1, batch_size-1] = [1, {batch_size - 1}]"
-            )
-    elif "graph" in obj:
-        raise ConfigError(f"config: graph parameters are only valid for loss='gkd', not {loss!r}")
-
-    schedule = _parse_schedule(obj.get("schedule", {}))
-    seeds = tuple(int(s) for s in obj.get("seeds", DEFAULT_SEEDS))
-    if not seeds:
-        raise ConfigError("config: seeds must be a non-empty list")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"config: seeds must be distinct, got {seeds}")
-
     return DistillConfig(
         version=CONFIG_VERSION,
-        dataset=dataset,
-        teacher=teacher,
-        student=student,
+        dataset=_parse_dataset(_require(obj, "dataset", "config")),
+        teacher=_parse_arch(_require(obj, "teacher", "config"), "teacher"),
+        student=_parse_arch(_require(obj, "student", "config"), "student"),
         loss=loss,
-        lambda_kd=lambda_kd,
+        lambda_kd=float(obj.get("lambda_kd", 0.0 if loss == "vanilla" else DEFAULT_LAMBDA_KD)),
         graph=graph,
-        schedule=schedule,
+        schedule=_parse_schedule(obj.get("schedule", {})),
         batch_size=batch_size,
-        momentum=momentum,
-        seeds=seeds,
+        momentum=float(obj.get("momentum", DEFAULT_MOMENTUM)),
+        seeds=tuple(int(s) for s in obj.get("seeds", DEFAULT_SEEDS)),
     )
 
 

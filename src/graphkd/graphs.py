@@ -183,15 +183,7 @@ def knn_sparsify(sim, k: int):
 def degree_normalize(weights):
     """Return A = D^-1/2 W D^-1/2; zero-degree nodes map to all-zero rows/columns."""
     t, want_array = _as_tensor(weights)
-    w = t.data
-    n = w.shape[0]
-    if w.ndim != 2 or w.shape[1] != n:
-        raise ValueError(f"degree_normalize: expected a square matrix, got shape {w.shape}")
-    if np.max(np.abs(w - w.T), initial=0.0) > 1e-12:
-        raise ValueError("degree_normalize: weight matrix is not symmetric")
-    if np.any(w < 0):
-        raise ValueError("degree_normalize: weight matrix has negative entries")
-
+    n = _weights_array(t).shape[0]
     deg = t.sum(axis=1)
     pos = (deg.data > 0).astype(np.float64)
     safe = add(deg, Tensor(1.0 - pos))

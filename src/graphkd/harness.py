@@ -264,12 +264,13 @@ def run_sweep(config: DistillConfig, out_dir, param: str, values, teacher_path=N
         raise ConfigError(f"cannot sweep {param!r}; choose from {SWEEPABLE_PARAMS}")
     if not values:
         raise ConfigError("sweep requires at least one value")
+    # build (and so validate) every sub-config before the first run starts
+    swept = [_sweep_value(param, str(raw)) for raw in values]
+    sub_configs = [(value, _apply_sweep(config, param, value)) for value in swept]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["param,value,seeds,per_seed_test_errors,median_test_error"]
-    for raw in values:
-        value = _sweep_value(param, str(raw))
-        sub_config = _apply_sweep(config, param, value)
+    for value, sub_config in sub_configs:
         sub_dir = out_dir / f"{param}_{value}"
         experiment = run_distill(sub_config, sub_dir, teacher_path=teacher_path)
         errors = [experiment.per_seed[s]["test_error"] for s in experiment.seeds]

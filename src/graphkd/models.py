@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, add, matmul, relu
+from .config import ArchSpec
 
 __all__ = [
     "BlockNet",
@@ -94,24 +95,6 @@ def _default_taps(num_blocks: int) -> tuple:
     return tuple(range(1, num_blocks + 1)) + (OUTPUT_TAP,)
 
 
-def _validate_arch(depths, widths, input_dim, classes):
-    depths = tuple(int(d) for d in depths)
-    widths = tuple(int(w) for w in widths)
-    if len(depths) != len(widths):
-        raise ValueError(
-            f"depths and widths must have equal length, got {len(depths)} and {len(widths)}"
-        )
-    if not depths:
-        raise ValueError("at least one block is required")
-    if any(d < 1 for d in depths) or any(w < 1 for w in widths):
-        raise ValueError(f"depths and widths must be positive, got {depths} and {widths}")
-    if input_dim < 1 or classes < 2:
-        raise ValueError(
-            f"need input_dim >= 1 and classes >= 2, got {input_dim} and {classes}"
-        )
-    return depths, widths, int(input_dim), int(classes)
-
-
 def build_blocknet(depths, widths, input_dim: int, classes: int, seed: int) -> BlockNet:
     """Construct a BlockNet with scaled-uniform fan-in initialization.
 
@@ -119,7 +102,12 @@ def build_blocknet(depths, widths, input_dim: int, classes: int, seed: int) -> B
     using a generator seeded with ``seed``, so identical arguments rebuild
     identical parameters.
     """
-    depths, widths, input_dim, classes = _validate_arch(depths, widths, input_dim, classes)
+    arch = ArchSpec(tuple(int(d) for d in depths), tuple(int(w) for w in widths))
+    if input_dim < 1 or classes < 2:
+        raise ValueError(
+            f"need input_dim >= 1 and classes >= 2, got {input_dim} and {classes}"
+        )
+    input_dim, classes = int(input_dim), int(classes)
     rng = np.random.default_rng(seed)
 
     def layer(fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
@@ -130,7 +118,7 @@ def build_blocknet(depths, widths, input_dim: int, classes: int, seed: int) -> B
 
     blocks = []
     prev = input_dim
-    for depth, width in zip(depths, widths):
+    for depth, width in zip(arch.depths, arch.widths):
         block = []
         for _ in range(depth):
             block.append(layer(prev, width))
@@ -140,8 +128,8 @@ def build_blocknet(depths, widths, input_dim: int, classes: int, seed: int) -> B
     return BlockNet(
         input_dim=input_dim,
         classes=classes,
-        depths=depths,
-        widths=widths,
+        depths=arch.depths,
+        widths=arch.widths,
         blocks=blocks,
         head=head,
         tap_set=_default_taps(len(blocks)),

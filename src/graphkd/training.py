@@ -8,19 +8,19 @@ and seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, add, backward, mul, zero_grads
-from .config import DistillConfig
+from .config import DistillConfig, Schedule
 from .datasets import DataSplit, minibatch_indices
 from .losses import gkd_loss, ikd_loss, rkdd_loss, task_loss
 from .graphs import build_similarity_graph
 from .models import BlockNet, forward_with_taps, frozen_forward
 
 __all__ = [
-    "Schedule",
     "OptimizerState",
     "EpochMetrics",
     "TrainResult",
@@ -29,30 +29,6 @@ __all__ = [
     "evaluate_error",
     "train",
 ]
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Step learning-rate schedule: base_lr * decay_factor^(milestones passed)."""
-
-    base_lr: float
-    decay_factor: float
-    milestones: tuple[int, ...]
-    total_epochs: int
-
-    def __post_init__(self):
-        if self.base_lr <= 0:
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
-        if not 0 < self.decay_factor <= 1:
-            raise ValueError(f"decay_factor must lie in (0, 1], got {self.decay_factor}")
-        if self.total_epochs < 1:
-            raise ValueError(f"total_epochs must be positive, got {self.total_epochs}")
-        if any(a >= b for a, b in zip(self.milestones, self.milestones[1:])):
-            raise ValueError(f"milestones must be strictly increasing, got {self.milestones}")
-        if any(not 0 <= m < self.total_epochs for m in self.milestones):
-            raise ValueError(
-                f"milestones must lie in [0, total_epochs), got {self.milestones}"
-            )
 
 
 def lr_at(schedule: Schedule, epoch: int) -> float:
@@ -160,13 +136,6 @@ def _validate_setup(net, data: DataSplit, config: DistillConfig, teacher) -> Non
             f"training split of {len(data.train)} examples is smaller than "
             f"batch_size {config.batch_size}"
         )
-    if config.loss == "gkd":
-        if config.graph is None:
-            raise ValueError("gkd training requires graph parameters")
-        if config.graph.k > config.batch_size - 1:
-            raise ValueError(
-                f"graph k={config.graph.k} exceeds batch_size-1 = {config.batch_size - 1}"
-            )
 
 
 def _kd_loss(config: DistillConfig, student_out, teacher_out, net, teacher, labels) -> Tensor:
@@ -199,15 +168,12 @@ def train(
     """Train ``net`` under the configured objective; returns per-epoch metrics.
 
     With ``lambda_kd == 0`` the KD branch short-circuits, so such a run is
-    bit-identical to plain task training with the same seed.
+    bit-identical to plain task training with the same seed.  A non-finite
+    loss term, or non-finite parameters at the end of an epoch, raise
+    ``RuntimeError`` instead of training on.
     """
     _validate_setup(net, data, config, teacher)
-    schedule = Schedule(
-        base_lr=config.schedule.base_lr,
-        decay_factor=config.schedule.decay_factor,
-        milestones=tuple(config.schedule.milestones),
-        total_epochs=config.schedule.total_epochs,
-    )
+    schedule = config.schedule
     kd_active = config.loss != "vanilla" and config.lambda_kd > 0
 
     params = net.parameters()
@@ -225,7 +191,7 @@ def train(
         hits = 0
         seen = 0
         batches = minibatch_indices(len(data.train), config.batch_size, rng)
-        for idx in batches:
+        for step, idx in enumerate(batches):
             xb = Tensor(features[idx])
             yb = labels[idx]
             student_out = forward_with_taps(net, xb)
@@ -240,6 +206,11 @@ def train(
             else:
                 total_t = task_t
                 kd, total = 0.0, task
+            for term, value in (("task", task), ("kd", kd)):
+                if not math.isfinite(value):
+                    raise RuntimeError(
+                        f"training diverged at epoch {epoch}, step {step}: {term} loss is {value}"
+                    )
 
             zero_grads(params)
             backward(total_t)
@@ -249,6 +220,8 @@ def train(
             hits += int(np.sum(np.argmax(student_out.logits.data, axis=1) == yb))
             seen += len(yb)
 
+        if not all(np.isfinite(p.data).all() for p in params):
+            raise RuntimeError(f"training diverged at epoch {epoch}: parameters are not finite")
         n_batches = len(batches)
         metrics.append(
             EpochMetrics(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from graphkd.config import (
     parse_config,
 )
 from graphkd.harness import aggregate_median
+from graphkd.models import build_blocknet, save_checkpoint
 
 from conftest import make_config
 
@@ -157,6 +159,21 @@ class TestConfigParsing:
         assert a != c
         assert len(a) == 64
 
+    def test_digest_value_is_pinned(self):
+        # guards the bytes of manifest.json against changes to the config types
+        assert config_digest(parse_config(tiny_config_dict(loss="gkd"))) == (
+            "a31475269bd5f161e740a5e7402a5af23da9a02eb37326a0b7a5952270296a90"
+        )
+
+    def test_replace_revalidates(self):
+        config = parse_config(tiny_config_dict(loss="gkd"))
+        with pytest.raises(ConfigError, match="lambda_kd must be nonnegative"):
+            replace(config, lambda_kd=-1.0)
+        with pytest.raises(ConfigError, match="k="):
+            replace(config, graph=replace(config.graph, k=config.batch_size))
+        with pytest.raises(ConfigError, match="vanilla"):
+            replace(parse_config(tiny_config_dict()), lambda_kd=5.0)
+
 
 class TestAggregateMedian:
     def test_odd_count_picks_middle(self):
@@ -274,7 +291,7 @@ class TestCliEndToEnd:
         assert (out / "p_1" / "summary.json").exists()
         assert (out / "p_2" / "summary.json").exists()
 
-    def test_sweep_lambda_on_vanilla_base_is_rejected(self, tmp_path):
+    def test_sweep_graph_param_on_vanilla_base_is_rejected(self, tmp_path):
         config_path = write_config(tmp_path)
         out = tmp_path / "sweep_run"
         code = main(
@@ -287,6 +304,51 @@ class TestCliEndToEnd:
             ]
         )
         assert code == 2
+
+    def _assert_sweep_rejected(self, capsys, out, argv, fragment):
+        code = main(["sweep", "--out", str(out), *argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_sweep_negative_lambda_on_gkd_base_is_rejected(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, loss="gkd", lambda_kd=1.0, seeds=[1])
+        teacher_ckpt = self._train_teacher(tmp_path, config_path)
+        argv = ["--config", str(config_path), "--teacher", str(teacher_ckpt),
+                "--param", "lambda_kd", "--values", "-1"]
+        self._assert_sweep_rejected(capsys, tmp_path / "sweep_run", argv, "lambda_kd")
+
+    def test_sweep_nonzero_lambda_on_vanilla_base_is_rejected(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, seeds=[1])
+        argv = ["--config", str(config_path), "--param", "lambda_kd", "--values", "5"]
+        self._assert_sweep_rejected(capsys, tmp_path / "sweep_run", argv, "vanilla")
+
+    def test_sweep_bad_k_is_rejected_before_any_run(self, tmp_path, capsys):
+        config_path = write_config(
+            tmp_path, loss="gkd", lambda_kd=1.0, graph={"k": 10}, batch_size=24, seeds=[1]
+        )
+        teacher_ckpt = self._train_teacher(tmp_path, config_path)
+        out = tmp_path / "sweep_run"
+        argv = ["--config", str(config_path), "--teacher", str(teacher_ckpt),
+                "--param", "k", "--values", "3,500"]
+        # the whole sweep fails before k=3 trains, so no k_3/ is left behind
+        self._assert_sweep_rejected(capsys, out, argv, "k=500")
+
+    # the overflow on the way to NaN raises numpy RuntimeWarnings
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_distill_exits_two(self, tmp_path, capsys):
+        schedule = {"base_lr": 1e200, "decay_factor": 0.2, "milestones": [], "total_epochs": 2}
+        config_path = write_config(tmp_path, schedule=schedule, seeds=[1])
+        out = tmp_path / "run"
+        code = main(["distill", "--config", str(config_path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "diverged at epoch 0" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (out / "seed1" / "metrics.csv").exists()
+        assert not (out / "seed1" / "student.ckpt").exists()
 
     def test_analyze_writes_tables(self, tmp_path):
         config_path = write_config(tmp_path, seeds=[1])
@@ -415,14 +477,17 @@ class TestCliEndToEnd:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
-    # a diverging run leaves a non-finite checkpoint (and numpy overflow
-    # warnings); analysing it must end in one error line, not a traceback
+    # training refuses to write a diverged checkpoint, so build one with the
+    # all-NaN parameters a diverged run used to save; analysing it must end
+    # in one error line, not a traceback
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_analyze_diverged_checkpoint_exits_two(self, tmp_path, capsys):
-        schedule = {"base_lr": 1e200, "decay_factor": 0.2, "milestones": [], "total_epochs": 2}
-        config_path = write_config(tmp_path, schedule=schedule)
-        ckpt = self._train_teacher(tmp_path, config_path)
-        capsys.readouterr()
+        config_path = write_config(tmp_path)
+        net = build_blocknet((1, 1), (12, 12), input_dim=3, classes=2, seed=1)
+        for p in net.parameters():
+            p.data[:] = np.nan
+        ckpt = tmp_path / "diverged.ckpt"
+        save_checkpoint(net, ckpt)
         code = main(
             [
                 "analyze",

@@ -5,12 +5,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from graphkd.autodiff import Tensor
+from graphkd.config import Schedule
 from graphkd.datasets import minibatch_indices
 from graphkd.harness import build_split
 from graphkd.models import build_blocknet, forward_with_taps
 from graphkd.training import (
     OptimizerState,
-    Schedule,
     evaluate_error,
     init_optimizer,
     lr_at,
