@@ -29,6 +29,7 @@ __all__ = [
     "square",
     "sqrt",
     "clamp_min",
+    "where",
     "exp",
     "log",
     "log_softmax",
@@ -304,6 +305,28 @@ def clamp_min(t, lo: float) -> Tensor:
         _accumulate(a, g * mask)
 
     return _make(np.maximum(a.data, lo), (a,), bw)
+
+
+def where(cond, a, b) -> Tensor:
+    """Take ``a`` where the constant mask ``cond`` holds and ``b`` elsewhere.
+
+    Unlike masking by multiplication, an unselected infinite entry does not
+    turn into NaN.
+    """
+    a, b = _coerce(a), _coerce(b)
+    _check_elementwise(a, b, "where")
+    cond = np.asarray(cond, dtype=bool)
+    shape = np.broadcast_shapes(a.data.shape, b.data.shape)
+    if cond.shape != shape:
+        raise ValueError(f"where: mask shape {cond.shape} does not match operands {shape}")
+
+    def bw(g: np.ndarray) -> None:
+        if a.requires_grad:
+            _accumulate(a, _reduce_to(g * cond, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _reduce_to(g * ~cond, b.data.shape))
+
+    return _make(np.where(cond, a.data, b.data), (a, b), bw)
 
 
 def exp(t) -> Tensor:

@@ -31,6 +31,7 @@ from .autodiff import (
     sqrt,
     square,
     transpose,
+    where,
 )
 
 __all__ = [
@@ -151,10 +152,37 @@ def class_mask(sim, labels, mode: str):
     return _maybe_data(mul(t, Tensor(keep)), want_array)
 
 
+def _topk_mask(sim: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of each row's k kept off-diagonal entries (see knn_sparsify)."""
+    n = sim.shape[0]
+    if k == n - 1:
+        return ~np.eye(n, dtype=bool)
+    neg = -sim
+    np.fill_diagonal(neg, np.nan)
+    nan = np.isnan(neg)  # NaN entries and the diagonal
+    # the k-th smallest negated key; partition sorts NaN last, so it is NaN
+    # exactly when the row has fewer than k non-NaN candidates
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+    short = np.isnan(kth)
+    above = (neg < kth) | (short & ~nan)
+    tied = (neg == kth) | (short & nan)
+    np.fill_diagonal(tied, False)
+    # rows with more tied entries than places left keep the lowest columns
+    room = k - np.count_nonzero(above, axis=1)
+    over = np.flatnonzero(np.count_nonzero(tied, axis=1) > room)
+    tied[over] &= np.cumsum(tied[over], axis=1) <= room[over, None]
+    return above | tied
+
+
 def knn_sparsify(sim, k: int):
     """Keep each row's k largest off-diagonal entries and symmetrize by union.
 
-    Ties are broken toward the lower column index.  The kept topology is a
+    Each row ranks its off-diagonal entries by value, highest first, with NaN
+    below every number (``-inf`` included), and keeps the first k; equal
+    values (and NaN against NaN) go to the lower column index first.  The
+    diagonal is never kept.  The union W = max(kept, kept^T) propagates NaN
+    like ``np.maximum``; when the input and the kept topology are both
+    exactly symmetric, it is the kept matrix itself.  The kept topology is a
     constant on the tape: gradients flow only through the surviving weights.
     """
     t, want_array = _as_tensor(sim)
@@ -165,18 +193,13 @@ def knn_sparsify(sim, k: int):
     if not 1 <= k <= n - 1:
         raise ValueError(f"knn_sparsify: k={k} outside the valid range [1, {n - 1}]")
 
-    keyed = t.data.copy()
-    np.fill_diagonal(keyed, -np.inf)
-    # stable argsort of the negated row keeps the lower index first on ties
-    order = np.argsort(-keyed, axis=1, kind="stable")
-    kept_mask = np.zeros((n, n))
-    np.put_along_axis(kept_mask, order[:, :k], 1.0, axis=1)
-
-    kept = mul(t, Tensor(kept_mask))
-    # union-symmetrize: W = max(kept, kept^T), realized with a constant
-    # selector so it stays differentiable through the winning entry
-    choose = (kept.data >= kept.data.T).astype(np.float64)
-    w = add(mul(kept, Tensor(choose)), mul(transpose(kept), Tensor(1.0 - choose)))
+    mask = _topk_mask(t.data, k)
+    kept = where(mask, t, 0.0)
+    if np.array_equal(mask, mask.T) and np.array_equal(t.data, t.data.T):
+        return _maybe_data(kept, want_array)
+    # the selector is a constant, so the gradient flows through the winner
+    choose = (kept.data >= kept.data.T) | np.isnan(kept.data)
+    w = where(choose, kept, transpose(kept))
     return _maybe_data(w, want_array)
 
 

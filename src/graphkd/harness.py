@@ -26,6 +26,7 @@ from .datasets import (
 from .graphs import GraphParams, build_similarity_graph, dump_graph_csv
 from .models import (
     BlockNet,
+    atomic_open,
     build_blocknet,
     checkpoint_digest,
     frozen_forward,
@@ -116,7 +117,7 @@ def write_metrics_csv(path: Path, result: TrainResult) -> None:
                 ]
             )
         )
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _final_metrics(result: TrainResult) -> dict[str, float]:
@@ -124,8 +125,13 @@ def _final_metrics(result: TrainResult) -> dict[str, float]:
     return {key: float(getattr(final, key)) for key in FINAL_METRICS}
 
 
+def _write_text(path: Path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_manifest(
@@ -175,7 +181,7 @@ def run_train_teacher(config: DistillConfig, out_dir, seed: int | None = None) -
             "command": "train-teacher",
             "seed": seed,
             "final": _final_metrics(result),
-            "checkpoint": str(ckpt),
+            "checkpoint": ckpt.name,  # relative to the run directory
         },
     )
     return ckpt
@@ -216,10 +222,11 @@ def run_distill(
     per_seed: dict[int, dict[str, float]] = {}
     checkpoints: dict[str, str] = {}
     for seed in seeds:
-        seed_dir = out_dir / f"seed{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
         net = build_net(config, "student", split, seed)
         result = train(net, split, config, seed, teacher=teacher)
+        # made only now, so a run that fails in train() leaves no empty seed dir
+        seed_dir = out_dir / f"seed{seed}"
+        seed_dir.mkdir(exist_ok=True)
         ckpt = seed_dir / "student.ckpt"
         save_checkpoint(net, ckpt)
         write_metrics_csv(seed_dir / "metrics.csv", result)
@@ -286,7 +293,7 @@ def run_sweep(config: DistillConfig, out_dir, param: str, values, teacher_path=N
             )
         )
     sweep_path = out_dir / "sweep.csv"
-    sweep_path.write_text("\n".join(rows) + "\n")
+    _write_text(sweep_path, "\n".join(rows) + "\n")
     return sweep_path
 
 
@@ -328,13 +335,13 @@ def run_analyze(
         )
         for tap, pct in report.per_tap.items():
             conc_rows.append(f"{loss_name},{tap},{'' if pct is None else repr(pct)}")
-    (out_dir / "concentration.csv").write_text("\n".join(conc_rows) + "\n")
+    _write_text(out_dir / "concentration.csv", "\n".join(conc_rows) + "\n")
 
     curve = consistency_curve(teacher, student, split.train, split.test)
     cons_rows = ["tap,consistency"]
     for tap, frac in zip(curve.taps, curve.fractions):
         cons_rows.append(f"{tap},{repr(frac)}")
-    (out_dir / "consistency.csv").write_text("\n".join(cons_rows) + "\n")
+    _write_text(out_dir / "consistency.csv", "\n".join(cons_rows) + "\n")
 
     _write_json(
         out_dir / "analysis_summary.json",
@@ -378,7 +385,7 @@ def run_spectral(
             payload[student_name][curve.signal] = dict(zip(curve.taps, curve.values))
             for tap, value in zip(curve.taps, curve.values):
                 rows.append(f"{student_name},{curve.signal},{tap},{repr(value)}")
-    (out_dir / "smoothness.csv").write_text("\n".join(rows) + "\n")
+    _write_text(out_dir / "smoothness.csv", "\n".join(rows) + "\n")
     _write_json(
         out_dir / "spectral_summary.json",
         {"command": "spectral", "config_digest": config_digest(config), "curves": payload},

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +29,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_digest",
+    "atomic_open",
 ]
 
 CHECKPOINT_FORMAT_VERSION = 1
@@ -170,6 +173,25 @@ def frozen_forward(net: BlockNet, batch) -> TapOutput:
             p.requires_grad = f
 
 
+@contextmanager
+def atomic_open(path):
+    """Open ``path`` for binary writing so that it appears only once complete.
+
+    Writes go to a temp file in the same directory, which ``os.replace``
+    moves over ``path`` when the block exits cleanly.  If the block raises,
+    the temp file is removed and any earlier file at ``path`` is untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # checkpoints: one JSON header line, then raw little-endian float64 weights
 # in block order (each layer W then b, finally the head)
@@ -187,7 +209,7 @@ def save_checkpoint(net: BlockNet, path) -> None:
         },
         sort_keys=True,
     )
-    with path.open("wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(header.encode("utf-8") + b"\n")
         for p in net.parameters():
             fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())

@@ -158,6 +158,9 @@ def _kd_loss(config: DistillConfig, student_out, teacher_out, net, teacher, labe
     return ikd_loss(s_taps, t_taps)
 
 
+# overflow on the way to divergence is reported once, by the finiteness checks
+# in the loop, not as a stream of numpy warnings
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(
     net: BlockNet,
     data: DataSplit,

@@ -47,6 +47,14 @@ class TestForward:
         out = ad.clamp_min(leaf([-2.0, 0.5]), 0.0)
         assert_array_equal(out.data, [0.0, 0.5])
 
+    def test_where_leaves_unselected_infinities_out(self):
+        out = ad.where([[True, False]], const([[1.0, -np.inf]]), const(0.0))
+        assert_array_equal(out.data, [[1.0, 0.0]])
+
+    def test_where_mask_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="mask shape"):
+            ad.where(np.ones(3, dtype=bool), const(np.ones((1, 3))), const(0.0))
+
     def test_reductions(self):
         x = const([[1.0, 2.0], [3.0, 4.0]])
         assert x.sum().data == 10.0
@@ -174,6 +182,7 @@ OP_CASES = {
     "square": lambda x: ad.square(x).sum(),
     "sqrt": lambda x: ad.sqrt(ad.square(x) + const(np.full(x.data.shape, 0.5))).sum(),
     "clamp_min": lambda x: ad.clamp_min(x, -0.1).sum(),
+    "where": lambda x: ad.where(np.indices(x.data.shape).sum(axis=0) % 2 == 0, ad.square(x), x * const(-1.5)).sum(),
     "exp": lambda x: ad.exp(x).sum(),
     "log": lambda x: ad.log(ad.square(x) + const(np.full(x.data.shape, 0.5))).sum(),
     "mean": lambda x: x.mean() * const(3.0),

@@ -141,6 +141,85 @@ class TestKnn:
             assert_allclose(knn_sparsify(sim, k), oracle_topk_union(sim, k), atol=0)
 
 
+def _assert_matches_oracle_for_every_k(sim):
+    for k in range(1, sim.shape[0]):
+        assert_allclose(knn_sparsify(sim, k), oracle_topk_union(sim, k), atol=0)
+
+
+class TestKnnProperties:
+    """Edge cases of the top-k selection, every k from 1 to n-1, against the oracle."""
+
+    def test_duplicated_rows_tie(self):
+        rng = np.random.default_rng(71)
+        reps = rng.normal(size=(5, 3))
+        reps = reps[[0, 1, 0, 2, 1, 3, 4, 0]]  # rows 0, 2, 7 and 1, 4 coincide
+        _assert_matches_oracle_for_every_k(cosine_similarity_matrix(reps))
+
+    def test_equal_similarities_tie(self):
+        rng = np.random.default_rng(72)
+        for _ in range(20):
+            sim = rng.integers(0, 3, size=(7, 7)) / 2.0
+            _assert_matches_oracle_for_every_k(sim)  # asymmetric
+            _assert_matches_oracle_for_every_k(np.maximum(sim, sim.T))
+
+    def test_all_zero_rows(self):
+        sim = cosine_similarity_matrix(np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [2.0, 0.5]]))
+        assert_array_equal(sim[0], np.zeros(4))
+        _assert_matches_oracle_for_every_k(sim)
+
+    def test_single_class_inter_class_mask_gives_empty_graph(self):
+        sim = cosine_similarity_matrix(np.random.default_rng(73).normal(size=(6, 3)))
+        masked = class_mask(sim, np.zeros(6, dtype=int), "inter_class")
+        _assert_matches_oracle_for_every_k(masked)
+        assert_array_equal(knn_sparsify(masked, 2), np.zeros((6, 6)))
+
+    def test_asymmetric_input_at_dense_k_is_union_symmetrized(self):
+        rng = np.random.default_rng(74)
+        sim = rng.uniform(size=(6, 6))
+        w = knn_sparsify(sim, 5)
+        expected = np.maximum(sim, sim.T)
+        np.fill_diagonal(expected, 0.0)
+        assert_array_equal(w, expected)
+        assert_array_equal(w, oracle_topk_union(sim, 5))
+
+    def test_negative_infinity_entries(self):
+        rng = np.random.default_rng(75)
+        for _ in range(20):
+            sim = rng.uniform(size=(6, 6))
+            sim[rng.uniform(size=(6, 6)) < 0.4] = -np.inf
+            sim[0, 1:] = -np.inf  # one row with no finite candidate
+            _assert_matches_oracle_for_every_k(sim)
+            _assert_matches_oracle_for_every_k(np.maximum(sim, sim.T))
+
+    def test_diagonal_is_never_kept(self):
+        sim = np.full((4, 4), -np.inf)
+        np.fill_diagonal(sim, 5.0)
+        for k in (1, 2, 3):
+            w = knn_sparsify(sim, k)
+            assert_array_equal(np.diag(w), np.zeros(4))
+            assert_array_equal(w, oracle_topk_union(sim, k))
+
+    def test_nan_ranks_below_every_number(self):
+        nan = np.nan
+        sim = np.array(
+            [
+                [0.0, nan, 0.3, nan],  # one number: keep it, then the first NaN
+                [0.2, 0.0, 0.1, 0.4],
+                [0.3, 0.1, 0.0, 0.1],
+                [nan, 0.4, -np.inf, 0.0],  # -inf still outranks NaN
+            ]
+        )
+        expected = np.array(
+            [
+                [0.0, nan, 0.3, 0.0],
+                [nan, 0.0, 0.1, 0.4],
+                [0.3, 0.1, 0.0, 0.0],
+                [0.0, 0.4, 0.0, 0.0],
+            ]
+        )
+        assert_array_equal(knn_sparsify(sim, 2), expected)
+
+
 class TestNormalize:
     def test_triangle_graph(self):
         w = np.ones((3, 3)) - np.eye(3)

@@ -336,19 +336,40 @@ class TestCliEndToEnd:
         # the whole sweep fails before k=3 trains, so no k_3/ is left behind
         self._assert_sweep_rejected(capsys, out, argv, "k=500")
 
-    # the overflow on the way to NaN raises numpy RuntimeWarnings
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_diverging_distill_exits_two(self, tmp_path, capsys):
-        schedule = {"base_lr": 1e200, "decay_factor": 0.2, "milestones": [], "total_epochs": 2}
-        config_path = write_config(tmp_path, schedule=schedule, seeds=[1])
-        out = tmp_path / "run"
-        code = main(["distill", "--config", str(config_path), "--out", str(out)])
-        assert code == 2
+    DIVERGING_SCHEDULE = {"base_lr": 1e200, "decay_factor": 0.2, "milestones": [], "total_epochs": 2}
+
+    def _assert_diverged(self, capsys, recwarn, out):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "diverged at epoch 0" in err
         assert len(err.strip().splitlines()) == 1
-        assert not (out / "seed1" / "metrics.csv").exists()
-        assert not (out / "seed1" / "student.ckpt").exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not (out / "seed1").exists()
+
+    def test_diverging_distill_exits_two(self, tmp_path, capsys, recwarn):
+        config_path = write_config(tmp_path, schedule=self.DIVERGING_SCHEDULE, seeds=[1])
+        out = tmp_path / "run"
+        code = main(["distill", "--config", str(config_path), "--out", str(out)])
+        assert code == 2
+        self._assert_diverged(capsys, recwarn, out)
+
+    def test_diverging_gkd_distill_leaves_no_seed_dir(self, tmp_path, capsys, recwarn):
+        teacher_ckpt = self._train_teacher(tmp_path, write_config(tmp_path))
+        config_path = write_config(
+            tmp_path, "gkd.json", loss="gkd", schedule=self.DIVERGING_SCHEDULE, seeds=[1]
+        )
+        out = tmp_path / "run"
+        argv = ["distill", "--config", str(config_path), "--out", str(out)]
+        assert main(argv + ["--teacher", str(teacher_ckpt)]) == 2
+        self._assert_diverged(capsys, recwarn, out)
+
+    def test_train_teacher_summary_is_independent_of_out_dir(self, tmp_path):
+        config_path = write_config(tmp_path)
+        for name in ("a", "b"):
+            argv = ["train-teacher", "--config", str(config_path), "--out", str(tmp_path / name)]
+            assert main(argv) == 0
+        summary = (tmp_path / "a" / "summary.json").read_bytes()
+        assert summary == (tmp_path / "b" / "summary.json").read_bytes()
+        assert json.loads(summary)["checkpoint"] == "teacher.ckpt"
 
     def test_analyze_writes_tables(self, tmp_path):
         config_path = write_config(tmp_path, seeds=[1])

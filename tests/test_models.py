@@ -153,6 +153,22 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
         assert checkpoint_digest(p1) == checkpoint_digest(p2)
 
+    def test_write_failing_midway_leaves_no_file(self, tmp_path):
+        net = build_blocknet((1, 1), (4, 4), 2, 2, seed=7)
+        path = tmp_path / "net.ckpt"
+        net.parameters()[-1].data = np.array(["not a number"])  # fails after the header
+        with pytest.raises(ValueError):
+            save_checkpoint(net, path)
+        assert list(tmp_path.iterdir()) == []
+
+        good = build_blocknet((1, 1), (4, 4), 2, 2, seed=8)
+        save_checkpoint(good, path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            save_checkpoint(net, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_header_is_one_json_line(self, tmp_path):
         net = build_blocknet((1,), (4,), 2, 2, seed=0)
         path = tmp_path / "net.ckpt"
