@@ -219,48 +219,46 @@ def _spread(g: np.ndarray, shape: tuple[int, ...], axis: int | None) -> np.ndarr
 # elementwise operations
 
 
+def _binary(a: Tensor, b: Tensor, data: np.ndarray, da, db) -> Tensor:
+    """Record a two-operand op; ``da``/``db`` map the output gradient to each
+    operand's, and run only for an operand that requires a gradient."""
+
+    def bw(g: np.ndarray) -> None:
+        for t, d in ((a, da), (b, db)):
+            if t.requires_grad:
+                _accumulate(t, _reduce_to(d(g), t.data.shape))
+
+    return _make(data, (a, b), bw)
+
+
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _check_elementwise(a, b, "add")
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, _reduce_to(g, a.data.shape))
-        _accumulate(b, _reduce_to(g, b.data.shape))
-
-    return _make(a.data + b.data, (a, b), bw)
+    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _check_elementwise(a, b, "sub")
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, _reduce_to(g, a.data.shape))
-        _accumulate(b, _reduce_to(-g, b.data.shape))
-
-    return _make(a.data - b.data, (a, b), bw)
+    return _binary(a, b, a.data - b.data, lambda g: g, lambda g: -g)
 
 
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _check_elementwise(a, b, "mul")
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, _reduce_to(g * b.data, a.data.shape))
-        _accumulate(b, _reduce_to(g * a.data, b.data.shape))
-
-    return _make(a.data * b.data, (a, b), bw)
+    return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     _check_elementwise(a, b, "div")
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, _reduce_to(g / b.data, a.data.shape))
-        _accumulate(b, _reduce_to(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(a.data / b.data, (a, b), bw)
+    return _binary(
+        a,
+        b,
+        a.data / b.data,
+        lambda g: g / b.data,
+        lambda g: -g * a.data / (b.data * b.data),
+    )
 
 
 def relu(t) -> Tensor:
@@ -319,14 +317,9 @@ def where(cond, a, b) -> Tensor:
     shape = np.broadcast_shapes(a.data.shape, b.data.shape)
     if cond.shape != shape:
         raise ValueError(f"where: mask shape {cond.shape} does not match operands {shape}")
-
-    def bw(g: np.ndarray) -> None:
-        if a.requires_grad:
-            _accumulate(a, _reduce_to(g * cond, a.data.shape))
-        if b.requires_grad:
-            _accumulate(b, _reduce_to(g * ~cond, b.data.shape))
-
-    return _make(np.where(cond, a.data, b.data), (a, b), bw)
+    return _binary(
+        a, b, np.where(cond, a.data, b.data), lambda g: g * cond, lambda g: g * ~cond
+    )
 
 
 def exp(t) -> Tensor:
@@ -363,11 +356,7 @@ def matmul(a, b) -> Tensor:
             f"matmul: inner dimensions disagree: {a.data.shape} @ {b.data.shape}"
         )
 
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _make(a.data @ b.data, (a, b), bw)
+    return _binary(a, b, a.data @ b.data, lambda g: g @ b.data.T, lambda g: a.data.T @ g)
 
 
 def transpose(t) -> Tensor:

@@ -15,15 +15,14 @@ LAPACK-backed ``eigh``.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .autodiff import (
     Tensor,
-    add,
     div,
     matmul,
     mul,
@@ -101,6 +100,12 @@ def _maybe_data(t: Tensor, want_array: bool):
     return t.data if want_array else t
 
 
+def _inv_sqrt(x: Tensor) -> Tensor:
+    """1/sqrt(x) where x > 0 and 0 elsewhere, so zero rows stay zero."""
+    pos = x.data > 0
+    return where(pos, div(1.0, sqrt(where(pos, x, 1.0))), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # pipeline stages
 
@@ -117,18 +122,11 @@ def cosine_similarity_matrix(reps):
     if n < 2:
         raise ValueError(f"cosine_similarity_matrix: need at least 2 rows, got {n}")
 
-    sq_norms = square(t).sum(axis=1)
-    pos = (sq_norms.data > 0).astype(np.float64)
-    # 1/||r_i|| where the norm is positive, 0 for all-zero rows; the +(1-pos)
-    # shift keeps the division finite and is masked back out afterwards.
-    safe = add(sq_norms, Tensor(1.0 - pos))
-    inv_norm = mul(div(1.0, sqrt(safe)), Tensor(pos))
+    inv_norm = _inv_sqrt(square(t).sum(axis=1))
     scale = matmul(inv_norm.reshape((n, 1)), Tensor(np.ones((1, d))))
     unit = mul(t, scale)
-    sim = matmul(unit, transpose(unit))
-    sim = relu(sim)  # clamp negative cosine to 0
-    sim = mul(sim, Tensor(1.0 - np.eye(n)))
-    return _maybe_data(sim, want_array)
+    sim = relu(matmul(unit, transpose(unit)))  # clamp negative cosine to 0
+    return _maybe_data(where(~np.eye(n, dtype=bool), sim, 0.0), want_array)
 
 
 def class_mask(sim, labels, mode: str):
@@ -148,8 +146,8 @@ def class_mask(sim, labels, mode: str):
             f"class_mask: labels shape {labels.shape} does not match graph size {n}"
         )
     same = labels[:, None] == labels[None, :]
-    keep = (~same if mode == "inter_class" else same).astype(np.float64)
-    return _maybe_data(mul(t, Tensor(keep)), want_array)
+    keep = ~same if mode == "inter_class" else same
+    return _maybe_data(where(keep, t, 0.0), want_array)
 
 
 def _topk_mask(sim: np.ndarray, k: int) -> np.ndarray:
@@ -207,10 +205,7 @@ def degree_normalize(weights):
     """Return A = D^-1/2 W D^-1/2; zero-degree nodes map to all-zero rows/columns."""
     t, want_array = _as_tensor(weights)
     n = _weights_array(t).shape[0]
-    deg = t.sum(axis=1)
-    pos = (deg.data > 0).astype(np.float64)
-    safe = add(deg, Tensor(1.0 - pos))
-    inv_sqrt = mul(div(1.0, sqrt(safe)), Tensor(pos))
+    inv_sqrt = _inv_sqrt(t.sum(axis=1))
     scale = matmul(inv_sqrt.reshape((n, 1)), inv_sqrt.reshape((1, n)))
     return _maybe_data(mul(t, scale), want_array)
 
@@ -341,12 +336,15 @@ def fiedler_vector(lap) -> GraphSignal:
 
 
 def dump_graph_csv(graph: SimilarityGraph, edges_path, params_path) -> None:
-    """Write the upper-triangle edge list (i,j,weight) plus a JSON param sidecar."""
-    edges_path = Path(edges_path)
-    params_path = Path(params_path)
+    """Write the upper-triangle edge list (i,j,weight) plus a JSON param sidecar.
+
+    Each file appears only once complete (see ``models.atomic_open``).
+    """
+    from .models import atomic_open  # models imports config, which imports this module
+
     w = graph.weights
-    with edges_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
+    with atomic_open(edges_path) as fh, io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+        writer = csv.writer(text)
         writer.writerow(["i", "j", "weight"])
         for i in range(graph.n):
             for j in range(i + 1, graph.n):
@@ -358,4 +356,5 @@ def dump_graph_csv(graph: SimilarityGraph, edges_path, params_path) -> None:
         "p": graph.params.p,
         "mask_mode": graph.params.mask_mode,
     }
-    params_path.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    with atomic_open(params_path) as fh:
+        fh.write((json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode("utf-8"))

@@ -194,10 +194,7 @@ def _load_teacher(config: DistillConfig, teacher_path, split: DataSplit) -> Bloc
         return None
     if teacher_path is None:
         raise ConfigError(f"loss {config.loss!r} requires --teacher")
-    teacher_path = Path(teacher_path)
-    if not teacher_path.exists():
-        raise ConfigError(f"teacher checkpoint not found: {teacher_path}")
-    teacher = load_checkpoint(teacher_path)
+    teacher = _require_checkpoint(teacher_path, "teacher")
     if teacher.input_dim != split.train.dim:
         raise ConfigError(
             f"teacher checkpoint input_dim {teacher.input_dim} does not match "

@@ -29,6 +29,7 @@ from .autodiff import (
     square,
     sub,
     transpose,
+    where,
 )
 from .graphs import SimilarityGraph
 
@@ -62,9 +63,8 @@ def task_loss(logits, labels) -> Tensor:
             f"task_loss: labels must lie in [0, {classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    onehot = np.zeros((n, classes))
-    onehot[np.arange(n), labels.astype(int)] = 1.0
-    picked = mul(log_softmax(logits_t), Tensor(onehot))
+    onehot = np.arange(classes) == labels.astype(int)[:, None]
+    picked = where(onehot, log_softmax(logits_t), 0.0)
     return mul(picked.sum(), -1.0 / n)
 
 
@@ -81,11 +81,9 @@ def _huber_elementwise(a: Tensor, b: Tensor) -> Tensor:
     derivative everywhere.
     """
     d = sub(a, b)
-    quad_branch = (np.abs(d.data) <= 1.0).astype(np.float64)
-    sign = np.sign(d.data)
     quad = mul(square(d), 0.5)
-    lin = sub(mul(d, Tensor(sign)), 0.5)
-    return add(mul(quad, Tensor(quad_branch)), mul(lin, Tensor(1.0 - quad_branch)))
+    lin = sub(mul(d, Tensor(np.sign(d.data))), 0.5)
+    return where(np.abs(d.data) <= 1.0, quad, lin)
 
 
 def normalized_pairwise_distances(reps) -> Tensor:
@@ -100,9 +98,9 @@ def normalized_pairwise_distances(reps) -> Tensor:
     n = t.data.shape[0]
     if n < 2:
         raise ValueError(f"pairwise distances: need at least 2 rows, got {n}")
-    eye = np.eye(n)
+    eye = np.eye(n, dtype=bool)
     gram = matmul(t, transpose(t))
-    sq = mul(gram, Tensor(eye)).sum(axis=1)
+    sq = where(eye, gram, 0.0).sum(axis=1)
     col = sq.reshape((n, 1))
     row = sq.reshape((1, n))
     d2 = sub(
@@ -110,8 +108,7 @@ def normalized_pairwise_distances(reps) -> Tensor:
         mul(gram, 2.0),
     )
     d2 = clamp_min(d2, 0.0)  # guard tiny negative rounding
-    # +I keeps sqrt smooth on the diagonal, which is masked back to zero
-    dist = mul(sqrt(add(d2, Tensor(eye))), Tensor(1.0 - eye))
+    dist = where(~eye, sqrt(d2), 0.0)
     mean_dist = mul(dist.sum(), 1.0 / (n * (n - 1)))
     if float(mean_dist.data) == 0.0:
         return mul(dist, 0.0)

@@ -80,6 +80,11 @@ class TestClassMask:
         expected = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
         assert_array_equal(out, expected)
 
+    def test_masked_out_infinities_become_zero(self):
+        out = class_mask(np.full((3, 3), -np.inf), self.LABELS, "inter_class")
+        cross = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 0]], dtype=bool)
+        assert_array_equal(out, np.where(cross, -np.inf, 0.0))
+
     def test_all_mode_is_identity(self):
         sim = np.random.default_rng(1).uniform(size=(4, 4))
         out = class_mask(sim, None, "all")
@@ -414,3 +419,11 @@ class TestDump:
 
         sidecar = json.loads(params.read_text())
         assert sidecar == {"n": 7, "k": 2, "p": 2, "mask_mode": "all"}
+
+    def test_write_failing_midway_leaves_no_file(self, tmp_path):
+        g = build_similarity_graph(np.random.default_rng(62).normal(size=(7, 3)), k=6)
+        g.weights = g.weights.astype(object)
+        g.weights[3, 5] = "not a number"  # fails after rows 0-2 are written
+        with pytest.raises(ValueError):
+            dump_graph_csv(g, tmp_path / "edges.csv", tmp_path / "params.json")
+        assert list(tmp_path.iterdir()) == []
