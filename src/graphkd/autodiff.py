@@ -2,10 +2,10 @@
 
 The engine keeps a dynamic tape: every operation whose inputs require
 gradients records a backward rule, and ``backward`` replays those rules in
-reverse topological order.  Broadcasting is deliberately restricted to
-scalar-with-tensor and equal-shape operands; row/column expansion is done
-explicitly with matmul against constant ones, which keeps every backward
-rule small enough to audit.
+reverse topological order.  The elementwise ops (add, sub, mul, div, where)
+broadcast their operands by numpy's rules, and each operand's gradient is
+summed back over the axes it was broadcast along; ``matmul`` stays rank-2.
+Masking is ``where`` with a constant boolean mask, never a multiply by 0/1.
 
 A tape (and the tensors recorded on it) belongs to a single thread.
 """
@@ -193,20 +193,27 @@ def _check_axis(t: Tensor, axis: int | None, op: str) -> None:
         raise ValueError(f"{op}: axis {axis} out of range for rank {t.data.ndim}")
 
 
-def _check_elementwise(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape == b.data.shape or a.data.ndim == 0 or b.data.ndim == 0:
-        return
-    raise ValueError(
-        f"{op}: shapes {a.data.shape} and {b.data.shape} are incompatible "
-        "(equal-shape or scalar broadcasting only)"
-    )
+def _check_elementwise(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
+    """Return the broadcast shape of two operands, or raise naming both shapes."""
+    if a.data.shape == b.data.shape or b.data.ndim == 0:
+        return a.data.shape  # the common cases, without broadcast_shapes' cost
+    try:
+        return np.broadcast_shapes(a.data.shape, b.data.shape)
+    except ValueError:
+        raise ValueError(
+            f"{op}: shapes {a.data.shape} and {b.data.shape} do not broadcast"
+        ) from None
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Collapse a broadcast gradient back onto a scalar operand's shape."""
+    """Sum a broadcast gradient back onto an operand's shape."""
     if g.shape == shape:
         return g
-    return np.asarray(np.sum(g)).reshape(shape)
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1
+    )
+    return np.sum(g, axis=axes).reshape(shape)
 
 
 def _spread(g: np.ndarray, shape: tuple[int, ...], axis: int | None) -> np.ndarray:
@@ -308,13 +315,13 @@ def clamp_min(t, lo: float) -> Tensor:
 def where(cond, a, b) -> Tensor:
     """Take ``a`` where the constant mask ``cond`` holds and ``b`` elsewhere.
 
-    Unlike masking by multiplication, an unselected infinite entry does not
-    turn into NaN.
+    ``a`` and ``b`` broadcast against each other; ``cond`` must have the
+    result's shape.  Unlike masking by multiplication, an unselected infinite
+    entry does not turn into NaN.
     """
     a, b = _coerce(a), _coerce(b)
-    _check_elementwise(a, b, "where")
+    shape = _check_elementwise(a, b, "where")
     cond = np.asarray(cond, dtype=bool)
-    shape = np.broadcast_shapes(a.data.shape, b.data.shape)
     if cond.shape != shape:
         raise ValueError(f"where: mask shape {cond.shape} does not match operands {shape}")
     return _binary(

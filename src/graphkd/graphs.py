@@ -5,7 +5,8 @@ Pipeline (in order): cosine_similarity_matrix -> class_mask -> knn_sparsify
 plain arrays or :class:`~graphkd.autodiff.Tensor` inputs and return the same
 kind; with a tensor input the graph weights stay on the gradient tape, while
 discrete choices (k-NN topology, class masks, tie-breaks) are always treated
-as constants during backward.
+as constants during backward.  Masks are applied with ``autodiff.where``, so
+a masked-out entry is 0 even where the input is infinite or NaN.
 
 The spectral helpers (laplacian / smoothness / symmetric_eig / fiedler_vector)
 are plain-array utilities used on frozen graphs; the eigensolver is numpy's
@@ -118,13 +119,11 @@ def cosine_similarity_matrix(reps):
     t, want_array = _as_tensor(reps)
     if t.data.ndim != 2:
         raise ValueError(f"cosine_similarity_matrix: expected a 2-d batch, got shape {t.data.shape}")
-    n, d = t.data.shape
+    n = t.data.shape[0]
     if n < 2:
         raise ValueError(f"cosine_similarity_matrix: need at least 2 rows, got {n}")
 
-    inv_norm = _inv_sqrt(square(t).sum(axis=1))
-    scale = matmul(inv_norm.reshape((n, 1)), Tensor(np.ones((1, d))))
-    unit = mul(t, scale)
+    unit = mul(t, _inv_sqrt(square(t).sum(axis=1)).reshape((n, 1)))
     sim = relu(matmul(unit, transpose(unit)))  # clamp negative cosine to 0
     return _maybe_data(where(~np.eye(n, dtype=bool), sim, 0.0), want_array)
 
@@ -206,7 +205,8 @@ def degree_normalize(weights):
     t, want_array = _as_tensor(weights)
     n = _weights_array(t).shape[0]
     inv_sqrt = _inv_sqrt(t.sum(axis=1))
-    scale = matmul(inv_sqrt.reshape((n, 1)), inv_sqrt.reshape((1, n)))
+    # scaling by the outer product, not by rows then columns, keeps A exactly symmetric
+    scale = mul(inv_sqrt.reshape((n, 1)), inv_sqrt.reshape((1, n)))
     return _maybe_data(mul(t, scale), want_array)
 
 

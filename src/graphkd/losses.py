@@ -101,12 +101,7 @@ def normalized_pairwise_distances(reps) -> Tensor:
     eye = np.eye(n, dtype=bool)
     gram = matmul(t, transpose(t))
     sq = where(eye, gram, 0.0).sum(axis=1)
-    col = sq.reshape((n, 1))
-    row = sq.reshape((1, n))
-    d2 = sub(
-        add(matmul(Tensor(np.ones((n, 1))), row), matmul(col, Tensor(np.ones((1, n))))),
-        mul(gram, 2.0),
-    )
+    d2 = sub(add(sq.reshape((1, n)), sq.reshape((n, 1))), mul(gram, 2.0))
     d2 = clamp_min(d2, 0.0)  # guard tiny negative rounding
     dist = where(~eye, sqrt(d2), 0.0)
     mean_dist = mul(dist.sum(), 1.0 / (n * (n - 1)))

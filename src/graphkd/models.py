@@ -150,15 +150,14 @@ def forward_with_taps(net: BlockNet, batch) -> TapOutput:
             f"forward_with_taps: batch shape {x.data.shape} does not match "
             f"input_dim {net.input_dim}"
         )
-    ones = Tensor(np.ones((x.data.shape[0], 1)))
     h = x
     taps = []
     for block in net.blocks:
         for w, b in block:
-            h = relu(add(matmul(h, w), matmul(ones, b)))
+            h = relu(add(matmul(h, w), b))
         taps.append(h)
     w, b = net.head
-    logits = add(matmul(h, w), matmul(ones, b))
+    logits = add(matmul(h, w), b)
     return TapOutput(taps=taps, logits=logits)
 
 

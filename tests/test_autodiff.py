@@ -39,6 +39,12 @@ class TestForward:
         out = const([[1.0, 2.0]]) * const(3.0)
         assert_array_equal(out.data, [[3.0, 6.0]])
 
+    def test_row_and_column_broadcast(self):
+        out = const([[1.0], [2.0]]) + const([[10.0, 20.0, 30.0]])
+        assert_array_equal(out.data, [[11.0, 21.0, 31.0], [12.0, 22.0, 32.0]])
+        with pytest.raises(ValueError, match=r"\(2, 2\).*\(3,\)"):
+            const(np.ones((2, 2))) * const(np.ones(3))
+
     def test_relu(self):
         out = ad.relu(leaf([-1.0, 0.0, 2.0]))
         assert_array_equal(out.data, [0.0, 0.0, 2.0])
@@ -168,6 +174,17 @@ def _safe(rng, shape, keep_away=0.25):
     return x
 
 
+_GRID = np.linspace(-1.5, 2.0, 12).reshape(3, 4)
+
+BROADCAST_LEAF_SHAPES = {
+    "add_col_broadcast": (3, 1),
+    "sub_row_broadcast": (1, 4),
+    "mul_row_broadcast": (1, 4),
+    "div_col_broadcast": (3, 1),
+    "mul_rank1_broadcast": (4,),
+    "where_row_broadcast": (1, 4),
+}
+
 OP_CASES = {
     "add": lambda x: (x + const(np.full(x.data.shape, 0.7))).sum(),
     "sub": lambda x: (const(np.full(x.data.shape, 0.3)) - x).sum(),
@@ -190,6 +207,14 @@ OP_CASES = {
     "sum_axis1": lambda x: ad.square(x.sum(axis=1)).sum(),
     "max_axis1": lambda x: x.max(axis=1).sum(),
     "log_softmax": lambda x: (ad.log_softmax(x) * const(np.linspace(-1, 1, x.data.size).reshape(x.data.shape))).sum(),
+    # the leaf is the broadcast operand, so its gradient is summed over the
+    # broadcast axes (shapes in BROADCAST_LEAF_SHAPES)
+    "add_col_broadcast": lambda x: ad.square(x + const(_GRID)).sum(),
+    "sub_row_broadcast": lambda x: ad.square(const(_GRID) - x).sum(),
+    "mul_row_broadcast": lambda x: (const(_GRID) * x).sum(),
+    "div_col_broadcast": lambda x: (const(_GRID) / x).sum(),
+    "mul_rank1_broadcast": lambda x: ad.square(x * const(_GRID)).sum(),
+    "where_row_broadcast": lambda x: ad.where(_GRID > 0, ad.square(x), const(_GRID)).sum(),
 }
 
 
@@ -197,7 +222,7 @@ OP_CASES = {
 def test_fd_gradient_per_op(name):
     rng = np.random.default_rng(abs(hash(name)) % (2**32))
     for trial in range(4):
-        x0 = _safe(rng, (3, 4))
+        x0 = _safe(rng, BROADCAST_LEAF_SHAPES.get(name, (3, 4)))
         if name == "max_axis1":
             # separate the per-row maxima so FD stays on one branch
             x0[np.arange(3), trial % 4] += 3.0
