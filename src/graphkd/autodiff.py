@@ -2,40 +2,39 @@
 
 The engine keeps a dynamic tape: every operation whose inputs require
 gradients records a backward rule, and ``backward`` replays those rules in
-reverse topological order.  The elementwise ops (add, sub, mul, div, where)
-broadcast their operands by numpy's rules, and each operand's gradient is
-summed back over the axes it was broadcast along; ``matmul`` stays rank-2.
-Masking is ``where`` with a constant boolean mask, never a multiply by 0/1.
+reverse topological order.  The ops are the ones the models and losses use.
+The elementwise ops (add, sub, mul, where) broadcast their operands by
+numpy's rules, and each operand's gradient is summed back over the axes it
+was broadcast along; ``matmul`` stays rank-2.  Masking is ``where`` with a
+constant boolean mask, never a multiply by 0/1.  ``record`` puts a
+hand-written function on the tape: the graph builder and RKD-D use it to
+record a whole pipeline as one node with a closed-form backward.
 
 A tape (and the tensors recorded on it) belongs to a single thread.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "Tensor",
+    "record",
     "add",
     "sub",
     "mul",
-    "div",
     "matmul",
-    "transpose",
-    "reshape",
     "relu",
     "square",
-    "sqrt",
-    "clamp_min",
     "where",
-    "exp",
-    "log",
     "log_softmax",
     "backward",
     "zero_grads",
 ]
+
+Backward = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
 
 
 class Tensor:
@@ -55,7 +54,7 @@ class Tensor:
             np.zeros_like(self.data) if self.requires_grad else None
         )
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._backward: Backward | None = None
 
     # -- introspection -------------------------------------------------
     @property
@@ -72,9 +71,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -97,60 +93,21 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __neg__(self):
         return mul(self, -1.0)
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
     def sum(self, axis: int | None = None) -> "Tensor":
-        _check_axis(self, axis, "sum")
-        a = self
+        if axis is not None and not 0 <= axis < self.data.ndim:
+            raise ValueError(f"sum: axis {axis} out of range for rank {self.data.ndim}")
+        shape = self.data.shape
 
-        def bw(g: np.ndarray) -> None:
-            _accumulate(a, _spread(g, a.data.shape, axis))
+        def bw(g: np.ndarray):
+            return (np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape),)
 
-        return _make(np.sum(a.data, axis=axis), (a,), bw)
-
-    def mean(self, axis: int | None = None) -> "Tensor":
-        _check_axis(self, axis, "mean")
-        a = self
-        extent = a.data.size if axis is None else a.data.shape[axis]
-
-        def bw(g: np.ndarray) -> None:
-            _accumulate(a, _spread(g, a.data.shape, axis) / extent)
-
-        return _make(np.mean(a.data, axis=axis), (a,), bw)
-
-    def max(self, axis: int | None = None) -> "Tensor":
-        """Reduce by maximum; the gradient flows to the first maximal entry."""
-        _check_axis(self, axis, "max")
-        a = self
-
-        def bw(g: np.ndarray) -> None:
-            gx = np.zeros_like(a.data)
-            if axis is None:
-                idx = np.unravel_index(np.argmax(a.data), a.data.shape)
-                gx[idx] = np.asarray(g).reshape(())
-            else:
-                idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
-                np.put_along_axis(gx, idx, np.expand_dims(g, axis), axis)
-            _accumulate(a, gx)
-
-        return _make(np.max(a.data, axis=axis), (a,), bw)
+        return record(np.sum(self.data, axis=axis), (self,), bw)
 
     def backward(self) -> None:
         backward(self)
@@ -166,18 +123,23 @@ def _coerce(x) -> Tensor:
     return Tensor(x)
 
 
-def _make(
-    data: np.ndarray,
-    parents: tuple[Tensor, ...],
-    bw: Callable[[np.ndarray], None],
-) -> Tensor:
+def record(data, parents: Sequence[Tensor], backward: Backward) -> Tensor:
+    """Return a tensor holding ``data``, recorded on the tape as a function of ``parents``.
+
+    ``backward(g)`` maps the gradient of the output to one gradient per
+    parent, in order, each of that parent's shape; it may give None for a
+    parent that does not require a gradient.  Nothing is recorded when no
+    parent requires a gradient.
+    """
     out = Tensor(data)
+    parents = tuple(parents)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.grad = None  # filled during backward
         out._parents = parents
-        out._backward = bw
+        out._backward = backward
     return out
+
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
@@ -186,11 +148,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = np.array(g, dtype=np.float64)
     else:
         t.grad = t.grad + g
-
-
-def _check_axis(t: Tensor, axis: int | None, op: str) -> None:
-    if axis is not None and not 0 <= axis < t.data.ndim:
-        raise ValueError(f"{op}: axis {axis} out of range for rank {t.data.ndim}")
 
 
 def _check_elementwise(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
@@ -216,26 +173,21 @@ def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.sum(g, axis=axes).reshape(shape)
 
 
-def _spread(g: np.ndarray, shape: tuple[int, ...], axis: int | None) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    return np.broadcast_to(np.expand_dims(g, axis), shape)
-
-
 # ---------------------------------------------------------------------------
-# elementwise operations
+# operations
 
 
 def _binary(a: Tensor, b: Tensor, data: np.ndarray, da, db) -> Tensor:
     """Record a two-operand op; ``da``/``db`` map the output gradient to each
     operand's, and run only for an operand that requires a gradient."""
 
-    def bw(g: np.ndarray) -> None:
-        for t, d in ((a, da), (b, db)):
-            if t.requires_grad:
-                _accumulate(t, _reduce_to(d(g), t.data.shape))
+    def bw(g: np.ndarray):
+        return (
+            _reduce_to(da(g), a.data.shape) if a.requires_grad else None,
+            _reduce_to(db(g), b.data.shape) if b.requires_grad else None,
+        )
 
-    return _make(data, (a, b), bw)
+    return record(data, (a, b), bw)
 
 
 def add(a, b) -> Tensor:
@@ -256,60 +208,15 @@ def mul(a, b) -> Tensor:
     return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
 
 
-def div(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _check_elementwise(a, b, "div")
-    return _binary(
-        a,
-        b,
-        a.data / b.data,
-        lambda g: g / b.data,
-        lambda g: -g * a.data / (b.data * b.data),
-    )
-
-
 def relu(t) -> Tensor:
     a = _coerce(t)
     mask = a.data > 0  # subgradient at 0 is 0
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, g * mask)
-
-    return _make(np.maximum(a.data, 0.0), (a,), bw)
+    return record(np.maximum(a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 def square(t) -> Tensor:
     a = _coerce(t)
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, g * (2.0 * a.data))
-
-    return _make(a.data * a.data, (a,), bw)
-
-
-def sqrt(t) -> Tensor:
-    """Elementwise square root; the derivative at 0 is defined as 0."""
-    a = _coerce(t)
-    out_data = np.sqrt(a.data)
-
-    def bw(g: np.ndarray) -> None:
-        d = np.divide(
-            0.5, out_data, out=np.zeros_like(out_data), where=out_data > 0
-        )
-        _accumulate(a, g * d)
-
-    return _make(out_data, (a,), bw)
-
-
-def clamp_min(t, lo: float) -> Tensor:
-    a = _coerce(t)
-    lo = float(lo)
-    mask = a.data > lo
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, g * mask)
-
-    return _make(np.maximum(a.data, lo), (a,), bw)
+    return record(a.data * a.data, (a,), lambda g: (g * (2.0 * a.data),))
 
 
 def where(cond, a, b) -> Tensor:
@@ -329,29 +236,6 @@ def where(cond, a, b) -> Tensor:
     )
 
 
-def exp(t) -> Tensor:
-    a = _coerce(t)
-    out_data = np.exp(a.data)
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, g * out_data)
-
-    return _make(out_data, (a,), bw)
-
-
-def log(t) -> Tensor:
-    a = _coerce(t)
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), bw)
-
-
-# ---------------------------------------------------------------------------
-# structural operations
-
-
 def matmul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -366,27 +250,6 @@ def matmul(a, b) -> Tensor:
     return _binary(a, b, a.data @ b.data, lambda g: g @ b.data.T, lambda g: a.data.T @ g)
 
 
-def transpose(t) -> Tensor:
-    a = _coerce(t)
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose: expected a rank-2 tensor, got shape {a.data.shape}")
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, g.T)
-
-    return _make(a.data.T, (a,), bw)
-
-
-def reshape(t, shape) -> Tensor:
-    a = _coerce(t)
-    shape = tuple(int(s) for s in shape)
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, g.reshape(a.data.shape))
-
-    return _make(a.data.reshape(shape), (a,), bw)
-
-
 def log_softmax(t) -> Tensor:
     """Row-wise log-softmax of a rank-2 tensor (numerically stabilized)."""
     a = _coerce(t)
@@ -395,10 +258,10 @@ def log_softmax(t) -> Tensor:
     z = a.data - np.max(a.data, axis=1, keepdims=True)
     out_data = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
 
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, g - np.exp(out_data) * np.sum(g, axis=1, keepdims=True))
+    def bw(g: np.ndarray):
+        return (g - np.exp(out_data) * np.sum(g, axis=1, keepdims=True),)
 
-    return _make(out_data, (a,), bw)
+    return record(out_data, (a,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +298,10 @@ def backward(loss: Tensor) -> None:
 
     _accumulate(loss, np.ones_like(loss.data))
     for node in reversed(topo):
-        bw = node._backward
-        if bw is not None and node.grad is not None:
-            bw(node.grad)
+        if node._backward is not None and node.grad is not None:
+            for parent, g in zip(node._parents, node._backward(node.grad)):
+                if g is not None:
+                    _accumulate(parent, g)
         node._parents = ()
         node._backward = None
 

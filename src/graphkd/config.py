@@ -14,13 +14,13 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .graphs import MASK_MODES, GraphParams
-
 __all__ = [
     "ConfigError",
     "ArchSpec",
     "DatasetSpec",
     "DistillConfig",
+    "GraphParams",
+    "MASK_MODES",
     "Schedule",
     "parse_config",
     "load_config",
@@ -31,6 +31,7 @@ __all__ = [
 
 CONFIG_VERSION = 1
 LOSSES = ("vanilla", "ikd", "rkdd", "gkd")
+MASK_MODES = ("all", "inter_class", "intra_class")
 DEFAULT_LAMBDA_KD = 25.0
 DEFAULT_SEEDS = (1, 2, 3)
 DEFAULT_BATCH_SIZE = 128
@@ -67,6 +68,15 @@ class ArchSpec:
             raise ConfigError(
                 f"depths and widths must be positive, got {self.depths} and {self.widths}"
             )
+
+
+@dataclass(frozen=True)
+class GraphParams:
+    """Construction parameters of a similarity graph."""
+
+    k: int
+    p: int = 1
+    mask_mode: str = "all"
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Similarity graphs over batch representations, and a small spectral toolkit.
 
 Pipeline (in order): cosine_similarity_matrix -> class_mask -> knn_sparsify
--> degree_normalize -> adjacency_power.  The pipeline functions accept either
-plain arrays or :class:`~graphkd.autodiff.Tensor` inputs and return the same
-kind; with a tensor input the graph weights stay on the gradient tape, while
-discrete choices (k-NN topology, class masks, tie-breaks) are always treated
-as constants during backward.  Masks are applied with ``autodiff.where``, so
-a masked-out entry is 0 even where the input is infinite or NaN.
+-> degree_normalize -> adjacency_power.  The stages are plain-array
+functions; a masked-out entry is 0 even where the input is infinite or NaN.
+Given a :class:`~graphkd.autodiff.Tensor`, ``build_similarity_graph`` records
+one tape node from the representations to A^p.  Its backward is closed form:
+the k-NN topology, the class and diagonal masks, the ReLU mask and the union
+selector are constants, so gradients flow only through the surviving weights.
 
 The spectral helpers (laplacian / smoothness / symmetric_eig / fiedler_vector)
 are plain-array utilities used on frozen graphs; the eigensolver is numpy's
@@ -22,17 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    div,
-    matmul,
-    mul,
-    relu,
-    sqrt,
-    square,
-    transpose,
-    where,
-)
+from .autodiff import Tensor, record
+from .config import MASK_MODES, GraphParams
+from .models import atomic_open
 
 __all__ = [
     "GraphParams",
@@ -52,18 +44,7 @@ __all__ = [
     "dump_graph_csv",
 ]
 
-MASK_MODES = ("all", "inter_class", "intra_class")
-
 _SIGN_EPS = 1e-12  # |component| above this counts as nonzero for sign fixing
-
-
-@dataclass(frozen=True)
-class GraphParams:
-    """Construction parameters of a similarity graph."""
-
-    k: int
-    p: int = 1
-    mask_mode: str = "all"
 
 
 @dataclass
@@ -80,52 +61,55 @@ class SimilarityGraph:
 
     ``weights`` holds the symmetric k-NN weight matrix W with a zero
     diagonal; ``adjacency`` holds (D^-1/2 W D^-1/2)^p.  ``adjacency_tensor``
-    carries the same values and stays on the gradient tape when the graph was
-    built from representations that require gradients.
+    carries the same values on the gradient tape when the graph was built
+    from a tensor, and is None when it was built from an array.
     """
 
     n: int
     weights: np.ndarray
     adjacency: np.ndarray
     params: GraphParams
-    adjacency_tensor: Tensor = field(repr=False, default=None)
+    adjacency_tensor: Tensor | None = field(repr=False, default=None)
 
 
-def _as_tensor(x) -> tuple[Tensor, bool]:
-    if isinstance(x, Tensor):
-        return x, False
-    return Tensor(np.asarray(x, dtype=np.float64)), True
-
-
-def _maybe_data(t: Tensor, want_array: bool):
-    return t.data if want_array else t
-
-
-def _inv_sqrt(x: Tensor) -> Tensor:
+def _inv_sqrt(x: np.ndarray) -> np.ndarray:
     """1/sqrt(x) where x > 0 and 0 elsewhere, so zero rows stay zero."""
-    pos = x.data > 0
-    return where(pos, div(1.0, sqrt(where(pos, x, 1.0))), 0.0)
+    pos = x > 0
+    return np.where(pos, 1.0 / np.sqrt(np.where(pos, x, 1.0)), 0.0)
+
+
+def _square_matrix(m, who: str) -> np.ndarray:
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[1] != m.shape[0]:
+        raise ValueError(f"{who}: expected a square matrix, got shape {m.shape}")
+    return m
 
 
 # ---------------------------------------------------------------------------
-# pipeline stages
+# pipeline stages; each private helper also returns what the backward of
+# build_similarity_graph needs
 
 
-def cosine_similarity_matrix(reps):
+def _cosine(reps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return (similarity, unit rows, inverse row norms) of a batch."""
+    x = np.asarray(reps, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"cosine_similarity_matrix: expected a 2-d batch, got shape {x.shape}")
+    if x.shape[0] < 2:
+        raise ValueError(f"cosine_similarity_matrix: need at least 2 rows, got {x.shape[0]}")
+    inv_norm = _inv_sqrt(np.sum(x * x, axis=1))
+    unit = x * inv_norm[:, None]
+    sim = np.maximum(unit @ unit.T, 0.0)  # clamp negative cosine to 0
+    np.fill_diagonal(sim, 0.0)
+    return sim, unit, inv_norm
+
+
+def cosine_similarity_matrix(reps) -> np.ndarray:
     """Pairwise cosine similarity with negatives clamped to 0 and a zero diagonal.
 
     Rows with zero norm get similarity 0 against everything.
     """
-    t, want_array = _as_tensor(reps)
-    if t.data.ndim != 2:
-        raise ValueError(f"cosine_similarity_matrix: expected a 2-d batch, got shape {t.data.shape}")
-    n = t.data.shape[0]
-    if n < 2:
-        raise ValueError(f"cosine_similarity_matrix: need at least 2 rows, got {n}")
-
-    unit = mul(t, _inv_sqrt(square(t).sum(axis=1)).reshape((n, 1)))
-    sim = relu(matmul(unit, transpose(unit)))  # clamp negative cosine to 0
-    return _maybe_data(where(~np.eye(n, dtype=bool), sim, 0.0), want_array)
+    return _cosine(reps)[0]
 
 
 def class_mask(sim, labels, mode: str):
@@ -137,16 +121,15 @@ def class_mask(sim, labels, mode: str):
         raise ValueError(f"class_mask: unknown mode {mode!r}, expected one of {MASK_MODES}")
     if mode == "all":
         return sim
-    t, want_array = _as_tensor(sim)
+    sim = np.asarray(sim, dtype=np.float64)
     labels = np.asarray(labels)
-    n = t.data.shape[0]
+    n = sim.shape[0]
     if labels.shape != (n,):
         raise ValueError(
             f"class_mask: labels shape {labels.shape} does not match graph size {n}"
         )
     same = labels[:, None] == labels[None, :]
-    keep = ~same if mode == "inter_class" else same
-    return _maybe_data(where(keep, t, 0.0), want_array)
+    return np.where(~same if mode == "inter_class" else same, sim, 0.0)
 
 
 def _topk_mask(sim: np.ndarray, k: int) -> np.ndarray:
@@ -171,7 +154,23 @@ def _topk_mask(sim: np.ndarray, k: int) -> np.ndarray:
     return above | tied
 
 
-def knn_sparsify(sim, k: int):
+def _knn(sim, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Return (W, kept, choose): W = where(choose, kept, kept^T), and choose is
+    None when W is the kept matrix itself."""
+    sim = _square_matrix(sim, "knn_sparsify")
+    n = sim.shape[0]
+    k = int(k)
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"knn_sparsify: k={k} outside the valid range [1, {n - 1}]")
+    mask = _topk_mask(sim, k)
+    kept = np.where(mask, sim, 0.0)
+    if np.array_equal(mask, mask.T) and np.array_equal(sim, sim.T):
+        return kept, kept, None
+    choose = (kept >= kept.T) | np.isnan(kept)
+    return np.where(choose, kept, kept.T), kept, choose
+
+
+def knn_sparsify(sim, k: int) -> np.ndarray:
     """Keep each row's k largest off-diagonal entries and symmetrize by union.
 
     Each row ranks its off-diagonal entries by value, highest first, with NaN
@@ -179,52 +178,41 @@ def knn_sparsify(sim, k: int):
     values (and NaN against NaN) go to the lower column index first.  The
     diagonal is never kept.  The union W = max(kept, kept^T) propagates NaN
     like ``np.maximum``; when the input and the kept topology are both
-    exactly symmetric, it is the kept matrix itself.  The kept topology is a
-    constant on the tape: gradients flow only through the surviving weights.
+    exactly symmetric, it is the kept matrix itself.
     """
-    t, want_array = _as_tensor(sim)
-    n = t.data.shape[0]
-    if t.data.ndim != 2 or t.data.shape[1] != n:
-        raise ValueError(f"knn_sparsify: expected a square matrix, got shape {t.data.shape}")
-    k = int(k)
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"knn_sparsify: k={k} outside the valid range [1, {n - 1}]")
-
-    mask = _topk_mask(t.data, k)
-    kept = where(mask, t, 0.0)
-    if np.array_equal(mask, mask.T) and np.array_equal(t.data, t.data.T):
-        return _maybe_data(kept, want_array)
-    # the selector is a constant, so the gradient flows through the winner
-    choose = (kept.data >= kept.data.T) | np.isnan(kept.data)
-    w = where(choose, kept, transpose(kept))
-    return _maybe_data(w, want_array)
+    return _knn(sim, k)[0]
 
 
-def degree_normalize(weights):
-    """Return A = D^-1/2 W D^-1/2; zero-degree nodes map to all-zero rows/columns."""
-    t, want_array = _as_tensor(weights)
-    n = _weights_array(t).shape[0]
-    inv_sqrt = _inv_sqrt(t.sum(axis=1))
+def _normalize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return (D^-1/2 W D^-1/2, d^-1/2) for a W already known to be symmetric
+    and non-negative."""
+    inv_sqrt = _inv_sqrt(np.sum(w, axis=1))
     # scaling by the outer product, not by rows then columns, keeps A exactly symmetric
-    scale = mul(inv_sqrt.reshape((n, 1)), inv_sqrt.reshape((1, n)))
-    return _maybe_data(mul(t, scale), want_array)
+    return w * (inv_sqrt[:, None] * inv_sqrt[None, :]), inv_sqrt
+
+
+def degree_normalize(weights) -> np.ndarray:
+    """Return A = D^-1/2 W D^-1/2; zero-degree nodes map to all-zero rows/columns."""
+    return _normalize(_weights_array(weights))[0]
+
+
+def _powers(adjacency, p: int) -> list[np.ndarray]:
+    """Return [A, A^2, ..., A^p], each power the previous one times A."""
+    p = int(p)
+    if p < 1:
+        raise ValueError(f"adjacency_power: p must be a positive integer, got {p}")
+    a = _square_matrix(adjacency, "adjacency_power")
+    powers = [a]
+    for _ in range(p - 1):
+        powers.append(powers[-1] @ a)
+    return powers
 
 
 def adjacency_power(adjacency, p: int):
     """Left-associated matrix power A^p; p=1 returns the input unchanged."""
-    p = int(p)
-    if p < 1:
-        raise ValueError(f"adjacency_power: p must be a positive integer, got {p}")
-    if p == 1:
+    if int(p) == 1:
         return adjacency
-    t, want_array = _as_tensor(adjacency)
-    n = t.data.shape[0]
-    if t.data.ndim != 2 or t.data.shape[1] != n:
-        raise ValueError(f"adjacency_power: expected a square matrix, got shape {t.data.shape}")
-    out = t
-    for _ in range(p - 1):
-        out = matmul(out, t)
-    return _maybe_data(out, want_array)
+    return _powers(adjacency, p)[-1]
 
 
 def build_similarity_graph(
@@ -234,23 +222,52 @@ def build_similarity_graph(
     mask_mode: str = "all",
     labels=None,
 ) -> SimilarityGraph:
-    """Run the full pipeline on a batch of representations."""
-    t, _ = _as_tensor(reps)
-    n = t.data.shape[0]
+    """Run the full pipeline on a batch of representations.
+
+    Given a tensor, ``adjacency_tensor`` is a single tape node from ``reps``
+    to A^p; given an array, it is None.
+    """
     if mask_mode != "all" and labels is None:
         raise ValueError(f"build_similarity_graph: mask_mode={mask_mode!r} requires labels")
-    sim = cosine_similarity_matrix(t)
-    sim = class_mask(sim, labels, mask_mode)
-    w = knn_sparsify(sim, k)
-    a = degree_normalize(w)
-    a_p = adjacency_power(a, p)
-    return SimilarityGraph(
-        n=n,
-        weights=w.data,
-        adjacency=a_p.data,
+    x = reps.data if isinstance(reps, Tensor) else reps
+    sim, unit, inv_norm = _cosine(x)
+    # knn_sparsify's output is symmetric and non-negative, so skip degree_normalize's checks
+    w, kept, choose = _knn(class_mask(sim, labels, mask_mode), k)
+    a, inv_sqrt = _normalize(w)
+    powers = _powers(a, p)
+    graph = SimilarityGraph(
+        n=unit.shape[0],
+        weights=w,
+        adjacency=powers[-1],
         params=GraphParams(k=int(k), p=int(p), mask_mode=mask_mode),
-        adjacency_tensor=a_p,
     )
+    if not isinstance(reps, Tensor):
+        return graph
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray]:
+        # A^p: A is symmetric, so dA = sum over i of A^i G A^(p-1-i)
+        lefts = [None, *powers[:-1]]  # A^0 (None) .. A^(p-1)
+        g_a = 0.0
+        for left, right in zip(lefts, reversed(lefts)):
+            term = g if left is None else left @ g
+            g_a = g_a + (term if right is None else term @ right)
+        # A = W * s s^T with s = (W 1)^-1/2, and ds/d(W 1) = -s^3 / 2
+        g_aw = g_a * w
+        g_s = g_aw @ inv_sqrt + inv_sqrt @ g_aw
+        g_w = g_a * (inv_sqrt[:, None] * inv_sqrt[None, :])
+        g_w += (-0.5 * inv_sqrt * inv_sqrt * inv_sqrt * g_s)[:, None]
+        if choose is not None:  # W = where(choose, kept, kept^T)
+            g_w = np.where(choose, g_w, 0.0) + np.where(choose, 0.0, g_w).T
+        # kept > 0 exactly where the ReLU, diagonal, class and top-k masks all
+        # pass the cosine through
+        g_cos = np.where(kept > 0, g_w, 0.0)
+        # cosine = U U^T with U = x / |x| row-wise
+        g_unit = (g_cos + g_cos.T) @ unit
+        radial = np.sum(g_unit * unit, axis=1, keepdims=True)
+        return (inv_norm[:, None] * (g_unit - unit * radial),)
+
+    graph.adjacency_tensor = record(powers[-1], (reps,), backward)
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +275,7 @@ def build_similarity_graph(
 
 
 def _weights_array(w) -> np.ndarray:
-    w = w.data if isinstance(w, Tensor) else np.asarray(w, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
     n = w.shape[0]
     if w.ndim != 2 or w.shape[1] != n:
         raise ValueError(f"expected a square weight matrix, got shape {w.shape}")
@@ -340,8 +357,6 @@ def dump_graph_csv(graph: SimilarityGraph, edges_path, params_path) -> None:
 
     Each file appears only once complete (see ``models.atomic_open``).
     """
-    from .models import atomic_open  # models imports config, which imports this module
-
     w = graph.weights
     with atomic_open(edges_path) as fh, io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
         writer = csv.writer(text)

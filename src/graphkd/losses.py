@@ -1,14 +1,16 @@
 """Task and distillation losses.
 
 All losses return scalar tensors so a single backward pass covers the
-combined objective.  Teacher-side inputs are treated as constants; only the
-student side contributes gradients.
+combined objective.  Teacher-side inputs are constants (arrays, or tensors
+whose values are read); only the student side contributes gradients.
 
 Conventions:
 
 * IKD averages squared L2 distances over examples and taps.
 * RKD-D compares Huber-smoothed, mean-normalized pairwise distances over
   ordered pairs (x != x'), summed over taps and divided by the pair count.
+  Each tap's term is one tape node with a closed-form backward; the pairwise
+  distances themselves are a plain-array function.
 * GKD is the raw squared Frobenius distance between degree-normalized
   adjacencies, summed over taps (no normalization; lambda absorbs scale).
 """
@@ -17,20 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    add,
-    clamp_min,
-    div,
-    log_softmax,
-    matmul,
-    mul,
-    sqrt,
-    square,
-    sub,
-    transpose,
-    where,
-)
+from .autodiff import Tensor, add, log_softmax, mul, record, square, sub, where
 from .graphs import SimilarityGraph
 
 __all__ = [
@@ -74,40 +63,58 @@ def huber(x: float, y: float) -> float:
     return 0.5 * d * d if d <= 1.0 else d - 0.5
 
 
-def _huber_elementwise(a: Tensor, b: Tensor) -> Tensor:
-    """Tensor Huber(a, b); the branch choice is frozen from the values.
-
-    Huber is C^1, so freezing the branch at |d| = 1 still yields the exact
-    derivative everywhere.
-    """
-    d = sub(a, b)
-    quad = mul(square(d), 0.5)
-    lin = sub(mul(d, Tensor(np.sign(d.data))), 0.5)
-    return where(np.abs(d.data) <= 1.0, quad, lin)
+def _huber(d: np.ndarray) -> np.ndarray:
+    """Elementwise Huber penalty with delta=1 on differences ``d``."""
+    return np.where(np.abs(d) <= 1.0, (d * d) * 0.5, np.abs(d) - 0.5)
 
 
-def normalized_pairwise_distances(reps) -> Tensor:
-    """Pairwise L2 distances divided by their mean over ordered pairs (i != j).
-
-    Returns an n x n tensor with a zero diagonal.  If the mean distance is
-    zero (all points coincide) the normalized distances are defined as 0.
-    """
-    t = reps if isinstance(reps, Tensor) else Tensor(reps)
-    if t.data.ndim != 2:
-        raise ValueError(f"pairwise distances: expected a 2-d batch, got shape {t.data.shape}")
-    n = t.data.shape[0]
+def _distances(reps) -> tuple[np.ndarray, np.ndarray, float]:
+    """Return (normalized distances, distances, mean distance) of a batch."""
+    x = np.asarray(reps, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"pairwise distances: expected a 2-d batch, got shape {x.shape}")
+    n = x.shape[0]
     if n < 2:
         raise ValueError(f"pairwise distances: need at least 2 rows, got {n}")
-    eye = np.eye(n, dtype=bool)
-    gram = matmul(t, transpose(t))
-    sq = where(eye, gram, 0.0).sum(axis=1)
-    d2 = sub(add(sq.reshape((1, n)), sq.reshape((n, 1))), mul(gram, 2.0))
-    d2 = clamp_min(d2, 0.0)  # guard tiny negative rounding
-    dist = where(~eye, sqrt(d2), 0.0)
-    mean_dist = mul(dist.sum(), 1.0 / (n * (n - 1)))
-    if float(mean_dist.data) == 0.0:
-        return mul(dist, 0.0)
-    return div(dist, mean_dist)
+    gram = x @ x.T
+    sq = np.diag(gram)
+    d2 = (sq[None, :] + sq[:, None]) - gram * 2.0
+    dist = np.sqrt(np.maximum(d2, 0.0))  # guard tiny negative rounding
+    np.fill_diagonal(dist, 0.0)
+    mean = np.sum(dist) * (1.0 / (n * (n - 1)))
+    if mean == 0.0:
+        return np.zeros_like(dist), dist, mean
+    return dist / mean, dist, mean
+
+
+def normalized_pairwise_distances(reps) -> np.ndarray:
+    """Pairwise L2 distances divided by their mean over ordered pairs (i != j).
+
+    Returns an n x n array with a zero diagonal.  If the mean distance is
+    zero (all points coincide) the normalized distances are defined as 0.
+    """
+    return _distances(reps)[0]
+
+
+def _rkdd_tap(student: Tensor, teacher: np.ndarray) -> Tensor:
+    """One tap's summed Huber term, recorded as one node on the student tap."""
+    x = student.data
+    ds, dist, mean = _distances(x)
+    d = ds - normalized_pairwise_distances(teacher)
+    n = x.shape[0]
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray]:
+        if mean == 0.0:  # coincident points: the distances are the constant 0
+            return (np.zeros_like(x),)
+        g_ds = g * np.where(np.abs(d) <= 1.0, d, np.sign(d))
+        # ds = dist / mean, with mean = sum(dist) / (n (n - 1))
+        g_dist = (g_ds - np.sum(g_ds * ds) / (n * (n - 1))) / mean
+        # dist = sqrt(|x_i|^2 + |x_j|^2 - 2 x_i.x_j); its derivative at 0 is 0
+        g_d2 = np.divide(0.5 * g_dist, dist, out=np.zeros_like(dist), where=dist > 0)
+        sym = g_d2 + g_d2.T
+        return (2.0 * (np.sum(sym, axis=1)[:, None] * x - sym @ x),)
+
+    return record(np.sum(_huber(d)), (student,), backward)
 
 
 def _check_tap_lists(student_taps, teacher_taps, loss_name):
@@ -161,10 +168,8 @@ def rkdd_loss(student_taps, teacher_taps) -> Tensor:
             n = s_t.data.shape[0]
             if n < 2:
                 raise ValueError(f"rkdd_loss: need at least 2 examples, got {n}")
-        ds = normalized_pairwise_distances(s_t)
-        dt = normalized_pairwise_distances(Tensor(t_arr))
-        h = _huber_elementwise(ds, Tensor(dt.data))
-        total = h.sum() if total is None else add(total, h.sum())
+        term = _rkdd_tap(s_t, t_arr)
+        total = term if total is None else add(total, term)
     return mul(total, 1.0 / (n * (n - 1)))
 
 
@@ -223,12 +228,9 @@ def per_example_rkdd(student_tap, teacher_tap) -> np.ndarray:
     """Per-example RKD-D attribution: each ordered pair's Huber value is split
     half to each endpoint, then scaled by the pair count so the vector sums to
     the per-tap loss."""
-    s = student_tap.data if isinstance(student_tap, Tensor) else np.asarray(student_tap)
-    t = teacher_tap.data if isinstance(teacher_tap, Tensor) else np.asarray(teacher_tap)
-    n = s.shape[0]
-    ds = normalized_pairwise_distances(Tensor(np.asarray(s, dtype=np.float64))).data
-    dt = normalized_pairwise_distances(Tensor(np.asarray(t, dtype=np.float64))).data
-    d = np.abs(ds - dt)
-    h = np.where(d <= 1.0, 0.5 * d * d, d - 0.5)
-    np.fill_diagonal(h, 0.0)
+    s = student_tap.data if isinstance(student_tap, Tensor) else student_tap
+    t = teacher_tap.data if isinstance(teacher_tap, Tensor) else teacher_tap
+    ds = normalized_pairwise_distances(s)
+    n = ds.shape[0]
+    h = _huber(ds - normalized_pairwise_distances(t))  # 0 on the diagonal
     return 0.5 * (h.sum(axis=1) + h.sum(axis=0)) / (n * (n - 1))

@@ -139,9 +139,12 @@ def _validate_setup(net, data: DataSplit, config: DistillConfig, teacher) -> Non
 
 
 def _kd_loss(config: DistillConfig, student_out, teacher_out, net, teacher, labels) -> Tensor:
-    """Return the configured KD loss as a tensor on the student's tape."""
+    """Return the configured KD loss as a tensor on the student's tape.
+
+    The teacher's taps go in as arrays, so nothing on the teacher side is taped.
+    """
     s_taps = student_out.for_taps(net.tap_set)
-    t_taps = teacher_out.for_taps(teacher.tap_set)
+    t_taps = [tap.data for tap in teacher_out.for_taps(teacher.tap_set)]
     if config.loss == "gkd":
         g = config.graph
         s_graphs = [
@@ -149,7 +152,7 @@ def _kd_loss(config: DistillConfig, student_out, teacher_out, net, teacher, labe
             for tap in s_taps
         ]
         t_graphs = [
-            build_similarity_graph(tap.detach(), k=g.k, p=g.p, mask_mode=g.mask_mode, labels=labels)
+            build_similarity_graph(tap, k=g.k, p=g.p, mask_mode=g.mask_mode, labels=labels)
             for tap in t_taps
         ]
         return gkd_loss(s_graphs, t_graphs)

@@ -49,10 +49,6 @@ class TestForward:
         out = ad.relu(leaf([-1.0, 0.0, 2.0]))
         assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
-    def test_clamp_min(self):
-        out = ad.clamp_min(leaf([-2.0, 0.5]), 0.0)
-        assert_array_equal(out.data, [0.0, 0.5])
-
     def test_where_leaves_unselected_infinities_out(self):
         out = ad.where([[True, False]], const([[1.0, -np.inf]]), const(0.0))
         assert_array_equal(out.data, [[1.0, 0.0]])
@@ -64,11 +60,10 @@ class TestForward:
     def test_reductions(self):
         x = const([[1.0, 2.0], [3.0, 4.0]])
         assert x.sum().data == 10.0
-        assert x.mean().data == 2.5
-        assert x.max().data == 4.0
         assert_array_equal(x.sum(axis=0).data, [4.0, 6.0])
-        assert_array_equal(x.mean(axis=1).data, [1.5, 3.5])
-        assert_array_equal(x.max(axis=1).data, [2.0, 4.0])
+        assert_array_equal(x.sum(axis=1).data, [3.0, 7.0])
+        with pytest.raises(ValueError, match="axis 2"):
+            x.sum(axis=2)
 
     def test_log_softmax_rows_normalize(self):
         x = const(np.random.default_rng(0).normal(size=(4, 3)) * 50)
@@ -137,15 +132,15 @@ class TestBackwardMechanics:
         backward(ad.relu(x).sum())
         assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
-    def test_sqrt_gradient_at_zero_is_zero(self):
-        x = leaf([0.0, 4.0])
-        backward(ad.sqrt(x).sum())
-        assert_array_equal(x.grad, [0.0, 0.25])
-
-    def test_max_gradient_goes_to_first_argmax(self):
-        x = leaf([[1.0, 3.0, 3.0]])
-        backward(x.max())
-        assert_array_equal(x.grad, [[0.0, 1.0, 0.0]])
+    def test_record_hand_written_backward(self):
+        """A recorded node's backward returns one gradient per parent, None to skip."""
+        x, c = leaf([[1.0, -2.0]]), const([[3.0, 4.0]])
+        cube = ad.record(x.data**3 * c.data, (x, c), lambda g: (g * 3.0 * x.data**2 * c.data, None))
+        backward(cube.sum())
+        assert_array_equal(x.grad, [[9.0, 48.0]])
+        assert c.grad is None
+        untaped = ad.record(c.data, (c,), lambda g: (g,))
+        assert not untaped.requires_grad and untaped._parents == ()
 
     def test_deep_chain_does_not_hit_recursion_limit(self):
         x = leaf([[1.0]])
@@ -157,7 +152,7 @@ class TestBackwardMechanics:
 
 
 # Finite-difference sweep: every differentiable op, random instances.
-# Inputs are kept away from kinks (relu/clamp/max boundaries) so the central
+# Inputs are kept away from kinks (relu boundaries) so the central
 # difference is valid at step 1e-6.
 
 def _fd_case(build, x0):
@@ -180,7 +175,6 @@ BROADCAST_LEAF_SHAPES = {
     "add_col_broadcast": (3, 1),
     "sub_row_broadcast": (1, 4),
     "mul_row_broadcast": (1, 4),
-    "div_col_broadcast": (3, 1),
     "mul_rank1_broadcast": (4,),
     "where_row_broadcast": (1, 4),
 }
@@ -189,30 +183,19 @@ OP_CASES = {
     "add": lambda x: (x + const(np.full(x.data.shape, 0.7))).sum(),
     "sub": lambda x: (const(np.full(x.data.shape, 0.3)) - x).sum(),
     "mul": lambda x: (x * x).sum(),
-    "div": lambda x: (const(np.ones(x.data.shape)) / x).sum(),
     "scalar_mul": lambda x: (x * const(1.7)).sum(),
     "matmul_left": lambda x: (x @ const(np.linspace(0.1, 1.0, x.data.shape[1] * 2).reshape(x.data.shape[1], 2))).sum(),
     "matmul_right": lambda x: (const(np.linspace(-1.0, 1.0, 2 * x.data.shape[0]).reshape(2, x.data.shape[0])) @ x).sum(),
-    "transpose": lambda x: (x.T * x.T).sum(),
-    "reshape": lambda x: (x.reshape((x.data.size, 1)) * const(np.linspace(0.5, 1.5, x.data.size).reshape(-1, 1))).sum(),
     "relu": lambda x: ad.relu(x).sum(),
     "square": lambda x: ad.square(x).sum(),
-    "sqrt": lambda x: ad.sqrt(ad.square(x) + const(np.full(x.data.shape, 0.5))).sum(),
-    "clamp_min": lambda x: ad.clamp_min(x, -0.1).sum(),
     "where": lambda x: ad.where(np.indices(x.data.shape).sum(axis=0) % 2 == 0, ad.square(x), x * const(-1.5)).sum(),
-    "exp": lambda x: ad.exp(x).sum(),
-    "log": lambda x: ad.log(ad.square(x) + const(np.full(x.data.shape, 0.5))).sum(),
-    "mean": lambda x: x.mean() * const(3.0),
-    "mean_axis0": lambda x: ad.square(x.mean(axis=0)).sum(),
     "sum_axis1": lambda x: ad.square(x.sum(axis=1)).sum(),
-    "max_axis1": lambda x: x.max(axis=1).sum(),
     "log_softmax": lambda x: (ad.log_softmax(x) * const(np.linspace(-1, 1, x.data.size).reshape(x.data.shape))).sum(),
     # the leaf is the broadcast operand, so its gradient is summed over the
     # broadcast axes (shapes in BROADCAST_LEAF_SHAPES)
     "add_col_broadcast": lambda x: ad.square(x + const(_GRID)).sum(),
     "sub_row_broadcast": lambda x: ad.square(const(_GRID) - x).sum(),
     "mul_row_broadcast": lambda x: (const(_GRID) * x).sum(),
-    "div_col_broadcast": lambda x: (const(_GRID) / x).sum(),
     "mul_rank1_broadcast": lambda x: ad.square(x * const(_GRID)).sum(),
     "where_row_broadcast": lambda x: ad.where(_GRID > 0, ad.square(x), const(_GRID)).sum(),
 }
@@ -221,11 +204,8 @@ OP_CASES = {
 @pytest.mark.parametrize("name", sorted(OP_CASES))
 def test_fd_gradient_per_op(name):
     rng = np.random.default_rng(abs(hash(name)) % (2**32))
-    for trial in range(4):
+    for _ in range(4):
         x0 = _safe(rng, BROADCAST_LEAF_SHAPES.get(name, (3, 4)))
-        if name == "max_axis1":
-            # separate the per-row maxima so FD stays on one branch
-            x0[np.arange(3), trial % 4] += 3.0
         _fd_case(OP_CASES[name], x0)
 
 
@@ -237,8 +217,9 @@ def test_fd_gradient_composite_expression():
 
     def build(x):
         h = ad.relu(x @ const(w))
-        z = ad.sqrt(ad.clamp_min(ad.square(h).sum(axis=1), 0.05))
-        return z.mean() + (ad.exp(x).sum() * const(0.01))
+        z = ad.square(h).sum(axis=1) - x.sum(axis=1) * const(0.5)
+        picked = ad.where(np.eye(4, 3, dtype=bool), ad.log_softmax(x), 0.0)
+        return ad.square(z).sum() * const(0.1) + picked.sum()
 
     _fd_case(build, x0)
 

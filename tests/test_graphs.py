@@ -317,6 +317,16 @@ class TestPipeline:
         assert_allclose(gs.weights, g.weights, atol=1e-9)
         assert_allclose(gs.adjacency, g.adjacency, atol=1e-9)
 
+    def test_tensor_input_records_one_tape_node(self):
+        rng = np.random.default_rng(52)
+        labels = np.array([0, 1, 0, 1, 1, 0, 0])
+        for k, p, mode in ((6, 1, "all"), (2, 3, "inter_class"), (1, 2, "intra_class")):
+            reps = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+            g = build_similarity_graph(reps, k=k, p=p, mask_mode=mode, labels=labels)
+            assert g.adjacency_tensor._parents == (reps,)
+            assert_array_equal(g.adjacency_tensor.data, g.adjacency)
+        assert build_similarity_graph(rng.normal(size=(7, 3)), k=2).adjacency_tensor is None
+
     def test_gradient_flows_through_adjacency(self):
         rng = np.random.default_rng(51)
         reps = Tensor(separated_reps(rng, 6, 3, 2), requires_grad=True)

@@ -30,6 +30,17 @@ def leaf(data):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
 
 
+def _tape(loss):
+    """Every tensor reachable from ``loss`` through the tape's parent links."""
+    seen, stack = {id(loss): loss}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
 class TestTaskLoss:
     def test_two_class_example(self):
         # -log softmax([1, 0])[1] = log(1 + e) - 0 = 1.31326...
@@ -90,20 +101,20 @@ class TestHuber:
 class TestPairwiseDistances:
     def test_mean_of_offdiagonal_is_one(self):
         rng = np.random.default_rng(3)
-        d = normalized_pairwise_distances(Tensor(rng.normal(size=(6, 4)))).data
+        d = normalized_pairwise_distances(rng.normal(size=(6, 4)))
         n = 6
         assert_allclose(d.sum() / (n * (n - 1)), 1.0, rtol=1e-12)
         assert_array_equal(np.diag(d), np.zeros(n))
 
     def test_identical_points_collapse_to_zero(self):
-        d = normalized_pairwise_distances(Tensor(np.ones((4, 3)))).data
+        d = normalized_pairwise_distances(np.ones((4, 3)))
         assert_array_equal(d, np.zeros((4, 4)))
 
     def test_global_scale_invariance(self):
         rng = np.random.default_rng(4)
         reps = rng.normal(size=(5, 3))
-        d1 = normalized_pairwise_distances(Tensor(reps)).data
-        d2 = normalized_pairwise_distances(Tensor(reps * 7.3)).data
+        d1 = normalized_pairwise_distances(reps)
+        d2 = normalized_pairwise_distances(reps * 7.3)
         assert_allclose(d1, d2, atol=1e-9)
 
 
@@ -173,15 +184,33 @@ class TestRkdd:
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(10)
-        s0 = rng.normal(size=(5, 3))
-        t = [Tensor(rng.normal(size=(5, 3)))]
+        random = (rng.normal(size=(5, 3)), rng.normal(size=(5, 3)))
+        # coincident points: the mean distance is 0 on both sides, so the
+        # loss and its gradient are 0 (a probe moves one point, and by
+        # symmetry the central difference is 0 too)
+        coincident = (np.zeros((5, 3)), np.ones((5, 3)))
+        for name, (s0, t0) in (("random", random), ("coincident", coincident)):
+            t = [Tensor(t0)]
 
-        def value(arr):
-            return rkdd_loss([Tensor(arr)], t).data.item()
+            def value(arr):
+                return rkdd_loss([Tensor(arr)], t).data.item()
 
-        x = leaf(s0)
-        backward(rkdd_loss([x], t))
-        assert_allclose(x.grad, fd_gradient(value, s0), rtol=1e-4, atol=1e-7)
+            x = leaf(s0)
+            loss = rkdd_loss([x], t)
+            backward(loss)
+            assert_allclose(x.grad, fd_gradient(value, s0), rtol=1e-4, atol=1e-7, err_msg=name)
+            if name == "coincident":
+                assert loss.data == 0.0
+                assert_array_equal(x.grad, np.zeros((5, 3)))
+
+    def test_one_tape_node_per_tap(self):
+        rng = np.random.default_rng(18)
+        taps = [leaf(rng.normal(size=(6, 3))), leaf(rng.normal(size=(6, 2)))]
+        loss = rkdd_loss(taps, [rng.normal(size=(6, 4)), rng.normal(size=(6, 2))])
+        for tap in taps:
+            children = [node for node in _tape(loss) if any(p is tap for p in node._parents)]
+            assert len(children) == 1
+            assert children[0]._parents == (tap,)
 
 
 class TestGkd:
@@ -229,17 +258,46 @@ class TestGkd:
         scaled = gkd_loss([build_similarity_graph(reps * scales, k=3)], [teacher]).data
         assert abs(base - scaled) < 1e-9
 
+    # (k, p, mask_mode, zero row?) for 6 nodes: the masks, p = 3, k at both
+    # bounds (n - 1 is the dense path, 1 the asymmetric union) and a
+    # zero-degree node
+    FD_CASES = {
+        "k2": (2, 1, "all", False),
+        "inter_class": (2, 1, "inter_class", False),
+        "intra_class": (3, 1, "intra_class", False),
+        "p3": (2, 3, "all", False),
+        "dense_k": (5, 2, "all", False),
+        "k1_union": (1, 1, "all", False),
+        "zero_row": (2, 2, "all", True),
+    }
+    LABELS = np.array([0, 1, 0, 1, 1, 0])
+
     def test_gradient_matches_fd(self):
-        rng = np.random.default_rng(15)
-        s0 = separated_reps(rng, 6, 3, 2)
-        g_t = build_similarity_graph(rng.normal(size=(6, 3)), k=2)
+        for seed, (name, (k, p, mode, zero_row)) in enumerate(self.FD_CASES.items(), start=15):
+            rng = np.random.default_rng(seed)
+            s0 = separated_reps(rng, 6, 3, k)
+            if zero_row:
+                s0[2] = 0.0
+            # a dense teacher graph shares an edge with every student graph
+            g_t = build_similarity_graph(
+                rng.normal(size=(6, 3)), k=5, p=p, mask_mode=mode, labels=self.LABELS
+            )
+            # the cosine of a zero row jumps under any probe, so probe the others
+            rows = np.flatnonzero(np.any(s0 != 0.0, axis=1))
 
-        def value(arr):
-            return gkd_loss([build_similarity_graph(arr, k=2)], [g_t]).data.item()
+            def value(sub):
+                arr = s0.copy()
+                arr[rows] = sub
+                graph = build_similarity_graph(arr, k=k, p=p, mask_mode=mode, labels=self.LABELS)
+                return gkd_loss([graph], [g_t]).data.item()
 
-        x = Tensor(s0, requires_grad=True)
-        backward(gkd_loss([build_similarity_graph(x, k=2)], [g_t]))
-        assert_allclose(x.grad, fd_gradient(value, s0), rtol=1e-4, atol=1e-7)
+            x = Tensor(s0, requires_grad=True)
+            graph = build_similarity_graph(x, k=k, p=p, mask_mode=mode, labels=self.LABELS)
+            backward(gkd_loss([graph], [g_t]))
+            numeric = fd_gradient(value, s0[rows])
+            assert_allclose(x.grad[rows], numeric, rtol=1e-4, atol=1e-7, err_msg=name)
+            assert np.abs(numeric).max() > 1e-3, name  # the case is not flat
+            assert_array_equal(np.delete(x.grad, rows, axis=0), 0.0)
 
 
 class TestPermutationInvariance:

@@ -8,6 +8,7 @@ from graphkd.autodiff import Tensor
 from graphkd.config import Schedule
 from graphkd.datasets import minibatch_indices
 from graphkd.harness import build_split
+from graphkd.graphs import build_similarity_graph
 from graphkd.models import build_blocknet, forward_with_taps
 from graphkd.training import (
     OptimizerState,
@@ -19,6 +20,17 @@ from graphkd.training import (
 )
 
 from conftest import make_config
+
+def _tape(loss):
+    """Every tensor reachable from ``loss`` through the tape's parent links."""
+    seen, stack = {id(loss): loss}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
 
 PAPER_SCHEDULE = Schedule(base_lr=0.1, decay_factor=0.2, milestones=(60, 120, 160), total_epochs=200)
 
@@ -220,6 +232,33 @@ class TestTrainLoop:
         assert_allclose(
             final.total_loss, final.task_loss + config.lambda_kd * final.kd_loss, rtol=1e-9
         )
+
+    def test_teacher_side_stays_off_the_tape(self, monkeypatch):
+        import graphkd.training as training
+
+        built = []
+
+        def spy(reps, **kwargs):
+            graph = build_similarity_graph(reps, **kwargs)
+            built.append((isinstance(reps, Tensor), graph))
+            return graph
+
+        monkeypatch.setattr(training, "build_similarity_graph", spy)
+        split = build_split(make_config())
+        xb, yb = split.train.features[:24], split.train.labels[:24]
+        teacher = build_blocknet((1, 1), (16, 16), 3, 2, seed=9)
+        student = build_blocknet((1, 1), (4, 4), 3, 2, seed=4)
+        student.set_requires_grad(True)
+        teacher.set_requires_grad(False)
+        s_out, t_out = forward_with_taps(student, xb), forward_with_taps(teacher, xb)
+        for loss in ("gkd", "rkdd"):
+            config = make_config(loss=loss, **({"graph": {"k": 7}} if loss == "gkd" else {}))
+            kd = training._kd_loss(config, s_out, t_out, student, teacher, yb)
+            taped = {id(t) for t in _tape(kd)}
+            assert not any(id(tap) in taped for tap in t_out.taps)
+        teacher_graphs = [g for is_tensor, g in built if not is_tensor]
+        assert len(teacher_graphs) == len(built) // 2 == len(teacher.tap_set)
+        assert all(g.adjacency_tensor is None for g in teacher_graphs)
 
     def test_rkdd_and_ikd_paths_run(self):
         split = build_split(make_config())
