@@ -34,8 +34,6 @@ __all__ = [
     "zero_grads",
 ]
 
-Backward = Callable[[np.ndarray], Sequence["np.ndarray | None"]]
-
 
 class Tensor:
     """A float64 array plus an optional slot on the gradient tape.
@@ -54,7 +52,7 @@ class Tensor:
             np.zeros_like(self.data) if self.requires_grad else None
         )
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Backward | None = None
+        self._backward: Callable[[np.ndarray], Sequence] | None = None
 
     # -- introspection -------------------------------------------------
     @property
@@ -123,7 +121,11 @@ def _coerce(x) -> Tensor:
     return Tensor(x)
 
 
-def record(data, parents: Sequence[Tensor], backward: Backward) -> Tensor:
+def record(
+    data,
+    parents: Sequence[Tensor],
+    backward: Callable[[np.ndarray], Sequence[np.ndarray | None]],
+) -> Tensor:
     """Return a tensor holding ``data``, recorded on the tape as a function of ``parents``.
 
     ``backward(g)`` maps the gradient of the output to one gradient per

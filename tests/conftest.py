@@ -38,3 +38,14 @@ def make_config(**overrides):
     }
     base.update(overrides)
     return parse_config(base)
+
+
+def tape(loss):
+    """Every tensor reachable from ``loss`` through the tape's parent links."""
+    seen, stack = {id(loss): loss}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())

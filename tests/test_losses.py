@@ -17,6 +17,7 @@ from graphkd.losses import (
     task_loss,
 )
 
+from conftest import tape
 from _oracles import (
     fd_gradient,
     oracle_ikd,
@@ -28,17 +29,6 @@ from _oracles import (
 
 def leaf(data):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=True)
-
-
-def _tape(loss):
-    """Every tensor reachable from ``loss`` through the tape's parent links."""
-    seen, stack = {id(loss): loss}, [loss]
-    while stack:
-        for parent in stack.pop()._parents:
-            if id(parent) not in seen:
-                seen[id(parent)] = parent
-                stack.append(parent)
-    return list(seen.values())
 
 
 class TestTaskLoss:
@@ -208,7 +198,7 @@ class TestRkdd:
         taps = [leaf(rng.normal(size=(6, 3))), leaf(rng.normal(size=(6, 2)))]
         loss = rkdd_loss(taps, [rng.normal(size=(6, 4)), rng.normal(size=(6, 2))])
         for tap in taps:
-            children = [node for node in _tape(loss) if any(p is tap for p in node._parents)]
+            children = [node for node in tape(loss) if any(p is tap for p in node._parents)]
             assert len(children) == 1
             assert children[0]._parents == (tap,)
 

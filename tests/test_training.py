@@ -8,6 +8,7 @@ from graphkd.autodiff import Tensor
 from graphkd.config import Schedule
 from graphkd.datasets import minibatch_indices
 from graphkd.harness import build_split
+from graphkd import training
 from graphkd.graphs import build_similarity_graph
 from graphkd.models import build_blocknet, forward_with_taps
 from graphkd.training import (
@@ -19,18 +20,7 @@ from graphkd.training import (
     train,
 )
 
-from conftest import make_config
-
-def _tape(loss):
-    """Every tensor reachable from ``loss`` through the tape's parent links."""
-    seen, stack = {id(loss): loss}, [loss]
-    while stack:
-        for parent in stack.pop()._parents:
-            if id(parent) not in seen:
-                seen[id(parent)] = parent
-                stack.append(parent)
-    return list(seen.values())
-
+from conftest import make_config, tape
 
 PAPER_SCHEDULE = Schedule(base_lr=0.1, decay_factor=0.2, milestones=(60, 120, 160), total_epochs=200)
 
@@ -234,8 +224,6 @@ class TestTrainLoop:
         )
 
     def test_teacher_side_stays_off_the_tape(self, monkeypatch):
-        import graphkd.training as training
-
         built = []
 
         def spy(reps, **kwargs):
@@ -254,7 +242,7 @@ class TestTrainLoop:
         for loss in ("gkd", "rkdd"):
             config = make_config(loss=loss, **({"graph": {"k": 7}} if loss == "gkd" else {}))
             kd = training._kd_loss(config, s_out, t_out, student, teacher, yb)
-            taped = {id(t) for t in _tape(kd)}
+            taped = {id(t) for t in tape(kd)}
             assert not any(id(tap) in taped for tap in t_out.taps)
         teacher_graphs = [g for is_tensor, g in built if not is_tensor]
         assert len(teacher_graphs) == len(built) // 2 == len(teacher.tap_set)
