@@ -54,22 +54,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], Sequence] | None = None
 
-    # -- introspection -------------------------------------------------
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -94,9 +78,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def sum(self, axis: int | None = None) -> "Tensor":
         if axis is not None and not 0 <= axis < self.data.ndim:
             raise ValueError(f"sum: axis {axis} out of range for rank {self.data.ndim}")
@@ -106,9 +87,6 @@ class Tensor:
             return (np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape),)
 
         return record(np.sum(self.data, axis=axis), (self,), bw)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 Pipeline (in order): cosine_similarity_matrix -> class_mask -> knn_sparsify
 -> degree_normalize -> adjacency_power.  The stages are plain-array
 functions; a masked-out entry is 0 even where the input is infinite or NaN.
-Given a :class:`~graphkd.autodiff.Tensor`, ``build_similarity_graph`` records
-one tape node from the representations to A^p.  Its backward is closed form:
-the k-NN topology, the class and diagonal masks, the ReLU mask and the union
-selector are constants, so gradients flow only through the surviving weights.
+Every graph is n x n whatever the width of its representations, so
+``build_similarity_graph`` also takes a list of taps and runs each stage once
+on their (taps, n, n) stack; one batch is the stack of one.  Given tensors,
+it records one tape node from the representations to A^p.  Its backward is
+closed form: the k-NN topology, the class and diagonal masks, the ReLU mask
+and the union selector are constants, so gradients flow only through the
+surviving weights.
 
 The spectral helpers (laplacian / smoothness / symmetric_eig / fiedler_vector)
 are plain-array utilities used on frozen graphs; the eigensolver is numpy's
@@ -60,9 +63,10 @@ class SimilarityGraph:
     """A sparsified similarity graph and its degree-normalized adjacency.
 
     ``weights`` holds the symmetric k-NN weight matrix W with a zero
-    diagonal; ``adjacency`` holds (D^-1/2 W D^-1/2)^p.  ``adjacency_tensor``
+    diagonal; ``adjacency`` holds (D^-1/2 W D^-1/2)^p.  Both are (n, n) for
+    one batch and (taps, n, n) for a stack of taps.  ``adjacency_tensor``
     carries the same values on the gradient tape when the graph was built
-    from a tensor, and is None when it was built from an array.
+    from tensors, and is None when it was built from arrays.
     """
 
     n: int
@@ -85,23 +89,51 @@ def _square_matrix(m, who: str) -> np.ndarray:
     return m
 
 
+def _set_diagonal(m: np.ndarray, value) -> None:
+    """Set the diagonal of every (n, n) slice of ``m`` in place."""
+    diag = np.arange(m.shape[-1])
+    m[..., diag, diag] = value
+
+
+def _swap(m: np.ndarray) -> np.ndarray:
+    """Transpose every (n, n) slice of a stack."""
+    return np.swapaxes(m, -1, -2)
+
+
+def _symmetric(m: np.ndarray) -> np.ndarray:
+    """Per slice of a (taps, n, n) stack: is it exactly equal to its transpose?"""
+    return np.all(m == _swap(m), axis=(-2, -1))
+
+
 # ---------------------------------------------------------------------------
-# pipeline stages; each private helper also returns what the backward of
-# build_similarity_graph needs
+# pipeline stages.  The private helpers work on (taps, n, n) stacks, one
+# batch being the stack of one, and also return what the backward of
+# build_similarity_graph needs.
 
 
-def _cosine(reps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (similarity, unit rows, inverse row norms) of a batch."""
-    x = np.asarray(reps, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"cosine_similarity_matrix: expected a 2-d batch, got shape {x.shape}")
-    if x.shape[0] < 2:
-        raise ValueError(f"cosine_similarity_matrix: need at least 2 rows, got {x.shape[0]}")
-    inv_norm = _inv_sqrt(np.sum(x * x, axis=1))
-    unit = x * inv_norm[:, None]
-    sim = np.maximum(unit @ unit.T, 0.0)  # clamp negative cosine to 0
-    np.fill_diagonal(sim, 0.0)
-    return sim, unit, inv_norm
+def _cosine(batches) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """Return (similarity stack, unit rows, inverse row norms) of same-size batches."""
+    xs = [np.asarray(x, dtype=np.float64) for x in batches]
+    for x in xs:
+        if x.ndim != 2:
+            raise ValueError(f"cosine_similarity_matrix: expected a 2-d batch, got shape {x.shape}")
+        if x.shape[0] < 2:
+            raise ValueError(f"cosine_similarity_matrix: need at least 2 rows, got {x.shape[0]}")
+        if x.shape[0] != xs[0].shape[0]:
+            raise ValueError(
+                f"cosine_similarity_matrix: taps have {xs[0].shape[0]} and {x.shape[0]} rows"
+            )
+    n = xs[0].shape[0]
+    sim = np.empty((len(xs), n, n))
+    units, inv_norms = [], []
+    for x, out in zip(xs, sim):  # one gram per tap: the widths differ
+        inv_norm = _inv_sqrt(np.sum(x * x, axis=1))
+        unit = x * inv_norm[:, None]
+        np.maximum(unit @ unit.T, 0.0, out=out)  # clamp negative cosine to 0
+        units.append(unit)
+        inv_norms.append(inv_norm)
+    _set_diagonal(sim, 0.0)
+    return sim, units, inv_norms
 
 
 def cosine_similarity_matrix(reps) -> np.ndarray:
@@ -109,13 +141,14 @@ def cosine_similarity_matrix(reps) -> np.ndarray:
 
     Rows with zero norm get similarity 0 against everything.
     """
-    return _cosine(reps)[0]
+    return _cosine([reps])[0][0]
 
 
 def class_mask(sim, labels, mode: str):
     """Zero out same-class ("inter_class") or cross-class ("intra_class") entries.
 
     Applied before k-NN sparsification; "all" returns the input unchanged.
+    ``sim`` is one (n, n) matrix or a (taps, n, n) stack.
     """
     if mode not in MASK_MODES:
         raise ValueError(f"class_mask: unknown mode {mode!r}, expected one of {MASK_MODES}")
@@ -123,7 +156,7 @@ def class_mask(sim, labels, mode: str):
         return sim
     sim = np.asarray(sim, dtype=np.float64)
     labels = np.asarray(labels)
-    n = sim.shape[0]
+    n = sim.shape[-1]
     if labels.shape != (n,):
         raise ValueError(
             f"class_mask: labels shape {labels.shape} does not match graph size {n}"
@@ -133,41 +166,57 @@ def class_mask(sim, labels, mode: str):
 
 
 def _topk_mask(sim: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask of each row's k kept off-diagonal entries (see knn_sparsify)."""
-    n = sim.shape[0]
-    if k == n - 1:
-        return ~np.eye(n, dtype=bool)
+    """Boolean mask of each row's k kept off-diagonal entries (see knn_sparsify),
+    for k < n - 1."""
     neg = -sim
-    np.fill_diagonal(neg, np.nan)
+    _set_diagonal(neg, np.nan)
     nan = np.isnan(neg)  # NaN entries and the diagonal
     # the k-th smallest negated key; partition sorts NaN last, so it is NaN
     # exactly when the row has fewer than k non-NaN candidates
-    kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+    kth = np.partition(neg, k - 1, axis=-1)[..., k - 1 : k].copy()
     short = np.isnan(kth)
     above = (neg < kth) | (short & ~nan)
     tied = (neg == kth) | (short & nan)
-    np.fill_diagonal(tied, False)
+    _set_diagonal(tied, False)
     # rows with more tied entries than places left keep the lowest columns
-    room = k - np.count_nonzero(above, axis=1)
-    over = np.flatnonzero(np.count_nonzero(tied, axis=1) > room)
-    tied[over] &= np.cumsum(tied[over], axis=1) <= room[over, None]
+    room = k - np.count_nonzero(above, axis=-1)
+    over = np.nonzero(np.count_nonzero(tied, axis=-1) > room)
+    tied[over] &= np.cumsum(tied[over], axis=-1) <= room[over][:, None]
     return above | tied
 
 
-def _knn(sim, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Return (W, kept, choose): W = where(choose, kept, kept^T), and choose is
-    None when W is the kept matrix itself."""
-    sim = _square_matrix(sim, "knn_sparsify")
-    n = sim.shape[0]
+def _knn(sim: np.ndarray, k: int, from_cosine: bool):
+    """k-NN union of a (taps, n, n) stack.
+
+    Return (W, kept, union): ``union`` is None when every slice of W is its
+    kept matrix, and otherwise (asym, choose) with W = where(choose, kept,
+    kept^T), where ``asym`` marks the slices with an asymmetric topology and
+    ``choose`` holds on every other slice.  Set ``from_cosine`` only when
+    ``sim`` comes from ``_cosine`` (through ``class_mask``): its diagonal is
+    then 0, and it is exactly symmetric, because numpy computes U U^T as a
+    symmetric rank-k update and mirrors it.
+    """
+    n = sim.shape[-1]
     k = int(k)
     if not 1 <= k <= n - 1:
         raise ValueError(f"knn_sparsify: k={k} outside the valid range [1, {n - 1}]")
-    mask = _topk_mask(sim, k)
-    kept = np.where(mask, sim, 0.0)
-    if np.array_equal(mask, mask.T) and np.array_equal(sim, sim.T):
+    if k == n - 1:  # every off-diagonal entry is kept: a symmetric topology
+        if from_cosine:
+            return sim, sim, None
+        kept = sim.copy()
+        _set_diagonal(kept, 0.0)
+        symmetric = _symmetric(sim)
+    else:
+        mask = _topk_mask(sim, k)
+        kept = np.where(mask, sim, 0.0)
+        symmetric = _symmetric(mask)
+        if symmetric.any():  # a k-NN topology is rarely symmetric
+            symmetric &= _symmetric(sim)
+    if symmetric.all():
         return kept, kept, None
-    choose = (kept >= kept.T) | np.isnan(kept)
-    return np.where(choose, kept, kept.T), kept, choose
+    choose = (kept >= _swap(kept)) | np.isnan(kept)
+    choose[symmetric] = True  # a symmetric slice keeps its kept matrix
+    return np.where(choose, kept, _swap(kept)), kept, (~symmetric[:, None, None], choose)
 
 
 def knn_sparsify(sim, k: int) -> np.ndarray:
@@ -180,15 +229,17 @@ def knn_sparsify(sim, k: int) -> np.ndarray:
     like ``np.maximum``; when the input and the kept topology are both
     exactly symmetric, it is the kept matrix itself.
     """
-    return _knn(sim, k)[0]
+    return _knn(_square_matrix(sim, "knn_sparsify")[None], k, from_cosine=False)[0][0]
 
 
 def _normalize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (D^-1/2 W D^-1/2, d^-1/2) for a W already known to be symmetric
-    and non-negative."""
-    inv_sqrt = _inv_sqrt(np.sum(w, axis=1))
+    """Return (D^-1/2 W D^-1/2, d^-1/2) per slice, for a W already known to be
+    symmetric and non-negative."""
+    inv_sqrt = _inv_sqrt(np.sum(w, axis=-1))
     # scaling by the outer product, not by rows then columns, keeps A exactly symmetric
-    return w * (inv_sqrt[:, None] * inv_sqrt[None, :]), inv_sqrt
+    a = inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
+    a *= w
+    return a, inv_sqrt
 
 
 def degree_normalize(weights) -> np.ndarray:
@@ -196,15 +247,14 @@ def degree_normalize(weights) -> np.ndarray:
     return _normalize(_weights_array(weights))[0]
 
 
-def _powers(adjacency, p: int) -> list[np.ndarray]:
+def _powers(adjacency: np.ndarray, p: int) -> list[np.ndarray]:
     """Return [A, A^2, ..., A^p], each power the previous one times A."""
     p = int(p)
     if p < 1:
         raise ValueError(f"adjacency_power: p must be a positive integer, got {p}")
-    a = _square_matrix(adjacency, "adjacency_power")
-    powers = [a]
+    powers = [adjacency]
     for _ in range(p - 1):
-        powers.append(powers[-1] @ a)
+        powers.append(powers[-1] @ adjacency)
     return powers
 
 
@@ -212,7 +262,7 @@ def adjacency_power(adjacency, p: int):
     """Left-associated matrix power A^p; p=1 returns the input unchanged."""
     if int(p) == 1:
         return adjacency
-    return _powers(adjacency, p)[-1]
+    return _powers(_square_matrix(adjacency, "adjacency_power"), p)[-1]
 
 
 def build_similarity_graph(
@@ -222,51 +272,76 @@ def build_similarity_graph(
     mask_mode: str = "all",
     labels=None,
 ) -> SimilarityGraph:
-    """Run the full pipeline on a batch of representations.
+    """Run the full pipeline on one (n, d) batch or on a stack of taps.
 
-    Given a tensor, ``adjacency_tensor`` is a single tape node from ``reps``
-    to A^p; given an array, it is None.
+    ``reps`` is one batch, or a list or tuple of (n, d_i) taps of the same n
+    whose graphs come back stacked: ``weights`` and ``adjacency`` are then
+    (taps, n, n).  Each stage runs once per stack.  If any input is a tensor,
+    ``adjacency_tensor`` is a single tape node from the inputs to A^p;
+    otherwise it is None.
     """
     if mask_mode != "all" and labels is None:
         raise ValueError(f"build_similarity_graph: mask_mode={mask_mode!r} requires labels")
-    x = reps.data if isinstance(reps, Tensor) else reps
-    sim, unit, inv_norm = _cosine(x)
+    stacked = isinstance(reps, (list, tuple))
+    taps = list(reps) if stacked else [reps]
+    if not taps:
+        raise ValueError("build_similarity_graph: empty tap list")
+    taped = any(isinstance(t, Tensor) for t in taps)
+    sim, units, inv_norms = _cosine([t.data if isinstance(t, Tensor) else t for t in taps])
+    sim = class_mask(sim, labels, mask_mode)
+    w, kept, union = _knn(sim, k, from_cosine=True)
+    if taped:
+        # kept > 0 exactly where the ReLU, diagonal, class and top-k masks
+        # all pass the cosine through
+        live = kept > 0
+    del sim, kept  # the backward reads neither (taps, n, n) stack
     # knn_sparsify's output is symmetric and non-negative, so skip degree_normalize's checks
-    w, kept, choose = _knn(class_mask(sim, labels, mask_mode), k)
     a, inv_sqrt = _normalize(w)
     powers = _powers(a, p)
     graph = SimilarityGraph(
-        n=unit.shape[0],
-        weights=w,
-        adjacency=powers[-1],
+        n=w.shape[-1],
+        weights=w if stacked else w[0],
+        adjacency=powers[-1] if stacked else powers[-1][0],
         params=GraphParams(k=int(k), p=int(p), mask_mode=mask_mode),
     )
-    if not isinstance(reps, Tensor):
+    if not taped:
         return graph
+    parents = [t if isinstance(t, Tensor) else Tensor(t) for t in taps]
 
-    def backward(g: np.ndarray) -> tuple[np.ndarray]:
+    def backward(g: np.ndarray) -> list[np.ndarray]:
+        g = g.reshape(w.shape)  # one batch is the stack of one
+        # the (taps, n, n) temporaries are updated in place, so that few are
+        # alive at once: each is 128 KiB a tap at batch 128
         # A^p: A is symmetric, so dA = sum over i of A^i G A^(p-1-i)
         lefts = [None, *powers[:-1]]  # A^0 (None) .. A^(p-1)
-        g_a = 0.0
+        g_a = np.zeros_like(g)
         for left, right in zip(lefts, reversed(lefts)):
             term = g if left is None else left @ g
-            g_a = g_a + (term if right is None else term @ right)
+            g_a += term if right is None else term @ right
         # A = W * s s^T with s = (W 1)^-1/2, and ds/d(W 1) = -s^3 / 2
-        g_aw = g_a * w
-        g_s = g_aw @ inv_sqrt + inv_sqrt @ g_aw
-        g_w = g_a * (inv_sqrt[:, None] * inv_sqrt[None, :])
-        g_w += (-0.5 * inv_sqrt * inv_sqrt * inv_sqrt * g_s)[:, None]
-        if choose is not None:  # W = where(choose, kept, kept^T)
-            g_w = np.where(choose, g_w, 0.0) + np.where(choose, 0.0, g_w).T
-        # kept > 0 exactly where the ReLU, diagonal, class and top-k masks all
-        # pass the cosine through
-        g_cos = np.where(kept > 0, g_w, 0.0)
-        # cosine = U U^T with U = x / |x| row-wise
-        g_unit = (g_cos + g_cos.T) @ unit
-        radial = np.sum(g_unit * unit, axis=1, keepdims=True)
-        return (inv_norm[:, None] * (g_unit - unit * radial),)
+        spare = g_a * w
+        g_s = (spare @ inv_sqrt[..., None])[..., 0] + (inv_sqrt[..., None, :] @ spare)[..., 0, :]
+        g_w = g_a
+        g_w *= np.multiply(inv_sqrt[..., :, None], inv_sqrt[..., None, :], out=spare)
+        g_w += (-0.5 * inv_sqrt * inv_sqrt * inv_sqrt * g_s)[..., None]
+        if union is not None:  # W = where(choose, kept, kept^T)
+            asym, choose = union
+            flipped = spare  # where(choose, 0, G), transposed below
+            np.copyto(flipped, g_w)
+            np.copyto(flipped, 0.0, where=choose)
+            np.copyto(g_w, 0.0, where=~choose)
+            np.add(g_w, _swap(flipped), out=g_w, where=asym)
+        np.copyto(g_w, 0.0, where=~live)
+        g_cos = np.add(g_w, _swap(g_w), out=spare)
+        # cosine = U U^T with U = x / |x| row-wise, per tap
+        grads = []
+        for g_tap, unit, inv_norm in zip(g_cos, units, inv_norms):
+            g_unit = g_tap @ unit
+            radial = np.sum(g_unit * unit, axis=1, keepdims=True)
+            grads.append(inv_norm[:, None] * (g_unit - unit * radial))
+        return grads
 
-    graph.adjacency_tensor = record(powers[-1], (reps,), backward)
+    graph.adjacency_tensor = record(graph.adjacency, parents, backward)
     return graph
 
 

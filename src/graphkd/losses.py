@@ -13,6 +13,7 @@ Conventions:
   distances themselves are a plain-array function.
 * GKD is the raw squared Frobenius distance between degree-normalized
   adjacencies, summed over taps (no normalization; lambda absorbs scale).
+  A stacked graph carries every tap, so the sum over taps is one term.
 """
 
 from __future__ import annotations
@@ -174,7 +175,11 @@ def rkdd_loss(student_taps, teacher_taps) -> Tensor:
 
 
 def gkd_loss(student_graphs, teacher_graphs) -> Tensor:
-    """Sum over taps of || A_student - A_teacher ||_F^2 on normalized adjacencies."""
+    """Sum over taps of || A_student - A_teacher ||_F^2 on normalized adjacencies.
+
+    A graph built from a stack of taps holds all of them, so one stacked
+    graph per side gives the whole sum in one term.
+    """
     if len(student_graphs) != len(teacher_graphs):
         raise ValueError(
             f"gkd_loss: student has {len(student_graphs)} graphs but teacher has "
@@ -186,10 +191,10 @@ def gkd_loss(student_graphs, teacher_graphs) -> Tensor:
     for idx, (sg, tg) in enumerate(zip(student_graphs, teacher_graphs)):
         a_s = _adjacency_tensor(sg)
         a_t = _adjacency_array(tg)
-        if a_s.data.shape[0] != a_t.shape[0]:
+        if a_s.data.shape != a_t.shape:
             raise ValueError(
-                f"gkd_loss: graph {idx} has {a_s.data.shape[0]} student nodes and "
-                f"{a_t.shape[0]} teacher nodes"
+                f"gkd_loss: graph {idx} has student adjacency shape {a_s.data.shape} "
+                f"and teacher adjacency shape {a_t.shape}"
             )
         term = square(sub(a_s, Tensor(a_t))).sum()
         total = term if total is None else add(total, term)

@@ -147,15 +147,12 @@ def _kd_loss(config: DistillConfig, student_out, teacher_out, net, teacher, labe
     t_taps = [tap.data for tap in teacher_out.for_taps(teacher.tap_set)]
     if config.loss == "gkd":
         g = config.graph
-        s_graphs = [
-            build_similarity_graph(tap, k=g.k, p=g.p, mask_mode=g.mask_mode, labels=labels)
-            for tap in s_taps
-        ]
-        t_graphs = [
-            build_similarity_graph(tap, k=g.k, p=g.p, mask_mode=g.mask_mode, labels=labels)
-            for tap in t_taps
-        ]
-        return gkd_loss(s_graphs, t_graphs)
+        # one (taps, n, n) stack per side
+        s_graph, t_graph = (
+            build_similarity_graph(taps, k=g.k, p=g.p, mask_mode=g.mask_mode, labels=labels)
+            for taps in (s_taps, t_taps)
+        )
+        return gkd_loss([s_graph], [t_graph])
     if config.loss == "rkdd":
         return rkdd_loss(s_taps, t_taps)
     return ikd_loss(s_taps, t_taps)

@@ -59,6 +59,15 @@ class TestCosine:
         assert_array_equal(sim[:, 0], np.zeros(3))
         assert sim[1, 2] > 0
 
+    def test_exactly_symmetric(self):
+        # the pipeline takes the cosine stage's symmetry as given at dense k
+        rng = np.random.default_rng(8)
+        for n, d in ((5, 1), (128, 2), (128, 8), (128, 64), (256, 8)):
+            sim = cosine_similarity_matrix(rng.normal(size=(n, d)))
+            assert_array_equal(sim, sim.T)
+            graph = build_similarity_graph([rng.normal(size=(n, d))] * 2, k=n - 1)
+            assert_array_equal(graph.weights, np.swapaxes(graph.weights, -1, -2))
+
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(3)
         reps = rng.normal(size=(8, 4))
@@ -334,6 +343,88 @@ class TestPipeline:
         backward((g.adjacency_tensor * g.adjacency_tensor).sum())
         assert np.any(reps.grad != 0.0)
         assert np.all(np.isfinite(reps.grad))
+
+
+def clustered_reps(rng, n, size):
+    """Clusters of ``size`` near-parallel rows along orthogonal axes: each
+    row's size - 1 nearest neighbours are its cluster, a symmetric topology."""
+    clusters = n // size
+    reps = 0.01 * rng.uniform(size=(n, clusters))
+    reps[np.arange(n), np.arange(n) // size] += rng.uniform(1.0, 2.0, size=n)
+    return reps
+
+
+class TestStack:
+    N = 18
+    LABELS = np.arange(18) % 3
+
+    def taps(self, rng, k):
+        """Taps of unequal widths: a zero row, and one asymmetric slice placed
+        between two slices whose k-NN topology is symmetric."""
+        zero_row = rng.normal(size=(self.N, 5))
+        zero_row[4] = 0.0
+        return [
+            clustered_reps(rng, self.N, k + 1),
+            rng.normal(size=(self.N, 3)),
+            clustered_reps(rng, self.N, k + 1) @ rng.uniform(0.5, 1.0, size=(18 // (k + 1),) * 2),
+            zero_row,
+        ]
+
+    def test_stack_equals_per_tap_builds(self):
+        rng = np.random.default_rng(61)
+        for k in (1, 8, self.N - 1):
+            for mode in ("all", "inter_class", "intra_class"):
+                for p in (1, 2, 3):
+                    taps = self.taps(rng, k)
+                    stack = build_similarity_graph(
+                        taps, k=k, p=p, mask_mode=mode, labels=self.LABELS
+                    )
+                    assert stack.weights.shape == stack.adjacency.shape == (4, self.N, self.N)
+                    for i, tap in enumerate(taps):
+                        one = build_similarity_graph(
+                            tap, k=k, p=p, mask_mode=mode, labels=self.LABELS
+                        )
+                        assert_array_equal(stack.weights[i], one.weights)
+                        assert_array_equal(stack.adjacency[i], one.adjacency)
+
+    def test_union_runs_on_the_asymmetric_slice_only(self):
+        rng = np.random.default_rng(62)
+        for k in (1, 8):
+            w = build_similarity_graph(self.taps(rng, k), k=k).weights
+            degrees = np.count_nonzero(w, axis=-1)
+            assert np.all(degrees[[0, 2]] == k)  # symmetric: W is the kept matrix
+            assert np.any(degrees[1] > k)  # the union added edges
+
+    def test_stacked_gradients_equal_single_tap_gradients(self):
+        rng = np.random.default_rng(63)
+        for k, p, mode in ((1, 1, "all"), (8, 2, "inter_class"), (17, 3, "intra_class")):
+            taps = self.taps(rng, k)
+            upstream = rng.normal(size=(len(taps), self.N, self.N))
+            stacked = [Tensor(t, requires_grad=True) for t in taps]
+            graph = build_similarity_graph(stacked, k=k, p=p, mask_mode=mode, labels=self.LABELS)
+            assert graph.adjacency_tensor._parents == tuple(stacked)
+            backward((graph.adjacency_tensor * upstream).sum())
+            for tap, x, up in zip(taps, stacked, upstream):
+                single = Tensor(tap, requires_grad=True)
+                one = build_similarity_graph(single, k=k, p=p, mask_mode=mode, labels=self.LABELS)
+                backward((one.adjacency_tensor * up).sum())
+                assert_array_equal(x.grad, single.grad)
+
+    def test_dense_pipeline_matches_public_stages(self):
+        # the pipeline skips knn_sparsify's diagonal masking at k = n - 1,
+        # because the cosine stage has already zeroed the diagonal
+        rng = np.random.default_rng(64)
+        reps = rng.normal(size=(self.N, 4))
+        w = knn_sparsify(cosine_similarity_matrix(reps), self.N - 1)
+        graph = build_similarity_graph([reps, reps], k=self.N - 1, p=2)
+        assert_array_equal(graph.weights[1], w)
+        assert_array_equal(graph.adjacency[0], adjacency_power(degree_normalize(w), 2))
+
+    def test_taps_must_share_the_batch(self):
+        with pytest.raises(ValueError, match="rows"):
+            build_similarity_graph([np.eye(4), np.eye(5)], k=1)
+        with pytest.raises(ValueError, match="empty"):
+            build_similarity_graph([], k=1)
 
 
 class TestSpectral:

@@ -230,6 +230,28 @@ class TestGkd:
         with pytest.raises(ValueError):
             gkd_loss([g_s], [g_t])
 
+    def test_stack_shape_mismatch_rejected(self):
+        rng = np.random.default_rng(19)
+        one = build_similarity_graph([rng.normal(size=(5, 3))], k=2)  # a (1, 5, 5) stack
+        single = build_similarity_graph(rng.normal(size=(5, 3)), k=2)
+        with pytest.raises(ValueError, match=r"gkd_loss: graph 0 .*\(1, 5, 5\).*\(5, 5\)"):
+            gkd_loss([one], [single])
+        small = build_similarity_graph([rng.normal(size=(5, 3))] * 2, k=2)
+        large = build_similarity_graph([rng.normal(size=(6, 3))] * 2, k=2)
+        with pytest.raises(ValueError, match=r"gkd_loss: graph 0 .*\(2, 5, 5\).*\(2, 6, 6\)"):
+            gkd_loss([small], [large])
+
+    def test_stacked_loss_equals_per_tap_loss(self):
+        rng = np.random.default_rng(20)
+        s = [rng.normal(size=(8, d)) for d in (3, 5, 2)]
+        t = [rng.normal(size=(8, 6)) for _ in s]
+        stacked = gkd_loss([build_similarity_graph(s, k=3, p=2)], [build_similarity_graph(t, k=3, p=2)])
+        per_tap = gkd_loss(
+            [build_similarity_graph(x, k=3, p=2) for x in s],
+            [build_similarity_graph(x, k=3, p=2) for x in t],
+        )
+        assert_allclose(stacked.data, per_tap.data, rtol=1e-14)
+
     def test_per_example_sums_to_loss(self):
         rng = np.random.default_rng(13)
         g_s = build_similarity_graph(rng.normal(size=(7, 3)), k=3)
@@ -287,6 +309,34 @@ class TestGkd:
             numeric = fd_gradient(value, s0[rows])
             assert_allclose(x.grad[rows], numeric, rtol=1e-4, atol=1e-7, err_msg=name)
             assert np.abs(numeric).max() > 1e-3, name  # the case is not flat
+            assert_array_equal(np.delete(x.grad, rows, axis=0), 0.0)
+
+
+    def test_stacked_gradient_matches_fd(self):
+        # two taps of unequal widths, one with a zero row, share every stage
+        # of one stack but the gram
+        rng = np.random.default_rng(22)
+        k, p, mode = 2, 2, "all"
+        s0 = [separated_reps(rng, 6, 3, k), separated_reps(rng, 6, 4, k)]
+        s0[1][3] = 0.0
+        teacher = build_similarity_graph(
+            [rng.normal(size=(6, 4)) for _ in s0], k=5, p=p, mask_mode=mode, labels=self.LABELS
+        )
+        xs = [Tensor(x, requires_grad=True) for x in s0]
+        graph = build_similarity_graph(xs, k=k, p=p, mask_mode=mode, labels=self.LABELS)
+        backward(gkd_loss([graph], [teacher]))
+        for i, x in enumerate(xs):
+            rows = np.flatnonzero(np.any(s0[i] != 0.0, axis=1))
+
+            def value(sub):
+                taps = [arr.copy() for arr in s0]
+                taps[i][rows] = sub
+                built = build_similarity_graph(taps, k=k, p=p, mask_mode=mode, labels=self.LABELS)
+                return gkd_loss([built], [teacher]).data.item()
+
+            numeric = fd_gradient(value, s0[i][rows])
+            assert_allclose(x.grad[rows], numeric, rtol=1e-4, atol=1e-7, err_msg=f"tap {i}")
+            assert np.abs(numeric).max() > 1e-3
             assert_array_equal(np.delete(x.grad, rows, axis=0), 0.0)
 
 

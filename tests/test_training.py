@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from graphkd.autodiff import Tensor
+from graphkd.autodiff import Tensor, add, mul
 from graphkd.config import Schedule
 from graphkd.datasets import minibatch_indices
 from graphkd.harness import build_split
 from graphkd import training
 from graphkd.graphs import build_similarity_graph
+from graphkd.losses import task_loss
 from graphkd.models import build_blocknet, forward_with_taps
 from graphkd.training import (
     OptimizerState,
@@ -228,7 +229,7 @@ class TestTrainLoop:
 
         def spy(reps, **kwargs):
             graph = build_similarity_graph(reps, **kwargs)
-            built.append((isinstance(reps, Tensor), graph))
+            built.append((reps, graph))
             return graph
 
         monkeypatch.setattr(training, "build_similarity_graph", spy)
@@ -244,9 +245,33 @@ class TestTrainLoop:
             kd = training._kd_loss(config, s_out, t_out, student, teacher, yb)
             taped = {id(t) for t in tape(kd)}
             assert not any(id(tap) in taped for tap in t_out.taps)
-        teacher_graphs = [g for is_tensor, g in built if not is_tensor]
-        assert len(teacher_graphs) == len(built) // 2 == len(teacher.tap_set)
-        assert all(g.adjacency_tensor is None for g in teacher_graphs)
+        # one stacked build per side, student first
+        assert len(built) == 2
+        (s_reps, s_graph), (t_reps, t_graph) = built
+        assert all(isinstance(tap, Tensor) for tap in s_reps)
+        assert not any(isinstance(tap, Tensor) for tap in t_reps)
+        assert s_graph.adjacency_tensor is not None
+        assert t_graph.adjacency_tensor is None
+        for graph in (s_graph, t_graph):
+            assert graph.adjacency.shape == (len(teacher.tap_set), 24, 24)
+        assert len(student.tap_set) == len(teacher.tap_set)
+
+    def test_dense_gkd_step_adds_at_most_eight_tape_nodes(self):
+        # the stacked graph node, the teacher constant, sub, square, sum, the
+        # lambda constant, mul and add
+        config = make_config(loss="gkd", graph={"k": 23})
+        split = build_split(config)
+        xb, yb = split.train.features[:24], split.train.labels[:24]
+        teacher = build_blocknet((1, 1, 1), (16, 16, 16), 3, 2, seed=9)
+        student = build_blocknet((1, 1, 1), (4, 4, 4), 3, 2, seed=4)
+        student.set_requires_grad(True)
+        teacher.set_requires_grad(False)
+        s_out, t_out = forward_with_taps(student, xb), forward_with_taps(teacher, xb)
+        task = task_loss(s_out.logits, yb)
+        kd = training._kd_loss(config, s_out, t_out, student, teacher, yb)
+        total = add(task, mul(kd, config.lambda_kd))
+        assert len(student.tap_set) == 4
+        assert len(tape(total)) - len(tape(task)) <= 8
 
     def test_rkdd_and_ikd_paths_run(self):
         split = build_split(make_config())
