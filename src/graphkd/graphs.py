@@ -116,7 +116,9 @@ def _cosine(batches) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     xs = [np.asarray(x, dtype=np.float64) for x in batches]
     for x in xs:
         if x.ndim != 2:
-            raise ValueError(f"cosine_similarity_matrix: expected a 2-d batch, got shape {x.shape}")
+            raise ValueError(
+                f"cosine_similarity_matrix: expected a 2-d batch, got shape {x.shape}"
+            )
         if x.shape[0] < 2:
             raise ValueError(f"cosine_similarity_matrix: need at least 2 rows, got {x.shape[0]}")
         if x.shape[0] != xs[0].shape[0]:

@@ -366,7 +366,8 @@ class TestStack:
         return [
             clustered_reps(rng, self.N, k + 1),
             rng.normal(size=(self.N, 3)),
-            clustered_reps(rng, self.N, k + 1) @ rng.uniform(0.5, 1.0, size=(18 // (k + 1),) * 2),
+            clustered_reps(rng, self.N, k + 1)
+            @ rng.uniform(0.5, 1.0, size=(self.N // (k + 1),) * 2),
             zero_row,
         ]
 

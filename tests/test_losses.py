@@ -245,7 +245,9 @@ class TestGkd:
         rng = np.random.default_rng(20)
         s = [rng.normal(size=(8, d)) for d in (3, 5, 2)]
         t = [rng.normal(size=(8, 6)) for _ in s]
-        stacked = gkd_loss([build_similarity_graph(s, k=3, p=2)], [build_similarity_graph(t, k=3, p=2)])
+        stacked = gkd_loss(
+            [build_similarity_graph(s, k=3, p=2)], [build_similarity_graph(t, k=3, p=2)]
+        )
         per_tap = gkd_loss(
             [build_similarity_graph(x, k=3, p=2) for x in s],
             [build_similarity_graph(x, k=3, p=2) for x in t],
@@ -310,7 +312,6 @@ class TestGkd:
             assert_allclose(x.grad[rows], numeric, rtol=1e-4, atol=1e-7, err_msg=name)
             assert np.abs(numeric).max() > 1e-3, name  # the case is not flat
             assert_array_equal(np.delete(x.grad, rows, axis=0), 0.0)
-
 
     def test_stacked_gradient_matches_fd(self):
         # two taps of unequal widths, one with a zero row, share every stage
