@@ -7,9 +7,9 @@ Every graph is n x n whatever the width of its representations, so
 ``build_similarity_graph`` also takes a list of taps and runs each stage once
 on their (taps, n, n) stack; one batch is the stack of one.  Given tensors,
 it records one tape node from the representations to A^p.  Its backward is
-closed form: the k-NN topology, the class and diagonal masks, the ReLU mask
-and the union selector are constants, so gradients flow only through the
-surviving weights.
+closed form: the k-NN union W = max(kept, kept^T) of an exactly symmetric
+cosine stack keeps each entry or zeroes it, so the entries with W > 0 carry
+the gradient and every mask (ReLU, diagonal, class, top-k) is a constant.
 
 The spectral helpers (laplacian / smoothness / symmetric_eig / fiedler_vector)
 are plain-array utilities used on frozen graphs; the eigensolver is numpy's
@@ -100,11 +100,6 @@ def _swap(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2)
 
 
-def _symmetric(m: np.ndarray) -> np.ndarray:
-    """Per slice of a (taps, n, n) stack: is it exactly equal to its transpose?"""
-    return np.all(m == _swap(m), axis=(-2, -1))
-
-
 # ---------------------------------------------------------------------------
 # pipeline stages.  The private helpers work on (taps, n, n) stacks, one
 # batch being the stack of one, and also return what the backward of
@@ -172,53 +167,46 @@ def _topk_mask(sim: np.ndarray, k: int) -> np.ndarray:
     for k < n - 1."""
     neg = -sim
     _set_diagonal(neg, np.nan)
-    nan = np.isnan(neg)  # NaN entries and the diagonal
     # the k-th smallest negated key; partition sorts NaN last, so it is NaN
     # exactly when the row has fewer than k non-NaN candidates
     kth = np.partition(neg, k - 1, axis=-1)[..., k - 1 : k].copy()
-    short = np.isnan(kth)
-    above = (neg < kth) | (short & ~nan)
-    tied = (neg == kth) | (short & nan)
-    _set_diagonal(tied, False)
-    # rows with more tied entries than places left keep the lowest columns
-    room = k - np.count_nonzero(above, axis=-1)
-    over = np.nonzero(np.count_nonzero(tied, axis=-1) > room)
-    tied[over] &= np.cumsum(tied[over], axis=-1) <= room[over][:, None]
-    return above | tied
+    keep = neg <= kth  # NaN and the diagonal compare False
+    # a row keeps exactly k entries unless it ties at the k-th place (more
+    # than k) or is short of candidates (none); only those rows are redone
+    rows = np.nonzero(np.count_nonzero(keep, axis=-1) != k)
+    if rows[0].size:
+        neg, kth = neg[rows], kth[rows]
+        nan = np.isnan(neg)  # NaN entries and the diagonal
+        short = np.isnan(kth)
+        above = (neg < kth) | (short & ~nan)
+        tied = (neg == kth) | (short & nan)
+        tied[np.arange(len(tied)), rows[-1]] = False  # the diagonal
+        # the tied entries fill the places left, lowest column first
+        room = k - np.count_nonzero(above, axis=-1, keepdims=True)
+        keep[rows] = above | (tied & (np.cumsum(tied, axis=-1) <= room))
+    return keep
 
 
-def _knn(sim: np.ndarray, k: int, from_cosine: bool):
-    """k-NN union of a (taps, n, n) stack.
+def _knn(sim: np.ndarray, k: int, from_cosine: bool) -> np.ndarray:
+    """k-NN union W = max(kept, kept^T) of a (taps, n, n) stack.
 
-    Return (W, kept, union): ``union`` is None when every slice of W is its
-    kept matrix, and otherwise (asym, choose) with W = where(choose, kept,
-    kept^T), where ``asym`` marks the slices with an asymmetric topology and
-    ``choose`` holds on every other slice.  Set ``from_cosine`` only when
-    ``sim`` comes from ``_cosine`` (through ``class_mask``): its diagonal is
-    then 0, and it is exactly symmetric, because numpy computes U U^T as a
-    symmetric rank-k update and mirrors it.
+    Set ``from_cosine`` only when ``sim`` comes from ``_cosine`` (through
+    ``class_mask``): its diagonal is then 0, and it is exactly symmetric,
+    because numpy computes U U^T as a symmetric rank-k update and mirrors it,
+    so at k = n - 1 the union is ``sim`` itself.
     """
     n = sim.shape[-1]
     k = int(k)
     if not 1 <= k <= n - 1:
         raise ValueError(f"knn_sparsify: k={k} outside the valid range [1, {n - 1}]")
-    if k == n - 1:  # every off-diagonal entry is kept: a symmetric topology
+    if k == n - 1:  # every off-diagonal entry is kept
         if from_cosine:
-            return sim, sim, None
+            return sim
         kept = sim.copy()
         _set_diagonal(kept, 0.0)
-        symmetric = _symmetric(sim)
     else:
-        mask = _topk_mask(sim, k)
-        kept = np.where(mask, sim, 0.0)
-        symmetric = _symmetric(mask)
-        if symmetric.any():  # a k-NN topology is rarely symmetric
-            symmetric &= _symmetric(sim)
-    if symmetric.all():
-        return kept, kept, None
-    choose = (kept >= _swap(kept)) | np.isnan(kept)
-    choose[symmetric] = True  # a symmetric slice keeps its kept matrix
-    return np.where(choose, kept, _swap(kept)), kept, (~symmetric[:, None, None], choose)
+        kept = np.where(_topk_mask(sim, k), sim, 0.0)
+    return np.maximum(kept, _swap(kept))
 
 
 def knn_sparsify(sim, k: int) -> np.ndarray:
@@ -227,11 +215,10 @@ def knn_sparsify(sim, k: int) -> np.ndarray:
     Each row ranks its off-diagonal entries by value, highest first, with NaN
     below every number (``-inf`` included), and keeps the first k; equal
     values (and NaN against NaN) go to the lower column index first.  The
-    diagonal is never kept.  The union W = max(kept, kept^T) propagates NaN
-    like ``np.maximum``; when the input and the kept topology are both
-    exactly symmetric, it is the kept matrix itself.
+    diagonal is never kept.  The union W = np.maximum(kept, kept^T)
+    propagates NaN.
     """
-    return _knn(_square_matrix(sim, "knn_sparsify")[None], k, from_cosine=False)[0][0]
+    return _knn(_square_matrix(sim, "knn_sparsify")[None], k, from_cosine=False)[0]
 
 
 def _normalize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,12 +278,8 @@ def build_similarity_graph(
     taped = any(isinstance(t, Tensor) for t in taps)
     sim, units, inv_norms = _cosine([t.data if isinstance(t, Tensor) else t for t in taps])
     sim = class_mask(sim, labels, mask_mode)
-    w, kept, union = _knn(sim, k, from_cosine=True)
-    if taped:
-        # kept > 0 exactly where the ReLU, diagonal, class and top-k masks
-        # all pass the cosine through
-        live = kept > 0
-    del sim, kept  # the backward reads neither (taps, n, n) stack
+    w = _knn(sim, k, from_cosine=True)
+    del sim  # the backward does not read it
     # knn_sparsify's output is symmetric and non-negative, so skip degree_normalize's checks
     a, inv_sqrt = _normalize(w)
     powers = _powers(a, p)
@@ -326,14 +309,9 @@ def build_similarity_graph(
         g_w = g_a
         g_w *= np.multiply(inv_sqrt[..., :, None], inv_sqrt[..., None, :], out=spare)
         g_w += (-0.5 * inv_sqrt * inv_sqrt * inv_sqrt * g_s)[..., None]
-        if union is not None:  # W = where(choose, kept, kept^T)
-            asym, choose = union
-            flipped = spare  # where(choose, 0, G), transposed below
-            np.copyto(flipped, g_w)
-            np.copyto(flipped, 0.0, where=choose)
-            np.copyto(g_w, 0.0, where=~choose)
-            np.add(g_w, _swap(flipped), out=g_w, where=asym)
-        np.copyto(g_w, 0.0, where=~live)
+        # W is the cosine where W > 0, which holds exactly where the ReLU,
+        # diagonal, class and top-k (of either endpoint) masks all pass it
+        np.copyto(g_w, 0.0, where=~(w > 0))
         g_cos = np.add(g_w, _swap(g_w), out=spare)
         # cosine = U U^T with U = x / |x| row-wise, per tap
         grads = []

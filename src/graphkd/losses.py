@@ -13,7 +13,8 @@ Conventions:
   distances themselves are a plain-array function.
 * GKD is the raw squared Frobenius distance between degree-normalized
   adjacencies, summed over taps (no normalization; lambda absorbs scale).
-  A stacked graph carries every tap, so the sum over taps is one term.
+  A stacked graph carries every tap, so the sum over taps is one term, and
+  each graph pair's term is one tape node on the student adjacency.
 """
 
 from __future__ import annotations
@@ -196,9 +197,15 @@ def gkd_loss(student_graphs, teacher_graphs) -> Tensor:
                 f"gkd_loss: graph {idx} has student adjacency shape {a_s.data.shape} "
                 f"and teacher adjacency shape {a_t.shape}"
             )
-        term = square(sub(a_s, Tensor(a_t))).sum()
+        term = _squared_distance(a_s, a_t)
         total = term if total is None else add(total, term)
     return total
+
+
+def _squared_distance(student: Tensor, teacher: np.ndarray) -> Tensor:
+    """sum((student - teacher)^2), recorded as one node on ``student``."""
+    diff = student.data - teacher
+    return record(np.sum(diff * diff), (student,), lambda g: ((2.0 * g) * diff,))
 
 
 def _adjacency_tensor(g) -> Tensor:

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from graphkd.autodiff import Tensor, backward
 from graphkd.graphs import (
     GraphParams,
+    _knn,
     adjacency_power,
     build_similarity_graph,
     class_mask,
@@ -395,6 +396,40 @@ class TestStack:
             degrees = np.count_nonzero(w, axis=-1)
             assert np.all(degrees[[0, 2]] == k)  # symmetric: W is the kept matrix
             assert np.any(degrees[1] > k)  # the union added edges
+
+    def test_tied_plain_and_short_rows_in_one_stack(self):
+        # only rows that tie at the k-th place or are short of candidates take
+        # the tie fix; each slice must still match its single-slice selection
+        rng = np.random.default_rng(65)
+        n, k = 10, 3
+        tied_rows = 0
+        for _ in range(20):
+            tied = rng.integers(1, 4, size=(n, n)) / 4.0  # positive ties at every rank
+            plain = (rng.permutation(n * n).reshape(n, n) + 1.0) / (n * n)  # no ties
+            mixed = np.where((np.arange(n) % 2 == 0)[:, None], tied, plain)
+            short = plain.copy()
+            # rows 0, 3, 6 and 9 keep fewer than k numbers, in their lowest
+            # columns, then NaN (the order oracle_topk_union's sort needs)
+            for row in range(0, n, 3):
+                short[row, rng.integers(0, k) :] = np.nan
+            stack = np.stack([mixed, plain, short])
+            w = _knn(stack, k, from_cosine=False)
+            for sim, w_slice in zip(stack, w):
+                assert_array_equal(w_slice, knn_sparsify(sim, k))
+                assert_allclose(w_slice, oracle_topk_union(sim, k), atol=0)
+            off = mixed[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+            kth = -np.sort(-off, axis=1)[:, k - 1 : k]
+            tied_rows += np.count_nonzero(np.count_nonzero(off >= kth, axis=1) > k)
+        assert tied_rows > 0
+
+        # taps with duplicated rows tie at the k-th place after the ReLU
+        relu = np.maximum(rng.normal(size=(n, 4)), 0.0)
+        taps = [relu[rng.integers(0, 4, size=n)], rng.normal(size=(n, 3)), relu]
+        stack = build_similarity_graph(taps, k=k, p=2)
+        for i, tap in enumerate(taps):
+            one = build_similarity_graph(tap, k=k, p=2)
+            assert_array_equal(stack.weights[i], one.weights)
+            assert_array_equal(stack.adjacency[i], one.adjacency)
 
     def test_stacked_gradients_equal_single_tap_gradients(self):
         rng = np.random.default_rng(63)
