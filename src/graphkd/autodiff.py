@@ -2,13 +2,15 @@
 
 The engine keeps a dynamic tape: every operation whose inputs require
 gradients records a backward rule, and ``backward`` replays those rules in
-reverse topological order.  The ops are the ones the models and losses use.
-The elementwise ops (add, sub, mul, where) broadcast their operands by
-numpy's rules, and each operand's gradient is summed back over the axes it
-was broadcast along; ``matmul`` stays rank-2.  Masking is ``where`` with a
-constant boolean mask, never a multiply by 0/1.  ``record`` puts a
-hand-written function on the tape: the graph builder and RKD-D use it to
-record a whole pipeline as one node with a closed-form backward.
+reverse topological order.  The elementwise ops (add, sub, mul, where)
+broadcast their operands by numpy's rules, and each operand's gradient is
+summed back over the axes it was broadcast along; ``matmul`` stays rank-2.
+Masking is ``where`` with a constant boolean mask, never a multiply by 0/1.
+``record`` puts a hand-written function on the tape: each model layer, the
+task loss, the graph builder and the KD losses use it to record their work
+as one node with a closed-form backward.  The training step itself uses
+only ``add`` and ``mul`` of the generic ops; the others are the reference
+that the fused nodes are tested against, bit for bit.
 
 A tape (and the tensors recorded on it) belongs to a single thread.
 """

@@ -164,7 +164,11 @@ def class_mask(sim, labels, mode: str):
 
 def _topk_mask(sim: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of each row's k kept off-diagonal entries (see knn_sparsify),
-    for k < n - 1."""
+    for k < n - 1.
+
+    A row whose k-th largest entry is 0 keeps only its positive entries:
+    the zeros it would keep add nothing to ``where(mask, sim, 0)``.
+    """
     neg = -sim
     _set_diagonal(neg, np.nan)
     # the k-th smallest negated key; partition sorts NaN last, so it is NaN
@@ -173,7 +177,13 @@ def _topk_mask(sim: np.ndarray, k: int) -> np.ndarray:
     keep = neg <= kth  # NaN and the diagonal compare False
     # a row keeps exactly k entries unless it ties at the k-th place (more
     # than k) or is short of candidates (none); only those rows are redone
-    rows = np.nonzero(np.count_nonzero(keep, axis=-1) != k)
+    redo = np.count_nonzero(keep, axis=-1) != k
+    # fewer than k positive entries (a dead ReLU row, or a row masked to
+    # nothing): no tie fix, as the ties are zeros
+    zero = redo & (kth[..., 0] == 0)
+    if zero.any():
+        keep[zero] = neg[zero] < 0
+    rows = np.nonzero(redo & ~zero)
     if rows[0].size:
         neg, kth = neg[rows], kth[rows]
         nan = np.isnan(neg)  # NaN entries and the diagonal
@@ -311,7 +321,7 @@ def build_similarity_graph(
         g_w += (-0.5 * inv_sqrt * inv_sqrt * inv_sqrt * g_s)[..., None]
         # W is the cosine where W > 0, which holds exactly where the ReLU,
         # diagonal, class and top-k (of either endpoint) masks all pass it
-        np.copyto(g_w, 0.0, where=~(w > 0))
+        np.multiply(g_w, w > 0, out=g_w)
         g_cos = np.add(g_w, _swap(g_w), out=spare)
         # cosine = U U^T with U = x / |x| row-wise, per tap
         grads = []

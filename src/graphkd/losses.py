@@ -6,7 +6,9 @@ whose values are read); only the student side contributes gradients.
 
 Conventions:
 
-* IKD averages squared L2 distances over examples and taps.
+* The task loss (softmax cross-entropy) is one tape node.
+* IKD averages squared L2 distances over examples and taps; each tap's
+  squared distance is one tape node.
 * RKD-D compares Huber-smoothed, mean-normalized pairwise distances over
   ordered pairs (x != x'), summed over taps and divided by the pair count.
   Each tap's term is one tape node with a closed-form backward; the pairwise
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, add, log_softmax, mul, record, square, sub, where
+from .autodiff import Tensor, add, mul, record
 from .graphs import SimilarityGraph
 
 __all__ = [
@@ -39,7 +41,11 @@ KD_LOSSES = ("ikd", "rkdd", "gkd")
 
 
 def task_loss(logits, labels) -> Tensor:
-    """Mean softmax cross-entropy of integer labels."""
+    """Mean softmax cross-entropy of integer labels, as one tape node.
+
+    Values and gradients are bitwise equal to
+    ``mul(where(onehot, log_softmax(logits), 0.0).sum(), -1 / n)``.
+    """
     logits_t = logits if isinstance(logits, Tensor) else Tensor(logits)
     labels = np.asarray(labels)
     if logits_t.data.ndim != 2:
@@ -55,8 +61,16 @@ def task_loss(logits, labels) -> Tensor:
             f"[{labels.min()}, {labels.max()}]"
         )
     onehot = np.arange(classes) == labels.astype(int)[:, None]
-    picked = where(onehot, log_softmax(logits_t), 0.0)
-    return mul(picked.sum(), -1.0 / n)
+    z = logits_t.data - np.max(logits_t.data, axis=1, keepdims=True)
+    logp = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+    scale = -1.0 / n
+
+    def backward(g: np.ndarray) -> tuple[np.ndarray]:
+        # the rules of mul, sum, where and log_softmax, in that order
+        gp = np.broadcast_to(g * scale, logp.shape) * onehot
+        return (gp - np.exp(logp) * np.sum(gp, axis=1, keepdims=True),)
+
+    return record(np.sum(np.where(onehot, logp, 0.0)) * scale, (logits_t,), backward)
 
 
 def huber(x: float, y: float) -> float:
@@ -148,7 +162,7 @@ def ikd_loss(student_taps, teacher_taps) -> Tensor:
             )
         if n is None:
             n = s_t.data.shape[0]
-        term = square(sub(s_t, Tensor(t_arr))).sum()
+        term = _squared_distance(s_t, t_arr)
         total = term if total is None else add(total, term)
     return mul(total, 1.0 / (n * len(student_taps)))
 

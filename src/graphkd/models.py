@@ -3,7 +3,8 @@
 A BlockNet is a stack of blocks, each a sequence of affine+ReLU layers of a
 fixed per-block width, followed by an affine head producing logits.  Taps
 default to every block output plus the logits, so distillation losses see
-one matrix per tap.
+one matrix per tap.  Each layer (affine+ReLU, or the affine head) is one
+tape node with a closed-form backward.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, add, matmul, relu
+from .autodiff import Tensor, record
 from .config import ArchSpec
 
 __all__ = [
@@ -154,11 +155,32 @@ def forward_with_taps(net: BlockNet, batch) -> TapOutput:
     taps = []
     for block in net.blocks:
         for w, b in block:
-            h = relu(add(matmul(h, w), b))
+            h = _layer(h, w, b, relu=True)
         taps.append(h)
-    w, b = net.head
-    logits = add(matmul(h, w), b)
+    logits = _layer(h, *net.head, relu=False)
     return TapOutput(taps=taps, logits=logits)
+
+
+def _layer(h: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
+    """``relu((h @ w) + b)``, or ``(h @ w) + b`` for the head, as one tape node.
+
+    The forward and backward run the numpy ops of the generic
+    ``relu(add(matmul(h, w), b))`` chain in its order, so values and
+    gradients are bitwise equal to it; each operand's gradient is computed
+    only if it requires one.
+    """
+    z = (h.data @ w.data) + b.data
+
+    def backward(g: np.ndarray):
+        if relu:
+            g = g * (z > 0)  # the subgradient at 0 is 0
+        return (
+            g @ w.data.T if h.requires_grad else None,
+            h.data.T @ g if w.requires_grad else None,
+            np.sum(g, axis=(0,)).reshape(b.data.shape) if b.requires_grad else None,
+        )
+
+    return record(np.maximum(z, 0.0) if relu else z, (h, w, b), backward)
 
 
 def frozen_forward(net: BlockNet, batch) -> TapOutput:

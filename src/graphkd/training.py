@@ -56,7 +56,11 @@ def init_optimizer(params, learning_rate: float, momentum: float) -> OptimizerSt
 
 
 def sgd_momentum_step(params, grads, state: OptimizerState) -> None:
-    """Heavy-ball update: v <- momentum*v + g; w <- w - lr*v (in place on state)."""
+    """Heavy-ball update: v <- momentum*v + g; w <- w - lr*v.
+
+    Both updates are in place, on the state's velocities and on each
+    parameter's array.
+    """
     if len(params) != len(grads) or len(params) != len(state.velocities):
         raise ValueError(
             f"sgd_momentum_step: got {len(params)} params, {len(grads)} grads, "
@@ -68,9 +72,10 @@ def sgd_momentum_step(params, grads, state: OptimizerState) -> None:
             raise ValueError(
                 f"sgd_momentum_step: grad {i} has shape {g.shape}, expected {p.data.shape}"
             )
-        v = state.momentum * state.velocities[i] + g
-        state.velocities[i] = v
-        p.data = p.data - state.learning_rate * v
+        v = state.velocities[i]
+        v *= state.momentum
+        v += g
+        p.data -= state.learning_rate * v
 
 
 @dataclass

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from graphkd import autodiff as ad
 from graphkd.autodiff import Tensor, backward, zero_grads
+from graphkd.models import _layer
 
 from _oracles import fd_gradient
 
@@ -177,7 +178,16 @@ BROADCAST_LEAF_SHAPES = {
     "mul_row_broadcast": (1, 4),
     "mul_rank1_broadcast": (4,),
     "where_row_broadcast": (1, 4),
+    "layer_b": (1, 4),
 }
+
+# constants of the fused-layer cases, sized so that no pre-activation comes
+# near the ReLU's kink: a large bias of fixed sign, or a small h @ w
+_LAYER_W = np.linspace(-0.5, 0.5, 8).reshape(4, 2)
+_LAYER_B = np.array([[5.0, -5.0]])
+_LAYER_H = np.linspace(-0.3, 0.3, 6).reshape(2, 3)
+_SMALL_H = np.linspace(-0.05, 0.05, 9).reshape(3, 3)
+_SMALL_W = np.linspace(-0.2, 0.2, 12).reshape(3, 4)
 
 OP_CASES = {
     "add": lambda x: (x + const(np.full(x.data.shape, 0.7))).sum(),
@@ -198,6 +208,14 @@ OP_CASES = {
     "mul_row_broadcast": lambda x: (const(_GRID) * x).sum(),
     "mul_rank1_broadcast": lambda x: ad.square(x * const(_GRID)).sum(),
     "where_row_broadcast": lambda x: ad.where(_GRID > 0, ad.square(x), const(_GRID)).sum(),
+    # one fused affine+ReLU layer (models._layer), its gradient for h, w and b,
+    # and the affine head
+    "layer_h": lambda x: ad.square(_layer(x, const(_LAYER_W), const(_LAYER_B), relu=True)).sum(),
+    "layer_w": lambda x: ad.square(
+        _layer(const(_LAYER_H), x, const(np.array([[4.0, -4.0, 4.0, -4.0]])), relu=True)
+    ).sum(),
+    "layer_b": lambda x: ad.square(_layer(const(_SMALL_H), const(_SMALL_W), x, relu=True)).sum(),
+    "layer_head": lambda x: ad.square(_layer(x, const(_LAYER_W), const(_LAYER_B), relu=False)).sum(),
 }
 
 

@@ -188,6 +188,36 @@ class TestKnnProperties:
         _assert_matches_oracle_for_every_k(masked)
         assert_array_equal(knn_sparsify(masked, 2), np.zeros((6, 6)))
 
+    def test_rows_whose_kth_key_is_zero(self):
+        # dead-ReLU rows, and a single-class batch under the inter_class mask:
+        # rows with fewer than k positive entries keep only those, which
+        # gives the oracle's W on the pipeline's stacked path
+        rng = np.random.default_rng(76)
+        n = 10
+        reps = np.maximum(rng.normal(size=(n, 3)), 0.0)
+        reps[[1, 4, 7]] = 0.0
+        two_class = (np.arange(n) >= 7).astype(int)
+        for labels in (np.zeros(n, dtype=int), two_class):
+            sim = class_mask(cosine_similarity_matrix(reps), labels, "inter_class")
+            off = sim[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+            for k in range(1, n - 1):
+                kth = -np.sort(-off, axis=1)[:, k - 1]
+                assert np.any((kth == 0) & (np.count_nonzero(off == 0, axis=1) > 1))
+                x = Tensor(reps, requires_grad=True)
+                graph = build_similarity_graph(
+                    [x, reps[::-1]], k=k, p=2, mask_mode="inter_class", labels=labels
+                )
+                assert_allclose(graph.weights[0], oracle_topk_union(sim, k), atol=0)
+                w_ref, a_ref = oracle_pipeline(reps, k, 2, "inter_class", labels)
+                assert_allclose(graph.weights[0], w_ref, atol=1e-12)
+                assert_allclose(graph.adjacency[0], a_ref, atol=1e-12)
+                backward((graph.adjacency_tensor * graph.adjacency_tensor).sum())
+                assert np.all(np.isfinite(x.grad))
+                assert_array_equal(x.grad[[1, 4, 7]], 0.0)
+        assert_array_equal(build_similarity_graph(
+            reps, k=3, mask_mode="inter_class", labels=np.zeros(n, dtype=int)
+        ).weights, np.zeros((n, n)))
+
     def test_asymmetric_input_at_dense_k_is_union_symmetrized(self):
         rng = np.random.default_rng(74)
         sim = rng.uniform(size=(6, 6))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from graphkd.autodiff import Tensor, backward, mul, square, sub
+from graphkd.autodiff import Tensor, add, backward, log_softmax, mul, square, sub, where
 from graphkd.graphs import build_similarity_graph
 from graphkd.losses import (
     gkd_loss,
@@ -57,6 +57,26 @@ class TestTaskLoss:
             task_loss(Tensor(np.zeros((2, 3))), np.array([0, 3]))
         with pytest.raises(ValueError):
             task_loss(Tensor(np.zeros((2, 3))), np.array([-1, 0]))
+
+    def test_shape_and_rank_checks(self):
+        with pytest.raises(ValueError, match="labels shape"):
+            task_loss(Tensor(np.zeros((2, 3))), np.array([0, 1, 2]))
+        with pytest.raises(ValueError, match="2-d"):
+            task_loss(Tensor(np.zeros(3)), np.array([0]))
+
+    def test_one_tape_node_equal_to_the_generic_ops(self):
+        rng = np.random.default_rng(3)
+        logits0, labels = rng.normal(size=(7, 4)) * 3, rng.integers(0, 4, size=7)
+        x = leaf(logits0)
+        loss = task_loss(x, labels)
+        assert loss._parents == (x,)
+        backward(mul(loss, 0.3))
+        ref_x = leaf(logits0)
+        onehot = np.arange(4) == labels[:, None]
+        ref = mul(where(onehot, log_softmax(ref_x), 0.0).sum(), -1.0 / 7)
+        backward(mul(ref, 0.3))
+        assert loss.data.tobytes() == ref.data.tobytes()
+        assert x.grad.tobytes() == ref_x.grad.tobytes()
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(1)
@@ -121,6 +141,24 @@ class TestIkd:
         t = [rng.normal(size=(6, 3)), rng.normal(size=(6, 5))]
         got = ikd_loss([Tensor(a) for a in s], [Tensor(a) for a in t]).data
         assert_allclose(got, oracle_ikd(s, t), rtol=1e-12)
+
+    def test_one_tape_node_per_tap_equal_to_the_generic_ops(self):
+        rng = np.random.default_rng(6)
+        s = [rng.normal(size=(6, 3)), rng.normal(size=(6, 5))]
+        t = [rng.normal(size=(6, 3)), rng.normal(size=(6, 5))]
+        taps = [leaf(a) for a in s]
+        loss = ikd_loss(taps, t)
+        for tap in taps:
+            children = [node for node in tape(loss) if any(p is tap for p in node._parents)]
+            assert len(children) == 1 and children[0]._parents == (tap,)
+        backward(mul(loss, 0.7))
+        ref_taps = [leaf(a) for a in s]
+        terms = [square(sub(x, Tensor(b))).sum() for x, b in zip(ref_taps, t)]
+        ref = mul(add(terms[0], terms[1]), 1.0 / (6 * 2))
+        backward(mul(ref, 0.7))
+        assert loss.data.tobytes() == ref.data.tobytes()
+        for tap, ref_tap in zip(taps, ref_taps):
+            assert tap.grad.tobytes() == ref_tap.grad.tobytes()
 
     def test_dimension_mismatch_names_requirement(self):
         s = [Tensor(np.zeros((3, 4)))]

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from graphkd.autodiff import Tensor
+from conftest import tape
+
+from graphkd import autodiff as ad
+from graphkd.autodiff import Tensor, backward
+from graphkd.losses import task_loss
 from graphkd.models import (
     BlockNet,
+    TapOutput,
     build_blocknet,
     checkpoint_digest,
     forward_with_taps,
@@ -131,6 +136,78 @@ class TestForward:
         out = forward_with_taps(net, x)
         assert out.logits.data.shape == (3, 2)
 
+
+
+
+def generic_forward(net, x) -> TapOutput:
+    """The layers as the generic relu(add(matmul(...))) chain: the bitwise reference."""
+    h, taps = x, []
+    for block in net.blocks:
+        for w, b in block:
+            h = ad.relu(ad.add(ad.matmul(h, w), b))
+        taps.append(h)
+    w, b = net.head
+    return TapOutput(taps=taps, logits=ad.add(ad.matmul(h, w), b))
+
+
+def generic_task_loss(logits, labels):
+    n, classes = logits.data.shape
+    onehot = np.arange(classes) == labels[:, None]
+    return ad.mul(ad.where(onehot, ad.log_softmax(logits), 0.0).sum(), -1.0 / n)
+
+
+class TestFusedLayers:
+    """Each layer and the task loss are one tape node each, bitwise equal to
+    the generic ops' values and gradients."""
+
+    def run(self, forward, loss_fn, x, labels):
+        net = build_blocknet((2, 1), (5, 4), 3, 3, seed=12)
+        net.blocks[0][0][1].data[0, :2] = 0.0  # a zero row of x meets zero biases
+        net.set_requires_grad(True)
+        xt = Tensor(x, requires_grad=True)
+        out = forward(net, xt)
+        loss = loss_fn(out.logits, labels)
+        # a second consumer of every block output, as a KD term has
+        for i, tap in enumerate(out.taps):
+            loss = ad.add(loss, ad.mul(tap, np.cos(np.arange(tap.data.size) + i).reshape(tap.data.shape)).sum())
+        backward(loss)
+        return net, xt, out, loss
+
+    def test_values_and_gradients_equal_the_generic_chain(self):
+        x = np.random.default_rng(31).normal(size=(6, 3))
+        x[2] = 0.0
+        for batch in (x, np.zeros((4, 3))):
+            labels = np.arange(len(batch)) % 3
+            net, xt, out, loss = self.run(forward_with_taps, task_loss, batch, labels)
+            r_net, r_xt, r_out, r_loss = self.run(generic_forward, generic_task_loss, batch, labels)
+            w, b = net.blocks[0][0]
+            assert np.any(batch @ w.data + b.data == 0.0)  # the ReLU's kink is hit
+            for tap, r_tap in zip(out.taps + [out.logits], r_out.taps + [r_out.logits]):
+                assert tap.data.tobytes() == r_tap.data.tobytes()
+            assert loss.data.tobytes() == r_loss.data.tobytes()
+            assert xt.grad.tobytes() == r_xt.grad.tobytes()
+            for p, q in zip(net.parameters(), r_net.parameters()):
+                assert p.grad.tobytes() == q.grad.tobytes()
+
+    def test_one_tape_node_per_layer(self):
+        net = build_blocknet((2, 1), (5, 4), 3, 3, seed=12)
+        net.set_requires_grad(True)
+        x = Tensor(np.ones((4, 3)))
+        out = forward_with_taps(net, x)
+        layers = [layer for block in net.blocks for layer in block] + [net.head]
+        node = out.logits
+        for w, b in reversed(layers):
+            assert node._parents[1:] == (w, b)
+            node = node._parents[0]
+        assert node is x
+        loss = task_loss(out.logits, np.zeros(4, dtype=int))
+        assert loss._parents == (out.logits,)
+        assert len(tape(loss)) == 2 + 3 * len(layers)
+
+    def test_frozen_forward_records_nothing(self):
+        net = build_blocknet((1,), (4,), 2, 2, seed=0)
+        out = forward_with_taps(net, np.ones((3, 2)))
+        assert not out.logits.requires_grad and out.logits._parents == ()
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):

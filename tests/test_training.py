@@ -72,6 +72,23 @@ class TestSgdMomentum:
         sgd_momentum_step([p], [g], state)
         assert_allclose(p.data, -1.0 * np.ones((2, 2)), atol=1e-15)
 
+    def test_step_is_in_place_and_equals_the_out_of_place_formula(self):
+        rng = np.random.default_rng(3)
+        params = [Tensor(rng.normal(size=(3, 4)), requires_grad=True),
+                  Tensor(rng.normal(size=(1, 4)), requires_grad=True)]
+        state = init_optimizer(params, learning_rate=0.037, momentum=0.9)
+        state.velocities = [rng.normal(size=p.data.shape) for p in params]
+        grads = [rng.normal(size=p.data.shape) for p in params]
+        arrays = [p.data for p in params]
+        velocities = list(state.velocities)
+        expected_v = [state.momentum * v + g for v, g in zip(velocities, grads)]
+        expected_p = [p.data - state.learning_rate * v for p, v in zip(params, expected_v)]
+        sgd_momentum_step(params, grads, state)
+        for i, p in enumerate(params):
+            assert p.data is arrays[i] and state.velocities[i] is velocities[i]
+            assert p.data.tobytes() == expected_p[i].tobytes()
+            assert state.velocities[i].tobytes() == expected_v[i].tobytes()
+
     def test_shape_mismatch_rejected(self):
         p = Tensor(np.zeros((2, 2)), requires_grad=True)
         state = init_optimizer([p], 0.1, 0.9)
@@ -256,9 +273,18 @@ class TestTrainLoop:
             assert graph.adjacency.shape == (len(teacher.tap_set), 24, 24)
         assert len(student.tap_set) == len(teacher.tap_set)
 
-    def test_dense_gkd_step_adds_at_most_eight_tape_nodes(self):
-        # the stacked graph node, the teacher constant, sub, square, sum, the
-        # lambda constant, mul and add
+    def test_vanilla_step_records_fourteen_tape_nodes(self):
+        # the input batch, each of the four layers' node, weight and bias, and
+        # the task loss node
+        split = build_split(make_config())
+        student = build_blocknet((1, 1, 1), (4, 4, 4), 3, 2, seed=4)
+        student.set_requires_grad(True)
+        out = forward_with_taps(student, Tensor(split.train.features[:24]))
+        assert len(tape(task_loss(out.logits, split.train.labels[:24]))) == 14
+
+    def test_dense_gkd_step_adds_five_tape_nodes(self):
+        # the stacked graph node, the GKD term node, the lambda constant, mul
+        # and add
         config = make_config(loss="gkd", graph={"k": 23})
         split = build_split(config)
         xb, yb = split.train.features[:24], split.train.labels[:24]
@@ -271,7 +297,8 @@ class TestTrainLoop:
         kd = training._kd_loss(config, s_out, t_out, student, teacher, yb)
         total = add(task, mul(kd, config.lambda_kd))
         assert len(student.tap_set) == 4
-        assert len(tape(total)) - len(tape(task)) <= 8
+        assert len(tape(task)) == 14
+        assert len(tape(total)) - len(tape(task)) == 5
 
     def test_rkdd_and_ikd_paths_run(self):
         split = build_split(make_config())
