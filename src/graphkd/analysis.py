@@ -72,7 +72,8 @@ class ConcentrationReport:
 
 
 def _frozen_taps(net: BlockNet, features: np.ndarray):
-    return frozen_forward(net, features).for_taps(net.tap_set)
+    out = frozen_forward(net, features)
+    return [*out.taps, out.logits]
 
 
 def concentration_report(

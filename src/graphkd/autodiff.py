@@ -12,6 +12,13 @@ as one node with a closed-form backward.  The training step itself uses
 only ``add`` and ``mul`` of the generic ops; the others are the reference
 that the fused nodes are tested against, bit for bit.
 
+``backward`` is the one writer of ``.grad``: it replaces the gradient of
+every tensor it reaches, so a training step needs no zeroing call.  It keeps
+a tensor's first gradient as the backward rule gave it, with no copy, and
+adds any later ones out of place; a gradient may therefore be shared between
+tensors or be a read-only view, and no code may write into one (see
+``record``).
+
 A tape (and the tensors recorded on it) belongs to a single thread.
 """
 
@@ -33,7 +40,6 @@ __all__ = [
     "where",
     "log_softmax",
     "backward",
-    "zero_grads",
 ]
 
 
@@ -42,7 +48,8 @@ class Tensor:
 
     Leaf tensors created with ``requires_grad=True`` start with a zero
     ``grad`` so that "loss does not depend on x" reads as a zero gradient
-    rather than a missing one.
+    rather than a missing one.  Only ``backward`` sets ``grad`` after that;
+    treat it as read-only.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -112,12 +119,15 @@ def record(
     parent, in order, each of that parent's shape; it may give None for a
     parent that does not require a gradient.  Nothing is recorded when no
     parent requires a gradient.
+
+    ``backward`` stores the arrays it returns without copying them, so a rule
+    must not write into ``g`` or into an array it has returned, and may
+    return ``g`` itself, a view of it, or one array for several parents.
     """
     out = Tensor(data)
     parents = tuple(parents)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.grad = None  # filled during backward
         out._parents = parents
         out._backward = backward
     return out
@@ -127,7 +137,7 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = g  # no copy: see record's contract
     else:
         t.grad = t.grad + g
 
@@ -251,10 +261,12 @@ def log_softmax(t) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``.grad`` for every tape ancestor of a scalar loss.
+    """Set ``.grad`` of every tape ancestor of a scalar loss to its gradient.
 
-    The tape is consumed: backward rules are dropped as they run, so a
-    second call on the same graph is a no-op.
+    The gradients of the tensors reached replace what they held before; a
+    tensor the loss does not reach keeps its ``.grad``.  The tape is
+    consumed: backward rules are dropped as they run, so a second call on
+    the same graph leaves the gradients as they are.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -273,12 +285,14 @@ def backward(loss: Tensor) -> None:
         if nid in seen:
             continue
         seen.add(nid)
+        if node.requires_grad:
+            node.grad = None
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
 
-    _accumulate(loss, np.ones_like(loss.data))
+    loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             for parent, g in zip(node._parents, node._backward(node.grad)):
@@ -286,8 +300,3 @@ def backward(loss: Tensor) -> None:
                     _accumulate(parent, g)
         node._parents = ()
         node._backward = None
-
-
-def zero_grads(params) -> None:
-    for p in params:
-        p.grad = np.zeros_like(p.data)

@@ -6,7 +6,7 @@ import argparse
 import ctypes
 import sys
 
-from .config import ConfigError, load_config
+from .config import MASK_MODES, ConfigError, load_config
 from .harness import (
     SWEEPABLE_PARAMS,
     run_analyze,
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", type=int, default=128)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
-    p.add_argument("--mask", default=None, choices=[None, "all", "inter_class", "intra_class"])
+    p.add_argument("--mask", default=None, choices=MASK_MODES)
     p.add_argument("--seed", type=int, default=0)
     return parser
 

@@ -8,7 +8,7 @@ metrics.csv per run and a summary.json with per-seed and median metrics.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,6 @@ from .analysis import concentration_report, consistency_curve, spectral_report
 from .config import ConfigError, DistillConfig, config_digest
 from .datasets import (
     DataSplit,
-    Dataset,
     gen_gaussian_mixture,
     gen_two_arcs,
     load_idx,
@@ -419,8 +418,8 @@ def run_dump_graph(
     tap_names = net.tap_names()
     if block not in tap_names:
         raise ConfigError(f"unknown tap {block!r}; available: {tap_names}")
-    taps = frozen_forward(net, xb).for_taps(net.tap_set)
-    reps = taps[tap_names.index(block)].data
+    out = frozen_forward(net, xb)
+    reps = [*out.taps, out.logits][tap_names.index(block)].data
     graph = build_similarity_graph(
         reps, k=params.k, p=params.p, mask_mode=params.mask_mode, labels=yb
     )

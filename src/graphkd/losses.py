@@ -37,8 +37,6 @@ __all__ = [
     "normalized_pairwise_distances",
 ]
 
-KD_LOSSES = ("ikd", "rkdd", "gkd")
-
 
 def task_loss(logits, labels) -> Tensor:
     """Mean softmax cross-entropy of integer labels, as one tape node.

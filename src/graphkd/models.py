@@ -1,9 +1,9 @@
 """Block MLPs with tapped intermediate representations.
 
 A BlockNet is a stack of blocks, each a sequence of affine+ReLU layers of a
-fixed per-block width, followed by an affine head producing logits.  Taps
-default to every block output plus the logits, so distillation losses see
-one matrix per tap.  Each layer (affine+ReLU, or the affine head) is one
+fixed per-block width, followed by an affine head producing logits.  The
+taps are every block output plus the logits, so distillation losses see one
+matrix per tap.  Each layer (affine+ReLU, or the affine head) is one
 tape node with a closed-form backward.
 """
 
@@ -44,21 +44,6 @@ class TapOutput:
     taps: list[Tensor]
     logits: Tensor
 
-    def for_taps(self, tap_set) -> list[Tensor]:
-        """Select matrices for a tap set of 1-based block indices and/or "output"."""
-        out = []
-        for tap in tap_set:
-            if tap == OUTPUT_TAP:
-                out.append(self.logits)
-            else:
-                idx = int(tap)
-                if not 1 <= idx <= len(self.taps):
-                    raise ValueError(
-                        f"tap {tap!r} outside the valid blocks 1..{len(self.taps)}"
-                    )
-                out.append(self.taps[idx - 1])
-        return out
-
 
 @dataclass
 class BlockNet:
@@ -68,7 +53,6 @@ class BlockNet:
     widths: tuple[int, ...]
     blocks: list[list[tuple[Tensor, Tensor]]] = field(repr=False)
     head: tuple[Tensor, Tensor] = field(repr=False)
-    tap_set: tuple = ()
 
     def parameters(self) -> list[Tensor]:
         params = []
@@ -92,11 +76,7 @@ class BlockNet:
         return len(self.blocks)
 
     def tap_names(self) -> list[str]:
-        return [f"block{i}" if i != OUTPUT_TAP else OUTPUT_TAP for i in self.tap_set]
-
-
-def _default_taps(num_blocks: int) -> tuple:
-    return tuple(range(1, num_blocks + 1)) + (OUTPUT_TAP,)
+        return [f"block{i}" for i in range(1, self.num_blocks + 1)] + [OUTPUT_TAP]
 
 
 def build_blocknet(depths, widths, input_dim: int, classes: int, seed: int) -> BlockNet:
@@ -136,7 +116,6 @@ def build_blocknet(depths, widths, input_dim: int, classes: int, seed: int) -> B
         widths=arch.widths,
         blocks=blocks,
         head=head,
-        tap_set=_default_taps(len(blocks)),
     )
 
 

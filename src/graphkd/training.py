@@ -1,6 +1,7 @@
 """SGD training with heavy-ball momentum, step schedules, and KD objectives.
 
-One backward pass per step covers task + lambda * KD.  The teacher is
+One backward pass per step covers task + lambda * KD; it replaces the
+parameters' gradients, so nothing zeroes them between steps.  The teacher is
 forwarded without gradients and never updated.  All randomness (shuffling)
 derives from (seed, epoch), so a run is bit-reproducible from its config
 and seed.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, backward, mul, zero_grads
+from .autodiff import Tensor, add, backward, mul
 from .config import DistillConfig, Schedule
 from .datasets import DataSplit, minibatch_indices
 from .losses import gkd_loss, ikd_loss, rkdd_loss, task_loss
@@ -118,10 +119,10 @@ def _validate_setup(net, data: DataSplit, config: DistillConfig, teacher) -> Non
                 f"teacher ({teacher.input_dim} -> {teacher.classes}) and student "
                 f"({net.input_dim} -> {net.classes}) disagree on input/classes"
             )
-        if len(teacher.tap_set) != len(net.tap_set):
+        if teacher.num_blocks != net.num_blocks:
             raise ValueError(
-                f"teacher exposes {len(teacher.tap_set)} taps but student exposes "
-                f"{len(net.tap_set)}; KD losses need matching tap counts"
+                f"teacher exposes {teacher.num_blocks + 1} taps but student exposes "
+                f"{net.num_blocks + 1}; KD losses need matching tap counts"
             )
         if config.loss == "ikd" and teacher.widths != net.widths:
             raise ValueError(
@@ -143,13 +144,13 @@ def _validate_setup(net, data: DataSplit, config: DistillConfig, teacher) -> Non
         )
 
 
-def _kd_loss(config: DistillConfig, student_out, teacher_out, net, teacher, labels) -> Tensor:
+def _kd_loss(config: DistillConfig, student_out, teacher_out, labels) -> Tensor:
     """Return the configured KD loss as a tensor on the student's tape.
 
     The teacher's taps go in as arrays, so nothing on the teacher side is taped.
     """
-    s_taps = student_out.for_taps(net.tap_set)
-    t_taps = [tap.data for tap in teacher_out.for_taps(teacher.tap_set)]
+    s_taps = [*student_out.taps, student_out.logits]
+    t_taps = [tap.data for tap in (*teacher_out.taps, teacher_out.logits)]
     if config.loss == "gkd":
         g = config.graph
         # one (taps, n, n) stack per side
@@ -207,7 +208,7 @@ def train(
             task = float(task_t.data)
             if kd_active:
                 teacher_out = forward_with_taps(teacher, xb)
-                kd_t = _kd_loss(config, student_out, teacher_out, net, teacher, yb)
+                kd_t = _kd_loss(config, student_out, teacher_out, yb)
                 total_t = add(task_t, mul(kd_t, config.lambda_kd))
                 kd = float(kd_t.data)
                 total = task + config.lambda_kd * kd
@@ -220,7 +221,6 @@ def train(
                         f"training diverged at epoch {epoch}, step {step}: {term} loss is {value}"
                     )
 
-            zero_grads(params)
             backward(total_t)
             sgd_momentum_step(params, [p.grad for p in params], state)
 

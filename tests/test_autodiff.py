@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from graphkd import autodiff as ad
-from graphkd.autodiff import Tensor, backward, zero_grads
+from graphkd.autodiff import Tensor, backward
 from graphkd.models import _layer
 
 from _oracles import fd_gradient
@@ -105,11 +105,23 @@ class TestBackwardMechanics:
         backward(loss)  # tape gone: must not double-accumulate
         assert_array_equal(x.grad, first)
 
-    def test_zero_grads_resets(self):
+    def test_second_backward_replaces_leaf_grad(self):
+        """A new loss through the same leaf sets its gradient, not adds to it."""
         x = leaf([1.0, 2.0])
         backward((x * x).sum())
-        zero_grads([x])
-        assert_array_equal(x.grad, np.zeros(2))
+        backward((x * const([3.0, 5.0])).sum())
+        assert_array_equal(x.grad, [3.0, 5.0])
+
+    def test_shared_add_gradient_is_not_written(self):
+        """add hands its gradient array to both parents; a later contribution
+        to one of them must leave the other's (and add's own) unchanged."""
+        b = leaf([1.0, 2.0])
+        a = b * const([10.0, 20.0])  # runs after s's rule, as a is s's parent
+        s = a + b
+        backward((s * const([2.0, 3.0])).sum())
+        assert_array_equal(b.grad, [22.0, 63.0])
+        assert_array_equal(a.grad, [2.0, 3.0])
+        assert_array_equal(s.grad, [2.0, 3.0])
 
     def test_backward_is_linear_in_seed(self):
         """grad of (3 * loss) equals 3 * grad of loss."""

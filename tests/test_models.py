@@ -75,7 +75,7 @@ class TestBuild:
 
     def test_default_tap_set(self):
         net = build_blocknet((1, 1, 1), (4, 4, 4), 2, 2, seed=0)
-        assert net.tap_set == (1, 2, 3, "output")
+        assert net.tap_names() == ["block1", "block2", "block3", "output"]
 
     def test_arch_validation(self):
         with pytest.raises(ValueError):

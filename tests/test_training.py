@@ -259,7 +259,7 @@ class TestTrainLoop:
         s_out, t_out = forward_with_taps(student, xb), forward_with_taps(teacher, xb)
         for loss in ("gkd", "rkdd"):
             config = make_config(loss=loss, **({"graph": {"k": 7}} if loss == "gkd" else {}))
-            kd = training._kd_loss(config, s_out, t_out, student, teacher, yb)
+            kd = training._kd_loss(config, s_out, t_out, yb)
             taped = {id(t) for t in tape(kd)}
             assert not any(id(tap) in taped for tap in t_out.taps)
         # one stacked build per side, student first
@@ -270,8 +270,8 @@ class TestTrainLoop:
         assert s_graph.adjacency_tensor is not None
         assert t_graph.adjacency_tensor is None
         for graph in (s_graph, t_graph):
-            assert graph.adjacency.shape == (len(teacher.tap_set), 24, 24)
-        assert len(student.tap_set) == len(teacher.tap_set)
+            assert graph.adjacency.shape == (len(teacher.tap_names()), 24, 24)
+        assert student.num_blocks == teacher.num_blocks
 
     def test_vanilla_step_records_fourteen_tape_nodes(self):
         # the input batch, each of the four layers' node, weight and bias, and
@@ -294,9 +294,9 @@ class TestTrainLoop:
         teacher.set_requires_grad(False)
         s_out, t_out = forward_with_taps(student, xb), forward_with_taps(teacher, xb)
         task = task_loss(s_out.logits, yb)
-        kd = training._kd_loss(config, s_out, t_out, student, teacher, yb)
+        kd = training._kd_loss(config, s_out, t_out, yb)
         total = add(task, mul(kd, config.lambda_kd))
-        assert len(student.tap_set) == 4
+        assert len(student.tap_names()) == 4
         assert len(tape(total)) - len(tape(task)) == 5
 
     def test_rkdd_and_ikd_paths_run(self):
