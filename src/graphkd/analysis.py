@@ -1,6 +1,12 @@
 """Post-hoc analyses: loss concentration, probe consistency, graph smoothness.
 
 These all operate on frozen networks; nothing here touches the gradient tape.
+
+The probes of a consistency curve, one per net and block, fit in lockstep on
+the same labels.  Each keeps its own matmuls, but the softmax, loss check and
+residual run once on a (P, C, n) stack: reducing over C along rows is several
+times faster in numpy than over a short last axis of an (n, C) array, and for
+C < 8 it sums in the same order, so the weights keep their one-probe bits.
 """
 
 from __future__ import annotations
@@ -95,6 +101,9 @@ def concentration_report(
     """
     if loss not in ("gkd", "rkdd"):
         raise ValueError(f"concentration_report: loss must be 'gkd' or 'rkdd', got {loss!r}")
+    if n_batches < 1 or batch_size < 2:
+        raise ValueError(f"concentration_report: need n_batches >= 1 and batch_size >= 2, "
+                         f"got {n_batches} and {batch_size}")
     if len(data) < batch_size:
         raise ValueError(
             f"concentration_report: dataset of {len(data)} examples is smaller than "
@@ -137,6 +146,42 @@ def concentration_report(
 # probe consistency
 
 
+def _fit_lockstep(probes: list, features: list, labels, num_classes: int) -> None:
+    """Fit ``probes[i]`` on ``features[i]``, all on ``labels``, one iteration at a time.
+
+    The probes share the first one's iteration count and step size.
+    """
+    xs = [np.asarray(f, dtype=np.float64) for f in features]
+    y = np.asarray(labels, dtype=np.int64)
+    n, rows = len(y), np.arange(len(y))
+    onehot = (np.arange(num_classes)[:, None] == y).astype(np.float64)
+    ws = [np.zeros((x.shape[1], num_classes)) for x in xs]
+    bs = [np.zeros(num_classes) for _ in xs]
+    z = np.empty((len(xs), num_classes, n))
+    lr = probes[0].learning_rate
+    for iteration in range(probes[0].iterations):
+        for zp, x, w, b in zip(z, xs, ws, bs):
+            np.add(x @ w, b, out=zp.T)
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
+        loss = -np.mean(np.log(z[:, y, rows] + 1e-300), axis=1)
+        if not np.all(np.isfinite(loss)):
+            p = int(np.argmin(np.isfinite(loss)))
+            raise RuntimeError(
+                f"probe {p} diverged at iteration {iteration}: loss={loss[p]}, "
+                f"max|w|={np.abs(ws[p]).max()}"
+            )
+        z -= onehot
+        z /= n
+        resid = np.ascontiguousarray(z.transpose(0, 2, 1))
+        for p, (x, r) in enumerate(zip(xs, resid)):
+            ws[p] = ws[p] - lr * (x.T @ r)
+            bs[p] = bs[p] - lr * r.sum(axis=0)
+    for probe, w, b in zip(probes, ws, bs):
+        probe.weights, probe.bias = w, b
+
+
 class LogisticProbe:
     """Multinomial logistic regression fit by full-batch gradient descent.
 
@@ -149,32 +194,8 @@ class LogisticProbe:
         self.weights: np.ndarray | None = None
         self.bias: np.ndarray | None = None
 
-    @staticmethod
-    def _softmax(z: np.ndarray) -> np.ndarray:
-        z = z - z.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
-
     def fit(self, features: np.ndarray, labels: np.ndarray, num_classes: int) -> "LogisticProbe":
-        x = np.asarray(features, dtype=np.float64)
-        y = np.asarray(labels, dtype=np.int64)
-        n, dim = x.shape
-        onehot = np.zeros((n, num_classes))
-        onehot[np.arange(n), y] = 1.0
-        w = np.zeros((dim, num_classes))
-        b = np.zeros(num_classes)
-        for iteration in range(self.iterations):
-            probs = self._softmax(x @ w + b)
-            eps_loss = -np.mean(np.log(probs[np.arange(n), y] + 1e-300))
-            if not np.isfinite(eps_loss):
-                raise RuntimeError(
-                    f"probe diverged at iteration {iteration}: loss={eps_loss}, "
-                    f"max|w|={np.abs(w).max()}"
-                )
-            resid = (probs - onehot) / n
-            w = w - self.learning_rate * (x.T @ resid)
-            b = b - self.learning_rate * resid.sum(axis=0)
-        self.weights, self.bias = w, b
+        _fit_lockstep([self], [features], labels, num_classes)
         return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:
@@ -200,6 +221,29 @@ def probe_agreement(
     return float(np.mean(pred_a == pred_b))
 
 
+def _agreements(
+    teacher: BlockNet, student: BlockNet, train_data: Dataset, eval_data: Dataset, blocks
+) -> list[float]:
+    """Probe agreement at each 1-based block in ``blocks``, then output agreement.
+
+    Each net is forwarded once per split, and all the probes fit in one lockstep.
+    """
+    for block in blocks:
+        if not 1 <= block <= teacher.num_blocks or not 1 <= block <= student.num_blocks:
+            raise ValueError(f"consistency_probe: block {block!r} out of range")
+    t_eval, s_eval = (_frozen_taps(net, eval_data.features) for net in (teacher, student))
+    fractions = []
+    if blocks:
+        t_train, s_train = (_frozen_taps(net, train_data.features) for net in (teacher, student))
+        reps = [taps[block - 1].data for block in blocks for taps in (t_train, s_train)]
+        probes = [LogisticProbe() for _ in reps]
+        _fit_lockstep(probes, reps, train_data.labels, train_data.num_classes)
+        fractions = [probe_agreement(t, s, t_eval[block - 1].data, s_eval[block - 1].data)
+                     for block, t, s in zip(blocks, probes[::2], probes[1::2])]
+    t_out, s_out = (np.argmax(taps[-1].data, axis=1) for taps in (t_eval, s_eval))
+    return fractions + [float(np.mean(t_out == s_out))]
+
+
 def consistency_probe(
     teacher: BlockNet,
     student: BlockNet,
@@ -212,23 +256,8 @@ def consistency_probe(
     ``block`` is a 1-based block index, or "output" to compare the networks'
     own argmax predictions directly.
     """
-    if block == OUTPUT_TAP:
-        t_logits = _frozen_taps(teacher, eval_data.features)[-1].data
-        s_logits = _frozen_taps(student, eval_data.features)[-1].data
-        return float(np.mean(np.argmax(t_logits, axis=1) == np.argmax(s_logits, axis=1)))
-    idx = int(block)
-    if not 1 <= idx <= teacher.num_blocks or not 1 <= idx <= student.num_blocks:
-        raise ValueError(f"consistency_probe: block {block!r} out of range")
-    classes = train_data.num_classes
-
-    def fit_on(net: BlockNet) -> tuple[LogisticProbe, np.ndarray]:
-        train_reps = _frozen_taps(net, train_data.features)[idx - 1].data
-        eval_reps = _frozen_taps(net, eval_data.features)[idx - 1].data
-        return LogisticProbe().fit(train_reps, train_data.labels, classes), eval_reps
-
-    probe_t, eval_t = fit_on(teacher)
-    probe_s, eval_s = fit_on(student)
-    return probe_agreement(probe_t, probe_s, eval_t, eval_s)
+    blocks = [] if block == OUTPUT_TAP else [int(block)]
+    return _agreements(teacher, student, train_data, eval_data, blocks)[0]
 
 
 @dataclass
@@ -241,13 +270,11 @@ def consistency_curve(
     teacher: BlockNet, student: BlockNet, train_data: Dataset, eval_data: Dataset
 ) -> ConsistencyCurve:
     """Probe consistency for every block, plus output agreement as the last entry."""
-    taps, fractions = [], []
-    for block in range(1, student.num_blocks + 1):
-        taps.append(f"block{block}")
-        fractions.append(consistency_probe(teacher, student, train_data, eval_data, block))
-    taps.append(OUTPUT_TAP)
-    fractions.append(consistency_probe(teacher, student, train_data, eval_data, OUTPUT_TAP))
-    return ConsistencyCurve(taps=taps, fractions=fractions)
+    blocks = list(range(1, student.num_blocks + 1))
+    return ConsistencyCurve(
+        taps=[f"block{block}" for block in blocks] + [OUTPUT_TAP],
+        fractions=_agreements(teacher, student, train_data, eval_data, blocks),
+    )
 
 
 # ---------------------------------------------------------------------------

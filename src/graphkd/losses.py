@@ -91,9 +91,10 @@ def _distances(reps) -> tuple[np.ndarray, np.ndarray, float]:
     if n < 2:
         raise ValueError(f"pairwise distances: need at least 2 rows, got {n}")
     gram = x @ x.T
-    sq = np.diag(gram)
-    d2 = (sq[None, :] + sq[:, None]) - gram * 2.0
-    dist = np.sqrt(np.maximum(d2, 0.0))  # guard tiny negative rounding
+    sq = np.diag(gram).copy()
+    dist = sq[None, :] + sq[:, None]
+    dist -= np.multiply(gram, 2.0, out=gram)
+    np.sqrt(np.maximum(dist, 0.0, out=dist), out=dist)  # guard tiny negative rounding
     np.fill_diagonal(dist, 0.0)
     mean = np.sum(dist) * (1.0 / (n * (n - 1)))
     if mean == 0.0:

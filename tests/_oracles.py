@@ -147,6 +147,22 @@ def oracle_ikd(student_taps, teacher_taps) -> float:
     return total / (n * len(student_taps))
 
 
+def oracle_distances(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The pairwise-distance formula as ``losses._distances`` first wrote it,
+    one new array per step; the in-place version must match it bit for bit."""
+    x = np.asarray(reps, dtype=np.float64)
+    n = x.shape[0]
+    gram = x @ x.T
+    sq = np.diag(gram)
+    d2 = (sq[None, :] + sq[:, None]) - gram * 2.0
+    dist = np.sqrt(np.maximum(d2, 0.0))
+    np.fill_diagonal(dist, 0.0)
+    mean = np.sum(dist) * (1.0 / (n * (n - 1)))
+    if mean == 0.0:
+        return np.zeros_like(dist), dist, mean
+    return dist / mean, dist, mean
+
+
 def oracle_task_loss(logits: np.ndarray, labels) -> float:
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
@@ -155,6 +171,38 @@ def oracle_task_loss(logits: np.ndarray, labels) -> float:
         shifted = row - row.max()
         total -= shifted[label] - np.log(np.exp(shifted).sum())
     return total / len(labels)
+
+
+# ---------------------------------------------------------------------------
+# probe reference
+
+
+def oracle_probe_fit(features, labels, num_classes, iterations=500, learning_rate=0.1):
+    """One logistic probe fit on its own, in the (n, C) layout: the loop that
+    ``LogisticProbe.fit`` ran before probes were fit in lockstep.
+    Returns (weights, bias)."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.int64)
+    n, dim = x.shape
+    onehot = np.zeros((n, num_classes))
+    onehot[np.arange(n), y] = 1.0
+    w = np.zeros((dim, num_classes))
+    b = np.zeros(num_classes)
+    for iteration in range(iterations):
+        z = x @ w + b
+        z = z - z.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        probs = e / e.sum(axis=1, keepdims=True)
+        eps_loss = -np.mean(np.log(probs[np.arange(n), y] + 1e-300))
+        if not np.isfinite(eps_loss):
+            raise RuntimeError(
+                f"probe diverged at iteration {iteration}: loss={eps_loss}, "
+                f"max|w|={np.abs(w).max()}"
+            )
+        resid = (probs - onehot) / n
+        w = w - learning_rate * (x.T @ resid)
+        b = b - learning_rate * resid.sum(axis=0)
+    return w, b
 
 
 # ---------------------------------------------------------------------------

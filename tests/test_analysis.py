@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from graphkd.analysis import (
     LogisticProbe,
+    _fit_lockstep,
     concentration_report,
     consistency_curve,
     consistency_probe,
@@ -18,6 +19,7 @@ from graphkd.graphs import GraphParams
 from graphkd.models import build_blocknet
 
 from conftest import make_config
+from _oracles import oracle_probe_fit
 
 
 class TestLossConcentration:
@@ -103,6 +105,50 @@ class TestLogisticProbe:
         assert 0.45 <= agreement <= 0.55
 
 
+def probe_features(rng, n: int, width: int) -> np.ndarray:
+    """ReLU-like features with a quarter of the columns all zero, like dead units."""
+    x = np.maximum(rng.normal(size=(n, width)), 0.0)
+    x[:, rng.choice(width, size=width // 4, replace=False)] = 0.0
+    return x
+
+
+def lockstep_and_oracle(classes: int, count: int, n: int = 120):
+    """Fit ``count`` probes of widths 64, 8, 64, ... in one lockstep and one by one."""
+    rng = np.random.default_rng(classes)
+    labels = rng.integers(0, classes, size=n)
+    features = [probe_features(rng, n, 64 if i % 2 == 0 else 8) for i in range(count)]
+    probes = [LogisticProbe() for _ in features]
+    _fit_lockstep(probes, features, labels, classes)
+    return probes, [oracle_probe_fit(x, labels, classes) for x in features]
+
+
+class TestLockstepProbes:
+    # numpy sums a row of fewer than 8 entries in order, so the (P, C, n)
+    # layout's class sums are the one-probe loop's bits
+    @pytest.mark.parametrize("count", [1, 6])
+    @pytest.mark.parametrize("classes", [2, 3, 4, 7])
+    def test_bit_equal_to_one_probe_at_a_time(self, classes, count):
+        probes, expected = lockstep_and_oracle(classes, count)
+        for probe, (w, b) in zip(probes, expected):
+            assert probe.weights.tobytes() + probe.bias.tobytes() == w.tobytes() + b.tobytes()
+
+    def test_ten_classes_match_to_roundoff(self):
+        # from 8 entries on, numpy sums a row pairwise, so the bits may move
+        probes, expected = lockstep_and_oracle(10, 6)
+        for probe, (w, b) in zip(probes, expected):
+            assert_allclose(np.concatenate([probe.weights, probe.bias[None]]),
+                            np.concatenate([w, b[None]]), rtol=1e-12, atol=0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_first_diverged_probe(self):
+        rng = np.random.default_rng(0)
+        features = [probe_features(rng, 40, 8) for _ in range(3)]
+        features[1][0, 0] = features[2][0, 0] = np.nan
+        probes = [LogisticProbe() for _ in features]
+        with pytest.raises(RuntimeError, match=r"^probe 1 diverged at iteration 0: [^\n]*$"):
+            _fit_lockstep(probes, features, rng.integers(0, 2, size=40), 2)
+
+
 class TestConsistency:
     def test_identical_networks_agree_everywhere(self):
         train = gen_gaussian_mixture(n=120, classes=2, dim=3, separation=4.0, seed=0)
@@ -119,6 +165,24 @@ class TestConsistency:
         curve = consistency_curve(teacher, student, train, evald)
         assert curve.taps == ["block1", "block2", "output"]
         assert all(0.0 <= f <= 1.0 for f in curve.fractions)
+
+    def test_curve_equals_per_block_probes_and_output(self):
+        train = gen_gaussian_mixture(n=120, classes=3, dim=3, separation=3.0, seed=0)
+        evald = gen_gaussian_mixture(n=81, classes=3, dim=3, separation=3.0, seed=1)
+        teacher = build_blocknet((1, 1, 1), (16, 16, 16), 3, 3, seed=3)
+        student = build_blocknet((1, 1, 1), (4, 4, 4), 3, 3, seed=0)
+        curve = consistency_curve(teacher, student, train, evald)
+        parts = [consistency_probe(teacher, student, train, evald, block)
+                 for block in (1, 2, 3, "output")]
+        assert curve.fractions == parts
+        assert 0.0 < parts[-1] < 1.0  # untrained nets often agree on no output at all
+
+    def test_curve_rejects_student_deeper_than_teacher(self):
+        train = gen_gaussian_mixture(n=40, classes=2, dim=3, separation=4.0, seed=0)
+        teacher = build_blocknet((1, 1), (4, 4), 3, 2, seed=0)
+        student = build_blocknet((1, 1, 1), (4, 4, 4), 3, 2, seed=1)
+        with pytest.raises(ValueError, match=r"^consistency_probe: block 3 out of range$"):
+            consistency_curve(teacher, student, train, train)
 
     def test_block_out_of_range_rejected(self):
         train = gen_gaussian_mixture(n=40, classes=2, dim=3, separation=4.0, seed=0)
@@ -219,6 +283,16 @@ class TestConcentrationReport:
         data = gen_gaussian_mixture(n=40, classes=2, dim=3, separation=4.0, seed=0)
         with pytest.raises(ValueError):
             concentration_report(net, net, data, "ikd", batch_size=8)
+
+    @pytest.mark.parametrize("n_batches, batch_size", [(0, 8), (-1, 8), (2, 1), (2, 0)])
+    def test_empty_batches_rejected(self, n_batches, batch_size):
+        net = build_blocknet((1,), (4,), 3, 2, seed=0)
+        data = gen_gaussian_mixture(n=40, classes=2, dim=3, separation=4.0, seed=0)
+        for loss in ("gkd", "rkdd"):
+            with pytest.raises(ValueError, match="^concentration_report: need n_batches"):
+                concentration_report(
+                    net, net, data, loss, n_batches=n_batches, batch_size=batch_size
+                )
 
     def test_batch_larger_than_dataset_rejected(self):
         net = build_blocknet((1,), (4,), 3, 2, seed=0)

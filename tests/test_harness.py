@@ -399,6 +399,41 @@ class TestCliEndToEnd:
         assert [r["tap"] for r in rows] == ["block1", "block2", "output"]
         assert (out / "analysis_summary.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [("--batches", "0"), ("--batches", "-3"),
+                                             ("--batch-size", "1")])
+    def test_analyze_without_batches_exits_two(self, tmp_path, capsys, flag, value):
+        config_path = write_config(tmp_path)
+        net = build_blocknet((1, 1), (4, 4), input_dim=3, classes=2, seed=1)
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(net, ckpt)
+        out = tmp_path / "analysis"
+        argv = ["analyze", "--config", str(config_path), "--out", str(out),
+                "--teacher", str(ckpt), "--student", str(ckpt), flag, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: concentration_report:")
+        assert len(err.strip().splitlines()) == 1
+        assert not (out / "concentration.csv").exists()
+
+    # shallow taps on a 2-epoch teacher can leave isolated nodes; the
+    # degenerate-Fiedler warning is expected behavior, not a failure
+    @pytest.mark.filterwarnings("ignore:teacher graph.*disconnected:RuntimeWarning")
+    def test_post_hoc_reruns_are_bit_identical(self, tmp_path):
+        config_path = write_config(tmp_path, seeds=[1])
+        teacher_ckpt = self._train_teacher(tmp_path, config_path)
+        distill_out = tmp_path / "students"
+        assert main(["distill", "--config", str(config_path), "--out", str(distill_out)]) == 0
+        student_ckpt = distill_out / "seed1" / "student.ckpt"
+        common = ["--config", str(config_path), "--teacher", str(teacher_ckpt)]
+        for tag in ("a", "b"):
+            out = tmp_path / tag
+            assert main(["analyze", *common, "--out", str(out), "--student", str(student_ckpt),
+                         "--batches", "2", "--batch-size", "16"]) == 0
+            assert main(["spectral", *common, "--out", str(out), "--student",
+                         f"base={student_ckpt}", "--sample", "40", "--k", "8"]) == 0
+        for name in ("concentration.csv", "consistency.csv", "smoothness.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     # shallow taps on a 2-epoch teacher can leave isolated nodes; the
     # degenerate-Fiedler warning is expected behavior, not a failure
     @pytest.mark.filterwarnings("ignore:teacher graph.*disconnected:RuntimeWarning")

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from graphkd.autodiff import Tensor, add, backward, log_softmax, mul, square, sub, where
 from graphkd.graphs import build_similarity_graph
 from graphkd.losses import (
+    _distances,
     gkd_loss,
     huber,
     ikd_loss,
@@ -20,6 +21,7 @@ from graphkd.losses import (
 from conftest import tape
 from _oracles import (
     fd_gradient,
+    oracle_distances,
     oracle_ikd,
     oracle_rkdd,
     oracle_task_loss,
@@ -126,6 +128,35 @@ class TestPairwiseDistances:
         d1 = normalized_pairwise_distances(reps)
         d2 = normalized_pairwise_distances(reps * 7.3)
         assert_allclose(d1, d2, atol=1e-9)
+
+
+def distance_batch(kind: str) -> np.ndarray:
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(16, 8))
+    if kind == "duplicates":  # rows repeated up to one ulp-scale stretch
+        return np.vstack([x, x[:8] * (1.0 + 1e-12)])
+    if kind == "coincident":
+        return np.tile(x[:1], (6, 1))
+    return x
+
+
+class TestInPlaceDistances:
+    @pytest.mark.parametrize("kind", ["random", "duplicates", "coincident"])
+    def test_bit_equal_to_the_allocating_formula(self, kind):
+        x = distance_batch(kind)
+        got, want = _distances(x), oracle_distances(x)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2] == want[2]
+
+    def test_duplicates_hit_the_negative_rounding_guard(self):
+        x = distance_batch("duplicates")
+        gram = x @ x.T
+        sq = np.diag(gram)
+        assert np.any(sq[None, :] + sq[:, None] - gram * 2.0 < 0.0)
+
+    def test_coincident_points_have_mean_zero(self):
+        assert _distances(distance_batch("coincident"))[2] == 0.0
 
 
 class TestIkd:
