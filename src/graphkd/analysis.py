@@ -154,7 +154,8 @@ def _fit_lockstep(probes: list, features: list, labels, num_classes: int) -> Non
     xs = [np.asarray(f, dtype=np.float64) for f in features]
     y = np.asarray(labels, dtype=np.int64)
     n, rows = len(y), np.arange(len(y))
-    onehot = (np.arange(num_classes)[:, None] == y).astype(np.float64)
+    onehot = np.zeros((num_classes, n))
+    onehot[y, rows] = 1.0
     ws = [np.zeros((x.shape[1], num_classes)) for x in xs]
     bs = [np.zeros(num_classes) for _ in xs]
     z = np.empty((len(xs), num_classes, n))

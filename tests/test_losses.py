@@ -133,7 +133,7 @@ class TestPairwiseDistances:
 def distance_batch(kind: str) -> np.ndarray:
     rng = np.random.default_rng(5)
     x = rng.normal(size=(16, 8))
-    if kind == "duplicates":  # rows repeated up to one ulp-scale stretch
+    if kind == "duplicates":  # half the rows again, stretched by 1e-12
         return np.vstack([x, x[:8] * (1.0 + 1e-12)])
     if kind == "coincident":
         return np.tile(x[:1], (6, 1))
