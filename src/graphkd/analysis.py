@@ -3,10 +3,17 @@
 These all operate on frozen networks; nothing here touches the gradient tape.
 
 The probes of a consistency curve, one per net and block, fit in lockstep on
-the same labels.  Each keeps its own matmuls, but the softmax, loss check and
+the same labels.  Probes whose features share a shape form one group, with
+(G, n, d) feature, (G, d, C) weight and (G, C, 1) bias stacks, so each step
+runs one batched matmul per group each way; numpy's batched matmul gives
+each slice the bits of its 2-d matmul, while padding the features to one
+width would move them, so groups are by exact shape.  The softmax and the
 residual run once on a (P, C, n) stack: reducing over C along rows is several
 times faster in numpy than over a short last axis of an (n, C) array, and for
 C < 8 it sums in the same order, so the weights keep their one-probe bits.
+Divergence is checked on that probability stack: a non-finite logit makes
+its whole column NaN, so the stack is finite exactly when every probe's loss
+is, and the loss itself is computed only to report a diverged probe.
 """
 
 from __future__ import annotations
@@ -151,36 +158,63 @@ def _fit_lockstep(probes: list, features: list, labels, num_classes: int) -> Non
 
     The probes share the first one's iteration count and step size.
     """
-    xs = [np.asarray(f, dtype=np.float64) for f in features]
     y = np.asarray(labels, dtype=np.int64)
     n, rows = len(y), np.arange(len(y))
+    by_shape: dict[tuple, list[int]] = {}
+    for i, f in enumerate(features):
+        by_shape.setdefault(np.shape(f), []).append(i)
+    # one group per feature shape, each a slice of the (P, C, n) stack that
+    # holds its probes in the caller's order: (caller indices, slice, x, w, b)
+    groups, start = [], 0
+    for (_, dim), members in by_shape.items():
+        size = len(members)
+        x = np.stack([np.asarray(features[i], dtype=np.float64) for i in members])
+        groups.append((members, slice(start, start + size), x,
+                       np.zeros((size, dim, num_classes)), np.zeros((size, num_classes, 1))))
+        start += size
     onehot = np.zeros((num_classes, n))
     onehot[y, rows] = 1.0
-    ws = [np.zeros((x.shape[1], num_classes)) for x in xs]
-    bs = [np.zeros(num_classes) for _ in xs]
-    z = np.empty((len(xs), num_classes, n))
+    z = np.empty((len(features), num_classes, n))
     lr = probes[0].learning_rate
     for iteration in range(probes[0].iterations):
-        for zp, x, w, b in zip(z, xs, ws, bs):
-            np.add(x @ w, b, out=zp.T)
+        for _, at, x, w, b in groups:
+            np.copyto(z[at], (x @ w).transpose(0, 2, 1))
+            z[at] += b
         z -= z.max(axis=1, keepdims=True)
         np.exp(z, out=z)
         z /= z.sum(axis=1, keepdims=True)
-        loss = -np.mean(np.log(z[:, y, rows] + 1e-300), axis=1)
-        if not np.all(np.isfinite(loss)):
-            p = int(np.argmin(np.isfinite(loss)))
-            raise RuntimeError(
-                f"probe {p} diverged at iteration {iteration}: loss={loss[p]}, "
-                f"max|w|={np.abs(ws[p]).max()}"
-            )
+        # a non-finite logit turns its whole column NaN, the label's entry too
+        if not np.isfinite(z).all():
+            _raise_diverged(z, y, groups, iteration)
         z -= onehot
         z /= n
         resid = np.ascontiguousarray(z.transpose(0, 2, 1))
-        for p, (x, r) in enumerate(zip(xs, resid)):
-            ws[p] = ws[p] - lr * (x.T @ r)
-            bs[p] = bs[p] - lr * r.sum(axis=0)
-    for probe, w, b in zip(probes, ws, bs):
-        probe.weights, probe.bias = w, b
+        for _, at, x, w, b in groups:
+            g = x.transpose(0, 2, 1) @ resid[at]
+            g *= lr
+            w -= g
+            # a running sum over n adds in the order that an (n, C) residual's
+            # sum over rows does; a reduce along z's contiguous n axis would
+            # add pairwise and move the bias bits
+            g = np.cumsum(z[at], axis=2)[..., -1:]
+            g *= lr
+            b -= g
+    for members, _, _, w, b in groups:
+        for i, w_i, b_i in zip(members, w, b):
+            probes[i].weights, probes[i].bias = w_i.copy(), b_i[:, 0].copy()
+
+
+def _raise_diverged(z: np.ndarray, y: np.ndarray, groups: list, iteration: int):
+    """Raise for the first probe, in the caller's order, whose loss is not finite."""
+    loss = -np.mean(np.log(z[:, y, np.arange(len(y))] + 1e-300), axis=1)
+    stacked = [(i, w_i) for members, _, _, w, _ in groups for i, w_i in zip(members, w)]
+    diverged = [at for at in range(len(stacked)) if not np.isfinite(loss[at])]
+    at = min(diverged, key=lambda at: stacked[at][0])
+    p, w = stacked[at]
+    raise RuntimeError(
+        f"probe {p} diverged at iteration {iteration}: loss={loss[at]}, "
+        f"max|w|={np.abs(w).max()}"
+    )
 
 
 class LogisticProbe:

@@ -2,7 +2,10 @@
 
 Pipeline (in order): cosine_similarity_matrix -> class_mask -> knn_sparsify
 -> degree_normalize -> adjacency_power.  The stages are plain-array
-functions; a masked-out entry is 0 even where the input is infinite or NaN.
+functions; a masked-out entry is 0 even where the input is infinite or NaN:
+the class and top-k masks select with ``_select``, which ANDs each entry's
+bits with all ones or all zeros, so a kept entry keeps its bits (NaN, inf and
+-0.0 included) and a dropped one is +0.0, exactly as ``np.where(mask, x, 0)``.
 Every graph is n x n whatever the width of its representations, so
 ``build_similarity_graph`` also takes a list of taps and runs each stage once
 on their (taps, n, n) stack; one batch is the stack of one.  Given tensors,
@@ -100,6 +103,23 @@ def _swap(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2)
 
 
+def _select(keep: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.where(keep, x, 0.0)`` for a float64 ``x``, byte for byte.
+
+    Each entry's bit pattern is ANDed with all ones where ``keep`` holds and
+    with all zeros elsewhere, so a kept NaN, inf or -0.0 keeps its bits and a
+    dropped entry is +0.0.  Unlike ``np.where`` it has no branch per entry,
+    which a mask in no regular pattern makes several times slower.  A mask
+    that broadcasts over a stack is widened once, at its own shape.
+    """
+    bits = np.negative(keep, dtype=np.int64)  # -1 is all ones
+    if bits.shape == x.shape:
+        bits &= x.view(np.int64)
+    else:
+        bits = x.view(np.int64) & bits
+    return bits.view(np.float64)
+
+
 # ---------------------------------------------------------------------------
 # pipeline stages.  The private helpers work on (taps, n, n) stacks, one
 # batch being the stack of one, and also return what the backward of
@@ -159,7 +179,7 @@ def class_mask(sim, labels, mode: str):
             f"class_mask: labels shape {labels.shape} does not match graph size {n}"
         )
     same = labels[:, None] == labels[None, :]
-    return np.where(~same if mode == "inter_class" else same, sim, 0.0)
+    return _select(~same if mode == "inter_class" else same, sim)
 
 
 def _topk_mask(sim: np.ndarray, k: int) -> np.ndarray:
@@ -167,7 +187,7 @@ def _topk_mask(sim: np.ndarray, k: int) -> np.ndarray:
     for k < n - 1.
 
     A row whose k-th largest entry is 0 keeps only its positive entries:
-    the zeros it would keep add nothing to ``where(mask, sim, 0)``.
+    the zeros it would keep add nothing to ``_select(mask, sim)``.
     """
     neg = -sim
     _set_diagonal(neg, np.nan)
@@ -215,7 +235,7 @@ def _knn(sim: np.ndarray, k: int, from_cosine: bool) -> np.ndarray:
         kept = sim.copy()
         _set_diagonal(kept, 0.0)
     else:
-        kept = np.where(_topk_mask(sim, k), sim, 0.0)
+        kept = _select(_topk_mask(sim, k), sim)
     return np.maximum(kept, _swap(kept))
 
 

@@ -3,6 +3,9 @@
 Every run directory receives a manifest (config digest, seeds, checkpoint
 digests, dataset provenance) sufficient to reproduce it bit-exactly, plus
 metrics.csv per run and a summary.json with per-seed and median metrics.
+A runner makes no directory itself: ``models.atomic_open`` makes each
+artefact's directory as it writes it, so a run that fails on its inputs or
+arguments leaves no output directory behind.
 """
 
 from __future__ import annotations
@@ -161,7 +164,6 @@ def _write_manifest(
 def run_train_teacher(config: DistillConfig, out_dir, seed: int | None = None) -> Path:
     """Train the teacher architecture on the task loss alone; returns the checkpoint path."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = config.seeds[0] if seed is None else int(seed)
     split = build_split(config)
     teacher_cfg = replace(config, loss="vanilla", lambda_kd=0.0, graph=None)
@@ -210,7 +212,6 @@ def run_distill(
 ) -> ExperimentResult:
     """Train one student per seed under the configured loss; aggregate medians."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seeds = tuple(int(s) for s in (seeds if seeds is not None else config.seeds))
     split = build_split(config)
     teacher = _load_teacher(config, teacher_path, split)
@@ -220,9 +221,7 @@ def run_distill(
     for seed in seeds:
         net = build_net(config, "student", split, seed)
         result = train(net, split, config, seed, teacher=teacher)
-        # made only now, so a run that fails in train() leaves no empty seed dir
         seed_dir = out_dir / f"seed{seed}"
-        seed_dir.mkdir(exist_ok=True)
         ckpt = seed_dir / "student.ckpt"
         save_checkpoint(net, ckpt)
         write_metrics_csv(seed_dir / "metrics.csv", result)
@@ -271,7 +270,6 @@ def run_sweep(config: DistillConfig, out_dir, param: str, values, teacher_path=N
     swept = [_sweep_value(param, str(raw)) for raw in values]
     sub_configs = [(value, _apply_sweep(config, param, value)) for value in swept]
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = ["param,value,seeds,per_seed_test_errors,median_test_error"]
     for value, sub_config in sub_configs:
         sub_dir = out_dir / f"{param}_{value}"
@@ -311,7 +309,6 @@ def run_analyze(
 ) -> Path:
     """Loss-concentration and probe-consistency report for one student."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     split = build_split(config)
     teacher = _require_checkpoint(teacher_path, "teacher")
     student = _require_checkpoint(student_path, "student")
@@ -363,7 +360,6 @@ def run_spectral(
 ) -> Path:
     """Smoothness curves for one or more students against a common teacher."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     split = build_split(config)
     teacher = _require_checkpoint(teacher_path, "teacher")
     students = {
@@ -402,7 +398,6 @@ def run_dump_graph(
 ) -> Path:
     """Build one tap's similarity graph on a sample and write its edge list."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     split = build_split(config)
     net = _require_checkpoint(checkpoint_path, "network")
     n = min(int(sample_size), len(split.train))

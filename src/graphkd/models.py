@@ -180,8 +180,11 @@ def atomic_open(path):
     Writes go to a temp file in the same directory, which ``os.replace``
     moves over ``path`` when the block exits cleanly.  If the block raises,
     the temp file is removed and any earlier file at ``path`` is untouched.
+    The directory is made if missing, so a run directory appears with its
+    first artefact, never empty.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with tmp.open("wb") as fh:

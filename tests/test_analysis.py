@@ -112,11 +112,12 @@ def probe_features(rng, n: int, width: int) -> np.ndarray:
     return x
 
 
-def lockstep_and_oracle(classes: int, count: int, n: int = 120):
-    """Fit ``count`` probes of widths 64, 8, 64, ... in one lockstep and one by one."""
+def lockstep_and_oracle(classes: int, count: int, n: int = 120, widths=(64, 8)):
+    """Fit ``count`` probes, with widths cycling through ``widths``, in one
+    lockstep and one by one."""
     rng = np.random.default_rng(classes)
     labels = rng.integers(0, classes, size=n)
-    features = [probe_features(rng, n, 64 if i % 2 == 0 else 8) for i in range(count)]
+    features = [probe_features(rng, n, widths[i % len(widths)]) for i in range(count)]
     probes = [LogisticProbe() for _ in features]
     _fit_lockstep(probes, features, labels, classes)
     return probes, [oracle_probe_fit(x, labels, classes) for x in features]
@@ -138,6 +139,36 @@ class TestLockstepProbes:
         for probe, (w, b) in zip(probes, expected):
             assert_allclose(np.concatenate([probe.weights, probe.bias[None]]),
                             np.concatenate([w, b[None]]), rtol=1e-12, atol=0)
+
+    def test_group_of_one_beside_a_group_of_three(self):
+        # widths 8, 8, 64, 8: the 64-wide probe is a stack of its own
+        probes, expected = lockstep_and_oracle(3, 4, widths=(8, 8, 64, 8))
+        for probe, (w, b) in zip(probes, expected):
+            assert probe.weights.tobytes() + probe.bias.tobytes() == w.tobytes() + b.tobytes()
+
+    def test_probe_order_does_not_move_bits(self):
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 3, size=90)
+        features = [probe_features(rng, 90, width) for width in (8, 64, 8, 64, 16, 8)]
+        fitted = []
+        for order in ([0, 1, 2, 3, 4, 5], [5, 3, 0, 4, 2, 1]):
+            probes = [LogisticProbe() for _ in order]
+            _fit_lockstep(probes, [features[i] for i in order], labels, 3)
+            by_feature = dict(zip(order, probes))
+            fitted.append([by_feature[i].weights.tobytes() + by_feature[i].bias.tobytes()
+                           for i in range(len(features))])
+        assert fitted[0] == fitted[1]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_named_in_the_callers_order(self):
+        # probe 2 shares the first group (width 8) with probe 0, so it comes
+        # before probe 1 in the stack, but the error names probe 1
+        rng = np.random.default_rng(0)
+        features = [probe_features(rng, 40, width) for width in (8, 64, 8)]
+        features[1][0, 0] = features[2][0, 0] = np.nan
+        probes = [LogisticProbe() for _ in features]
+        with pytest.raises(RuntimeError, match=r"^probe 1 diverged at iteration 0: [^\n]*$"):
+            _fit_lockstep(probes, features, rng.integers(0, 2, size=40), 2)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_the_first_diverged_probe(self):

@@ -16,6 +16,7 @@ from graphkd.autodiff import Tensor, backward
 from graphkd.graphs import (
     GraphParams,
     _knn,
+    _select,
     adjacency_power,
     build_similarity_graph,
     class_mask,
@@ -103,6 +104,54 @@ class TestClassMask:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mask"):
             class_mask(np.zeros((2, 2)), np.array([0, 1]), "between")
+
+
+class TestSelect:
+    """``_select`` must give ``np.where(keep, x, 0.0)``'s bytes for every value."""
+
+    SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+               2.2250738585072014e-308 / 3, 1.0, -1.5]
+
+    @staticmethod
+    def assert_same_bytes(keep, x):
+        expected = np.where(keep, x, 0.0)
+        got = _select(keep, x)
+        assert got.shape == expected.shape and got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+
+    def test_special_values_kept_and_dropped(self):
+        x = np.array(self.SPECIAL * 2)
+        keep = np.repeat([True, False], len(self.SPECIAL))
+        self.assert_same_bytes(keep, x)
+        got = _select(keep, x)
+        assert np.signbit(got[4])  # a kept -0.0 stays -0.0
+        assert not np.signbit(got[~keep]).any()  # a dropped -nan or -inf is +0.0
+
+    def test_random_mask_with_special_values(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(40, 40))
+        x.flat[rng.choice(x.size, size=200, replace=False)] = rng.choice(self.SPECIAL, size=200)
+        self.assert_same_bytes(rng.random((40, 40)) < 0.5, x)
+
+    def test_mask_broadcast_over_a_stack(self):
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(3, 16, 16))
+        x[1, 2, :5] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+        self.assert_same_bytes(rng.random((16, 16)) < 0.3, x)
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(2)
+        base = rng.normal(size=(3, 20, 30))
+        base[:, ::3, ::4] = np.nan
+        x = np.swapaxes(base, -1, -2)[:, ::2, 1:]
+        assert not x.flags.c_contiguous
+        self.assert_same_bytes(rng.random(x.shape[-2:]) < 0.5, x)
+
+    def test_input_is_left_unchanged(self):
+        x = np.array([[np.nan, -0.0], [2.0, -np.inf]])
+        before = x.tobytes()
+        _select(np.array([[False, True], [True, False]]), x)
+        assert x.tobytes() == before
 
 
 class TestKnn:

@@ -560,6 +560,35 @@ class TestCliEndToEnd:
         assert err.startswith("error:") and "diverged" in err
         assert len(err.strip().splitlines()) == 1
 
+    # each command's own arguments for a run that loads or checks its inputs
+    # and fails, and a fragment of its one error line
+    REJECTED_RUNS = {
+        "distill": (["--teacher", "{ghost}"], "teacher checkpoint not found"),
+        "sweep": (["--teacher", "{ghost}", "--param", "lambda_kd", "--values", "1,2"],
+                  "teacher checkpoint not found"),
+        "analyze": (["--teacher", "{ckpt}", "--student", "{ckpt}", "--batches", "0"],
+                    "n_batches >= 1"),
+        "spectral": (["--teacher", "{ckpt}", "--student", "base={ghost}"],
+                     "student 'base' checkpoint not found"),
+        "dump-graph": (["--checkpoint", "{ckpt}", "--block", "nosuch"], "unknown tap 'nosuch'"),
+    }
+
+    @pytest.mark.parametrize("command", list(REJECTED_RUNS))
+    def test_rejected_run_leaves_no_out_dir(self, tmp_path, capsys, command):
+        config_path = write_config(tmp_path, loss="gkd", lambda_kd=1.0, seeds=[1])
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(build_blocknet((1, 1), (4, 4), input_dim=3, classes=2, seed=1), ckpt)
+        paths = {"ckpt": str(ckpt), "ghost": str(tmp_path / "ghost.ckpt")}
+        argv, fragment = self.REJECTED_RUNS[command]
+        out = tmp_path / "out"
+        code = main([command, "--config", str(config_path), "--out", str(out),
+                     *(arg.format(**paths) for arg in argv)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
 
 class TestTwoArcsConfig:
     def test_two_arcs_dataset_flows_through(self, tmp_path):
