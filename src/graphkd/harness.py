@@ -328,9 +328,10 @@ def run_analyze(
         )
         for tap, pct in report.per_tap.items():
             conc_rows.append(f"{loss_name},{tap},{'' if pct is None else repr(pct)}")
-    _write_text(out_dir / "concentration.csv", "\n".join(conc_rows) + "\n")
-
+    # both reports are computed before either table is written, so a run
+    # that fails in the probe fit leaves no lone concentration.csv
     curve = consistency_curve(teacher, student, split.train, split.test)
+    _write_text(out_dir / "concentration.csv", "\n".join(conc_rows) + "\n")
     cons_rows = ["tap,consistency"]
     for tap, frac in zip(curve.taps, curve.fractions):
         cons_rows.append(f"{tap},{repr(frac)}")

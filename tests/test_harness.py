@@ -560,6 +560,21 @@ class TestCliEndToEnd:
         assert err.startswith("error:") and "diverged" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_analyze_failing_in_the_probe_fit_writes_nothing(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        net = build_blocknet((1, 1), (12, 12), input_dim=3, classes=2, seed=1)
+        for p in net.parameters():
+            p.data[:] = np.nan
+        ckpt = tmp_path / "diverged.ckpt"
+        save_checkpoint(net, ckpt)
+        out = tmp_path / "analysis"
+        argv = ["analyze", "--config", str(config_path), "--out", str(out), "--teacher",
+                str(ckpt), "--student", str(ckpt), "--batches", "2", "--batch-size", "16"]
+        assert main(argv) == 2
+        assert "diverged" in capsys.readouterr().err
+        assert not out.exists()
+
     # each command's own arguments for a run that loads or checks its inputs
     # and fails, and a fragment of its one error line
     REJECTED_RUNS = {
