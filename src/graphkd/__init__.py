@@ -33,7 +33,6 @@ from .graphs import (
 )
 from .losses import (
     gkd_loss,
-    huber,
     ikd_loss,
     per_example_gkd,
     rkdd_loss,

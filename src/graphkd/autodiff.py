@@ -1,16 +1,13 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The engine keeps a dynamic tape: every operation whose inputs require
-gradients records a backward rule, and ``backward`` replays those rules in
-reverse topological order.  The elementwise ops (add, sub, mul, where)
-broadcast their operands by numpy's rules, and each operand's gradient is
-summed back over the axes it was broadcast along; ``matmul`` stays rank-2.
-Masking is ``where`` with a constant boolean mask, never a multiply by 0/1.
-``record`` puts a hand-written function on the tape: each model layer, the
-task loss, the graph builder and the KD losses use it to record their work
-as one node with a closed-form backward.  The training step itself uses
-only ``add`` and ``mul`` of the generic ops; the others are the reference
-that the fused nodes are tested against, bit for bit.
+The engine is a dynamic tape of three names.  ``Tensor`` holds a float64
+array and its slot on the tape; ``record`` is the one way onto the tape: it
+puts a hand-written function with a closed-form backward there as one node;
+``backward`` replays the recorded rules in reverse topological order.  Each
+model layer, the task loss, the graph builder, each KD term, the KD sum over
+taps and the training step's total loss are one ``record`` node each.  The
+generic ops they were fused from (add, mul, matmul, where, log_softmax and
+the rest) live with the tests, as the bitwise references for those nodes.
 
 ``backward`` is the one writer of ``.grad``: it replaces the gradient of
 every tensor it reaches, so a training step needs no zeroing call.  It keeps
@@ -28,19 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "record",
-    "add",
-    "sub",
-    "mul",
-    "matmul",
-    "relu",
-    "square",
-    "where",
-    "log_softmax",
-    "backward",
-]
+__all__ = ["Tensor", "record", "backward"]
 
 
 class Tensor:
@@ -67,45 +52,9 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    # -- operator sugar ------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis: int | None = None) -> "Tensor":
-        if axis is not None and not 0 <= axis < self.data.ndim:
-            raise ValueError(f"sum: axis {axis} out of range for rank {self.data.ndim}")
-        shape = self.data.shape
-
-        def bw(g: np.ndarray):
-            return (np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape),)
-
-        return record(np.sum(self.data, axis=axis), (self,), bw)
-
 
 # ---------------------------------------------------------------------------
 # tape plumbing
-
-
-def _coerce(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
 
 
 def record(
@@ -140,120 +89,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = g  # no copy: see record's contract
     else:
         t.grad = t.grad + g
-
-
-def _check_elementwise(a: Tensor, b: Tensor, op: str) -> tuple[int, ...]:
-    """Return the broadcast shape of two operands, or raise naming both shapes."""
-    if a.data.shape == b.data.shape or b.data.ndim == 0:
-        return a.data.shape  # the common cases, without broadcast_shapes' cost
-    try:
-        return np.broadcast_shapes(a.data.shape, b.data.shape)
-    except ValueError:
-        raise ValueError(
-            f"{op}: shapes {a.data.shape} and {b.data.shape} do not broadcast"
-        ) from None
-
-
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back onto an operand's shape."""
-    if g.shape == shape:
-        return g
-    lead = g.ndim - len(shape)
-    axes = tuple(range(lead)) + tuple(
-        lead + i for i, n in enumerate(shape) if n == 1 and g.shape[lead + i] != 1
-    )
-    return np.sum(g, axis=axes).reshape(shape)
-
-
-# ---------------------------------------------------------------------------
-# operations
-
-
-def _binary(a: Tensor, b: Tensor, data: np.ndarray, da, db) -> Tensor:
-    """Record a two-operand op; ``da``/``db`` map the output gradient to each
-    operand's, and run only for an operand that requires a gradient."""
-
-    def bw(g: np.ndarray):
-        return (
-            _reduce_to(da(g), a.data.shape) if a.requires_grad else None,
-            _reduce_to(db(g), b.data.shape) if b.requires_grad else None,
-        )
-
-    return record(data, (a, b), bw)
-
-
-def add(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _check_elementwise(a, b, "add")
-    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _check_elementwise(a, b, "sub")
-    return _binary(a, b, a.data - b.data, lambda g: g, lambda g: -g)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _check_elementwise(a, b, "mul")
-    return _binary(a, b, a.data * b.data, lambda g: g * b.data, lambda g: g * a.data)
-
-
-def relu(t) -> Tensor:
-    a = _coerce(t)
-    mask = a.data > 0  # subgradient at 0 is 0
-    return record(np.maximum(a.data, 0.0), (a,), lambda g: (g * mask,))
-
-
-def square(t) -> Tensor:
-    a = _coerce(t)
-    return record(a.data * a.data, (a,), lambda g: (g * (2.0 * a.data),))
-
-
-def where(cond, a, b) -> Tensor:
-    """Take ``a`` where the constant mask ``cond`` holds and ``b`` elsewhere.
-
-    ``a`` and ``b`` broadcast against each other; ``cond`` must have the
-    result's shape.  Unlike masking by multiplication, an unselected infinite
-    entry does not turn into NaN.
-    """
-    a, b = _coerce(a), _coerce(b)
-    shape = _check_elementwise(a, b, "where")
-    cond = np.asarray(cond, dtype=bool)
-    if cond.shape != shape:
-        raise ValueError(f"where: mask shape {cond.shape} does not match operands {shape}")
-    return _binary(
-        a, b, np.where(cond, a.data, b.data), lambda g: g * cond, lambda g: g * ~cond
-    )
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(
-            f"matmul: expected rank-2 operands, got shapes {a.data.shape} and {b.data.shape}"
-        )
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(
-            f"matmul: inner dimensions disagree: {a.data.shape} @ {b.data.shape}"
-        )
-
-    return _binary(a, b, a.data @ b.data, lambda g: g @ b.data.T, lambda g: a.data.T @ g)
-
-
-def log_softmax(t) -> Tensor:
-    """Row-wise log-softmax of a rank-2 tensor (numerically stabilized)."""
-    a = _coerce(t)
-    if a.data.ndim != 2:
-        raise ValueError(f"log_softmax: expected a rank-2 tensor, got shape {a.data.shape}")
-    z = a.data - np.max(a.data, axis=1, keepdims=True)
-    out_data = z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
-
-    def bw(g: np.ndarray):
-        return (g - np.exp(out_data) * np.sum(g, axis=1, keepdims=True),)
-
-    return record(out_data, (a,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,15 @@ DATASET_FIELDS = {
     "gaussian_mixture": {"n", "classes", "dim", "separation", "seed", "test_fraction"},
     "idx": {"images", "labels", "limit", "seed", "test_fraction"},
 }
+# each dataset field's JSON type, checked without converting the value, so a
+# config's digest keeps the values as written
+_INT, _NUMBER, _STR = ("an integer", (int,)), ("a number", (int, float)), ("a string", (str,))
+DATASET_TYPES = {
+    "n": _INT, "classes": _INT, "dim": _INT, "seed": _INT,
+    "limit": ("an integer or null", (int, type(None))),
+    "noise": _NUMBER, "separation": _NUMBER, "test_fraction": _NUMBER,
+    "images": _STR, "labels": _STR,
+}
 
 
 class ConfigError(ValueError):
@@ -183,12 +192,27 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
+def _cast(cast, value, key: str, context: str):
+    """``cast(value)``, or a ConfigError naming ``key`` if the value has the wrong type."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{context}: {key} must be {kind}, got {value!r}") from None
+
+
+def _int_list(value, key: str, context: str) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{context}: {key} must be a list of integers, got {value!r}")
+    return tuple(_cast(int, v, key, context) for v in value)
+
+
 def _parse_arch(obj, context: str) -> ArchSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"{context}: expected an object with depths and widths")
     _reject_unknown(obj, {"depths", "widths"}, context)
-    depths = tuple(int(d) for d in _require(obj, "depths", context))
-    widths = tuple(int(w) for w in _require(obj, "widths", context))
+    depths = _int_list(_require(obj, "depths", context), "depths", context)
+    widths = _int_list(_require(obj, "widths", context), "widths", context)
     try:
         return ArchSpec(depths=depths, widths=widths)
     except ConfigError as err:
@@ -199,7 +223,7 @@ def _parse_dataset(obj, context: str = "dataset") -> DatasetSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"{context}: expected an object")
     name = _require(obj, "name", context)
-    if name not in DATASET_FIELDS:
+    if not isinstance(name, str) or name not in DATASET_FIELDS:
         raise ConfigError(
             f"{context}: unknown dataset {name!r}, expected one of {sorted(DATASET_FIELDS)}"
         )
@@ -217,6 +241,10 @@ def _parse_dataset(obj, context: str = "dataset") -> DatasetSpec:
         for key in ("images", "labels"):
             _require(params, key, context)
         params.setdefault("limit", None)
+    for key, value in params.items():
+        kind, types = DATASET_TYPES[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"{context}: {key} must be {kind}, got {value!r}")
     return DatasetSpec(name=name, params=params)
 
 
@@ -227,10 +255,10 @@ def _parse_schedule(obj, context: str = "schedule") -> Schedule:
     _reject_unknown(obj, set(merged), context)
     merged.update(obj)
     return Schedule(
-        base_lr=float(merged["base_lr"]),
-        decay_factor=float(merged["decay_factor"]),
-        milestones=tuple(int(m) for m in merged["milestones"]),
-        total_epochs=int(merged["total_epochs"]),
+        base_lr=_cast(float, merged["base_lr"], "base_lr", context),
+        decay_factor=_cast(float, merged["decay_factor"], "decay_factor", context),
+        milestones=_int_list(merged["milestones"], "milestones", context),
+        total_epochs=_cast(int, merged["total_epochs"], "total_epochs", context),
     )
 
 
@@ -256,7 +284,8 @@ def parse_config(obj: dict) -> DistillConfig:
     _reject_unknown(obj, allowed, "config")
 
     loss = _require(obj, "loss", "config")
-    batch_size = int(obj.get("batch_size", DEFAULT_BATCH_SIZE))
+    lambda_kd = obj.get("lambda_kd", 0.0 if loss == "vanilla" else DEFAULT_LAMBDA_KD)
+    batch_size = _cast(int, obj.get("batch_size", DEFAULT_BATCH_SIZE), "batch_size", "config")
     graph = None
     if loss == "gkd" or "graph" in obj:
         graph_obj = obj.get("graph", {})
@@ -264,8 +293,8 @@ def parse_config(obj: dict) -> DistillConfig:
             raise ConfigError("graph: expected an object")
         _reject_unknown(graph_obj, {"k", "p", "mask_mode"}, "graph")
         graph = GraphParams(
-            k=int(graph_obj.get("k", batch_size - 1)),
-            p=int(graph_obj.get("p", 1)),
+            k=_cast(int, graph_obj.get("k", batch_size - 1), "k", "graph"),
+            p=_cast(int, graph_obj.get("p", 1), "p", "graph"),
             mask_mode=str(graph_obj.get("mask_mode", "all")),
         )
     return DistillConfig(
@@ -274,12 +303,12 @@ def parse_config(obj: dict) -> DistillConfig:
         teacher=_parse_arch(_require(obj, "teacher", "config"), "teacher"),
         student=_parse_arch(_require(obj, "student", "config"), "student"),
         loss=loss,
-        lambda_kd=float(obj.get("lambda_kd", 0.0 if loss == "vanilla" else DEFAULT_LAMBDA_KD)),
+        lambda_kd=_cast(float, lambda_kd, "lambda_kd", "config"),
         graph=graph,
         schedule=_parse_schedule(obj.get("schedule", {})),
         batch_size=batch_size,
-        momentum=float(obj.get("momentum", DEFAULT_MOMENTUM)),
-        seeds=tuple(int(s) for s in obj.get("seeds", DEFAULT_SEEDS)),
+        momentum=_cast(float, obj.get("momentum", DEFAULT_MOMENTUM), "momentum", "config"),
+        seeds=_int_list(obj.get("seeds", DEFAULT_SEEDS), "seeds", "config"),
     )
 
 

@@ -17,18 +17,19 @@ Conventions:
   adjacencies, summed over taps (no normalization; lambda absorbs scale).
   A stacked graph carries every tap, so the sum over taps is one term, and
   each graph pair's term is one tape node on the student adjacency.
+* The sum over taps, with the IKD or RKD-D scale, is one tape node over the
+  per-tap terms.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, add, mul, record
+from .autodiff import Tensor, record
 from .graphs import SimilarityGraph
 
 __all__ = [
     "task_loss",
-    "huber",
     "ikd_loss",
     "rkdd_loss",
     "gkd_loss",
@@ -41,8 +42,8 @@ __all__ = [
 def task_loss(logits, labels) -> Tensor:
     """Mean softmax cross-entropy of integer labels, as one tape node.
 
-    Values and gradients are bitwise equal to
-    ``mul(where(onehot, log_softmax(logits), 0.0).sum(), -1 / n)``.
+    Values and gradients are bitwise equal to the generic-op chain
+    ``mul(total(where(onehot, log_softmax(logits), 0.0)), -1 / n)``.
     """
     logits_t = logits if isinstance(logits, Tensor) else Tensor(logits)
     labels = np.asarray(labels)
@@ -69,12 +70,6 @@ def task_loss(logits, labels) -> Tensor:
         return (gp - np.exp(logp) * np.sum(gp, axis=1, keepdims=True),)
 
     return record(np.sum(np.where(onehot, logp, 0.0)) * scale, (logits_t,), backward)
-
-
-def huber(x: float, y: float) -> float:
-    """Huber penalty with delta=1 on the difference x - y."""
-    d = abs(float(x) - float(y))
-    return 0.5 * d * d if d <= 1.0 else d - 0.5
 
 
 def _huber(d: np.ndarray) -> np.ndarray:
@@ -149,7 +144,7 @@ def ikd_loss(student_taps, teacher_taps) -> Tensor:
     which cannot bridge differently-sized latent spaces.
     """
     _check_tap_lists(student_taps, teacher_taps, "ikd_loss")
-    total = None
+    terms = []
     n = None
     for idx, (s, t) in enumerate(zip(student_taps, teacher_taps)):
         s_t = s if isinstance(s, Tensor) else Tensor(s)
@@ -161,15 +156,14 @@ def ikd_loss(student_taps, teacher_taps) -> Tensor:
             )
         if n is None:
             n = s_t.data.shape[0]
-        term = _squared_distance(s_t, t_arr)
-        total = term if total is None else add(total, term)
-    return mul(total, 1.0 / (n * len(student_taps)))
+        terms.append(_squared_distance(s_t, t_arr))
+    return _sum_node(terms, 1.0 / (n * len(student_taps)))
 
 
 def rkdd_loss(student_taps, teacher_taps) -> Tensor:
     """Distance-wise relational KD over ordered pairs, summed across taps."""
     _check_tap_lists(student_taps, teacher_taps, "rkdd_loss")
-    total = None
+    terms = []
     n = None
     for idx, (s, t) in enumerate(zip(student_taps, teacher_taps)):
         s_t = s if isinstance(s, Tensor) else Tensor(s)
@@ -183,9 +177,8 @@ def rkdd_loss(student_taps, teacher_taps) -> Tensor:
             n = s_t.data.shape[0]
             if n < 2:
                 raise ValueError(f"rkdd_loss: need at least 2 examples, got {n}")
-        term = _rkdd_tap(s_t, t_arr)
-        total = term if total is None else add(total, term)
-    return mul(total, 1.0 / (n * (n - 1)))
+        terms.append(_rkdd_tap(s_t, t_arr))
+    return _sum_node(terms, 1.0 / (n * (n - 1)))
 
 
 def gkd_loss(student_graphs, teacher_graphs) -> Tensor:
@@ -201,7 +194,7 @@ def gkd_loss(student_graphs, teacher_graphs) -> Tensor:
         )
     if not student_graphs:
         raise ValueError("gkd_loss: empty graph list")
-    total = None
+    terms = []
     for idx, (sg, tg) in enumerate(zip(student_graphs, teacher_graphs)):
         a_s = _adjacency_tensor(sg)
         a_t = _adjacency_array(tg)
@@ -210,9 +203,23 @@ def gkd_loss(student_graphs, teacher_graphs) -> Tensor:
                 f"gkd_loss: graph {idx} has student adjacency shape {a_s.data.shape} "
                 f"and teacher adjacency shape {a_t.shape}"
             )
-        term = _squared_distance(a_s, a_t)
-        total = term if total is None else add(total, term)
-    return total
+        terms.append(_squared_distance(a_s, a_t))
+    return terms[0] if len(terms) == 1 else _sum_node(terms)
+
+
+def _sum_node(terms: list[Tensor], scale: float | None = None) -> Tensor:
+    """``(t0 + t1 + ...) * scale`` over 0-d tap terms, as one tape node.
+
+    The values add left to right from the first term, and each term's
+    gradient is ``g * scale`` (``g`` with no scale), so values and gradients
+    are bitwise equal to ``mul(add(add(t0, t1), ...), scale)``.
+    """
+    value = terms[0].data
+    for term in terms[1:]:
+        value = value + term.data
+    if scale is None:
+        return record(value, terms, lambda g: (g,) * len(terms))
+    return record(value * scale, terms, lambda g: (g * scale,) * len(terms))
 
 
 def _squared_distance(student: Tensor, teacher: np.ndarray) -> Tensor:

@@ -228,6 +228,8 @@ def load_checkpoint(path) -> BlockNet:
         header = json.loads(raw[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ValueError(f"checkpoint {path}: malformed header ({err})") from err
+    if not isinstance(header, dict):
+        raise ValueError(f"checkpoint {path}: header is not a JSON object")
     version = header.get("format_version")
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(
@@ -237,6 +239,12 @@ def load_checkpoint(path) -> BlockNet:
     missing = {"depths", "widths", "input_dim", "classes"} - set(header)
     if missing:
         raise ValueError(f"checkpoint {path}: header missing fields {sorted(missing)}")
+    for key in ("depths", "widths", "input_dim", "classes"):
+        value = header[key]
+        listed = key in ("depths", "widths")
+        if listed != isinstance(value, list) or not all(map(_is_int, value if listed else [value])):
+            kind = "a list of integers" if listed else "an integer"
+            raise ValueError(f"checkpoint {path}: header field {key!r} must be {kind}, got {value!r}")
 
     net = build_blocknet(
         header["depths"], header["widths"], header["input_dim"], header["classes"], seed=0
@@ -254,6 +262,10 @@ def load_checkpoint(path) -> BlockNet:
         p.data = flat[offset : offset + count].astype(np.float64).reshape(p.data.shape)
         offset += count
     return net
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def checkpoint_digest(path) -> str:

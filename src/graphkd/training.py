@@ -1,10 +1,10 @@
 """SGD training with heavy-ball momentum, step schedules, and KD objectives.
 
-One backward pass per step covers task + lambda * KD; it replaces the
-parameters' gradients, so nothing zeroes them between steps.  The teacher is
-forwarded without gradients and never updated.  All randomness (shuffling)
-derives from (seed, epoch), so a run is bit-reproducible from its config
-and seed.
+One backward pass per step covers task + lambda * KD, recorded as one tape
+node; it replaces the parameters' gradients, so nothing zeroes them between
+steps.  The teacher is forwarded without gradients and never updated.  All
+randomness (shuffling) derives from (seed, epoch), so a run is
+bit-reproducible from its config and seed.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, add, backward, mul
+from .autodiff import Tensor, backward, record
 from .config import DistillConfig, Schedule
 from .datasets import DataSplit, minibatch_indices
 from .losses import gkd_loss, ikd_loss, rkdd_loss, task_loss
@@ -164,6 +164,12 @@ def _kd_loss(config: DistillConfig, student_out, teacher_out, labels) -> Tensor:
     return ikd_loss(s_taps, t_taps)
 
 
+def _total_loss(task: Tensor, kd: Tensor, lambda_kd: float) -> Tensor:
+    """``task + lambda_kd * kd`` as one tape node, bitwise equal to
+    ``add(task, mul(kd, lambda_kd))``."""
+    return record(task.data + kd.data * lambda_kd, (task, kd), lambda g: (g, g * lambda_kd))
+
+
 # overflow on the way to divergence is reported once, by the finiteness checks
 # in the loop, not as a stream of numpy warnings
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -209,7 +215,7 @@ def train(
             if kd_active:
                 teacher_out = forward_with_taps(teacher, xb)
                 kd_t = _kd_loss(config, student_out, teacher_out, yb)
-                total_t = add(task_t, mul(kd_t, config.lambda_kd))
+                total_t = _total_loss(task_t, kd_t, config.lambda_kd)
                 kd = float(kd_t.data)
                 total = task + config.lambda_kd * kd
             else:

@@ -1,14 +1,15 @@
-"""Tests for the reverse-mode tape: op semantics, gradients, tape mechanics."""
+"""Tests for the reverse-mode tape and the generic reference ops: op
+semantics, gradients, tape mechanics."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from graphkd import autodiff as ad
-from graphkd.autodiff import Tensor, backward
+from graphkd.autodiff import Tensor, backward, record
 from graphkd.models import _layer
 
 from _oracles import fd_gradient
+from _tape_ops import add, log_softmax, matmul, mul, relu, square, sub, total, where
 
 
 def leaf(data):
@@ -21,85 +22,85 @@ def const(data):
 
 class TestForward:
     def test_matmul_known_product(self):
-        out = const([[1.0, 2.0], [3.0, 4.0]]) @ const([[5.0], [6.0]])
+        out = matmul(const([[1.0, 2.0], [3.0, 4.0]]), const([[5.0], [6.0]]))
         assert_array_equal(out.data, [[17.0], [39.0]])
 
     def test_matmul_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-            const(np.ones((2, 3))) @ const(np.ones((2, 3)))
+            matmul(const(np.ones((2, 3))), const(np.ones((2, 3))))
 
     def test_matmul_requires_rank_two(self):
         with pytest.raises(ValueError):
-            const(np.ones(3)) @ const(np.ones((3, 2)))
+            matmul(const(np.ones(3)), const(np.ones((3, 2))))
 
     def test_elementwise_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            const(np.ones((2, 2))) + const(np.ones((2, 3)))
+            add(const(np.ones((2, 2))), const(np.ones((2, 3))))
 
     def test_scalar_broadcast_allowed(self):
-        out = const([[1.0, 2.0]]) * const(3.0)
+        out = mul(const([[1.0, 2.0]]), const(3.0))
         assert_array_equal(out.data, [[3.0, 6.0]])
 
     def test_row_and_column_broadcast(self):
-        out = const([[1.0], [2.0]]) + const([[10.0, 20.0, 30.0]])
+        out = add(const([[1.0], [2.0]]), const([[10.0, 20.0, 30.0]]))
         assert_array_equal(out.data, [[11.0, 21.0, 31.0], [12.0, 22.0, 32.0]])
         with pytest.raises(ValueError, match=r"\(2, 2\).*\(3,\)"):
-            const(np.ones((2, 2))) * const(np.ones(3))
+            mul(const(np.ones((2, 2))), const(np.ones(3)))
 
     def test_relu(self):
-        out = ad.relu(leaf([-1.0, 0.0, 2.0]))
+        out = relu(leaf([-1.0, 0.0, 2.0]))
         assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
     def test_where_leaves_unselected_infinities_out(self):
-        out = ad.where([[True, False]], const([[1.0, -np.inf]]), const(0.0))
+        out = where([[True, False]], const([[1.0, -np.inf]]), const(0.0))
         assert_array_equal(out.data, [[1.0, 0.0]])
 
     def test_where_mask_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mask shape"):
-            ad.where(np.ones(3, dtype=bool), const(np.ones((1, 3))), const(0.0))
+            where(np.ones(3, dtype=bool), const(np.ones((1, 3))), const(0.0))
 
     def test_reductions(self):
         x = const([[1.0, 2.0], [3.0, 4.0]])
-        assert x.sum().data == 10.0
-        assert_array_equal(x.sum(axis=0).data, [4.0, 6.0])
-        assert_array_equal(x.sum(axis=1).data, [3.0, 7.0])
+        assert total(x).data == 10.0
+        assert_array_equal(total(x, axis=0).data, [4.0, 6.0])
+        assert_array_equal(total(x, axis=1).data, [3.0, 7.0])
         with pytest.raises(ValueError, match="axis 2"):
-            x.sum(axis=2)
+            total(x, axis=2)
 
     def test_log_softmax_rows_normalize(self):
         x = const(np.random.default_rng(0).normal(size=(4, 3)) * 50)
-        out = ad.log_softmax(x)
+        out = log_softmax(x)
         assert_allclose(np.exp(out.data).sum(axis=1), np.ones(4), rtol=1e-12)
 
     def test_log_softmax_is_shift_stable(self):
         x = np.array([[1000.0, 1001.0, 1002.0]])
-        out = ad.log_softmax(const(x))
+        out = log_softmax(const(x))
         assert np.isfinite(out.data).all()
-        assert_allclose(out.data, ad.log_softmax(const(x - 1000.0)).data, atol=1e-12)
+        assert_allclose(out.data, log_softmax(const(x - 1000.0)).data, atol=1e-12)
 
 
 class TestBackwardMechanics:
     def test_backward_rejects_non_scalar(self):
         x = leaf([[1.0, 2.0]])
         with pytest.raises(ValueError):
-            backward(x + x)
+            backward(add(x, x))
 
     def test_leaf_not_on_tape_keeps_zero_grad(self):
         """A leaf the loss never touches must end with an all-zero gradient."""
         x = leaf([[1.0, 2.0]])
         unused = leaf([[5.0, 5.0]])
-        backward((x * x).sum())
+        backward(total(mul(x, x)))
         assert_array_equal(unused.grad, np.zeros((1, 2)))
 
     def test_gradient_accumulates_across_uses(self):
         x = leaf([2.0])
-        y = (x * x + x).sum()  # dy/dx = 2x + 1 = 5
+        y = total(add(mul(x, x), x))  # dy/dx = 2x + 1 = 5
         backward(y)
         assert_allclose(x.grad, [5.0])
 
     def test_tape_consumed_after_backward(self):
         x = leaf([1.0, 2.0])
-        loss = (x * x).sum()
+        loss = total(mul(x, x))
         backward(loss)
         first = x.grad.copy()
         backward(loss)  # tape gone: must not double-accumulate
@@ -108,17 +109,17 @@ class TestBackwardMechanics:
     def test_second_backward_replaces_leaf_grad(self):
         """A new loss through the same leaf sets its gradient, not adds to it."""
         x = leaf([1.0, 2.0])
-        backward((x * x).sum())
-        backward((x * const([3.0, 5.0])).sum())
+        backward(total(mul(x, x)))
+        backward(total(mul(x, const([3.0, 5.0]))))
         assert_array_equal(x.grad, [3.0, 5.0])
 
     def test_shared_add_gradient_is_not_written(self):
         """add hands its gradient array to both parents; a later contribution
         to one of them must leave the other's (and add's own) unchanged."""
         b = leaf([1.0, 2.0])
-        a = b * const([10.0, 20.0])  # runs after s's rule, as a is s's parent
-        s = a + b
-        backward((s * const([2.0, 3.0])).sum())
+        a = mul(b, const([10.0, 20.0]))  # runs after s's rule, as a is s's parent
+        s = add(a, b)
+        backward(total(mul(s, const([2.0, 3.0]))))
         assert_array_equal(b.grad, [22.0, 63.0])
         assert_array_equal(a.grad, [2.0, 3.0])
         assert_array_equal(s.grad, [2.0, 3.0])
@@ -128,39 +129,39 @@ class TestBackwardMechanics:
         rng = np.random.default_rng(7)
         data = rng.normal(size=(3, 3))
         x1 = leaf(data)
-        backward((x1 * x1).sum() * const(3.0))
+        backward(mul(total(mul(x1, x1)), const(3.0)))
         x2 = leaf(data)
-        backward((x2 * x2).sum())
+        backward(total(mul(x2, x2)))
         assert_allclose(x1.grad, 3.0 * x2.grad, rtol=1e-12)
 
     def test_intermediates_receive_grads(self):
         x = leaf([[1.0, -2.0]])
-        h = ad.relu(x)
-        backward(h.sum())
+        h = relu(x)
+        backward(total(h))
         assert h.grad is not None
         assert_array_equal(h.grad, [[1.0, 1.0]])
 
     def test_relu_subgradient_at_zero_is_zero(self):
         x = leaf([0.0, -1.0, 1.0])
-        backward(ad.relu(x).sum())
+        backward(total(relu(x)))
         assert_array_equal(x.grad, [0.0, 0.0, 1.0])
 
     def test_record_hand_written_backward(self):
         """A recorded node's backward returns one gradient per parent, None to skip."""
         x, c = leaf([[1.0, -2.0]]), const([[3.0, 4.0]])
-        cube = ad.record(x.data**3 * c.data, (x, c), lambda g: (g * 3.0 * x.data**2 * c.data, None))
-        backward(cube.sum())
+        cube = record(x.data**3 * c.data, (x, c), lambda g: (g * 3.0 * x.data**2 * c.data, None))
+        backward(total(cube))
         assert_array_equal(x.grad, [[9.0, 48.0]])
         assert c.grad is None
-        untaped = ad.record(c.data, (c,), lambda g: (g,))
+        untaped = record(c.data, (c,), lambda g: (g,))
         assert not untaped.requires_grad and untaped._parents == ()
 
     def test_deep_chain_does_not_hit_recursion_limit(self):
         x = leaf([[1.0]])
         out = x
         for _ in range(5000):
-            out = out + const([[0.0]])
-        backward(out.sum())
+            out = add(out, const([[0.0]]))
+        backward(total(out))
         assert_array_equal(x.grad, [[1.0]])
 
 
@@ -202,32 +203,32 @@ _SMALL_H = np.linspace(-0.05, 0.05, 9).reshape(3, 3)
 _SMALL_W = np.linspace(-0.2, 0.2, 12).reshape(3, 4)
 
 OP_CASES = {
-    "add": lambda x: (x + const(np.full(x.data.shape, 0.7))).sum(),
-    "sub": lambda x: (const(np.full(x.data.shape, 0.3)) - x).sum(),
-    "mul": lambda x: (x * x).sum(),
-    "scalar_mul": lambda x: (x * const(1.7)).sum(),
-    "matmul_left": lambda x: (x @ const(np.linspace(0.1, 1.0, x.data.shape[1] * 2).reshape(x.data.shape[1], 2))).sum(),
-    "matmul_right": lambda x: (const(np.linspace(-1.0, 1.0, 2 * x.data.shape[0]).reshape(2, x.data.shape[0])) @ x).sum(),
-    "relu": lambda x: ad.relu(x).sum(),
-    "square": lambda x: ad.square(x).sum(),
-    "where": lambda x: ad.where(np.indices(x.data.shape).sum(axis=0) % 2 == 0, ad.square(x), x * const(-1.5)).sum(),
-    "sum_axis1": lambda x: ad.square(x.sum(axis=1)).sum(),
-    "log_softmax": lambda x: (ad.log_softmax(x) * const(np.linspace(-1, 1, x.data.size).reshape(x.data.shape))).sum(),
+    "add": lambda x: total(add(x, const(np.full(x.data.shape, 0.7)))),
+    "sub": lambda x: total(sub(const(np.full(x.data.shape, 0.3)), x)),
+    "mul": lambda x: total(mul(x, x)),
+    "scalar_mul": lambda x: total(mul(x, const(1.7))),
+    "matmul_left": lambda x: total(matmul(x, const(np.linspace(0.1, 1.0, x.data.shape[1] * 2).reshape(x.data.shape[1], 2)))),
+    "matmul_right": lambda x: total(matmul(const(np.linspace(-1.0, 1.0, 2 * x.data.shape[0]).reshape(2, x.data.shape[0])), x)),
+    "relu": lambda x: total(relu(x)),
+    "square": lambda x: total(square(x)),
+    "where": lambda x: total(where(np.indices(x.data.shape).sum(axis=0) % 2 == 0, square(x), mul(x, const(-1.5)))),
+    "sum_axis1": lambda x: total(square(total(x, axis=1))),
+    "log_softmax": lambda x: total(mul(log_softmax(x), const(np.linspace(-1, 1, x.data.size).reshape(x.data.shape)))),
     # the leaf is the broadcast operand, so its gradient is summed over the
     # broadcast axes (shapes in BROADCAST_LEAF_SHAPES)
-    "add_col_broadcast": lambda x: ad.square(x + const(_GRID)).sum(),
-    "sub_row_broadcast": lambda x: ad.square(const(_GRID) - x).sum(),
-    "mul_row_broadcast": lambda x: (const(_GRID) * x).sum(),
-    "mul_rank1_broadcast": lambda x: ad.square(x * const(_GRID)).sum(),
-    "where_row_broadcast": lambda x: ad.where(_GRID > 0, ad.square(x), const(_GRID)).sum(),
+    "add_col_broadcast": lambda x: total(square(add(x, const(_GRID)))),
+    "sub_row_broadcast": lambda x: total(square(sub(const(_GRID), x))),
+    "mul_row_broadcast": lambda x: total(mul(const(_GRID), x)),
+    "mul_rank1_broadcast": lambda x: total(square(mul(x, const(_GRID)))),
+    "where_row_broadcast": lambda x: total(where(_GRID > 0, square(x), const(_GRID))),
     # one fused affine+ReLU layer (models._layer), its gradient for h, w and b,
     # and the affine head
-    "layer_h": lambda x: ad.square(_layer(x, const(_LAYER_W), const(_LAYER_B), relu=True)).sum(),
-    "layer_w": lambda x: ad.square(
+    "layer_h": lambda x: total(square(_layer(x, const(_LAYER_W), const(_LAYER_B), relu=True))),
+    "layer_w": lambda x: total(square(
         _layer(const(_LAYER_H), x, const(np.array([[4.0, -4.0, 4.0, -4.0]])), relu=True)
-    ).sum(),
-    "layer_b": lambda x: ad.square(_layer(const(_SMALL_H), const(_SMALL_W), x, relu=True)).sum(),
-    "layer_head": lambda x: ad.square(_layer(x, const(_LAYER_W), const(_LAYER_B), relu=False)).sum(),
+    )),
+    "layer_b": lambda x: total(square(_layer(const(_SMALL_H), const(_SMALL_W), x, relu=True))),
+    "layer_head": lambda x: total(square(_layer(x, const(_LAYER_W), const(_LAYER_B), relu=False))),
 }
 
 
@@ -246,10 +247,10 @@ def test_fd_gradient_composite_expression():
     w = np.linspace(-0.8, 0.9, 9).reshape(3, 3)
 
     def build(x):
-        h = ad.relu(x @ const(w))
-        z = ad.square(h).sum(axis=1) - x.sum(axis=1) * const(0.5)
-        picked = ad.where(np.eye(4, 3, dtype=bool), ad.log_softmax(x), 0.0)
-        return ad.square(z).sum() * const(0.1) + picked.sum()
+        h = relu(matmul(x, const(w)))
+        z = sub(total(square(h), axis=1), mul(total(x, axis=1), const(0.5)))
+        picked = where(np.eye(4, 3, dtype=bool), log_softmax(x), 0.0)
+        return add(mul(total(square(z)), const(0.1)), total(picked))
 
     _fd_case(build, x0)
 
@@ -257,6 +258,6 @@ def test_fd_gradient_composite_expression():
 def test_forward_is_deterministic():
     rng = np.random.default_rng(5)
     a, b = rng.normal(size=(6, 6)), rng.normal(size=(6, 6))
-    r1 = ad.log_softmax(const(a) @ const(b)).data
-    r2 = ad.log_softmax(const(a) @ const(b)).data
+    r1 = log_softmax(matmul(const(a), const(b))).data
+    r2 = log_softmax(matmul(const(a), const(b))).data
     assert_array_equal(r1, r2)

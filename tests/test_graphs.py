@@ -36,6 +36,7 @@ from _oracles import (
     oracle_topk_union,
     separated_reps,
 )
+from _tape_ops import mul, total
 
 PATH_W = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 PATH_L = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
@@ -260,7 +261,7 @@ class TestKnnProperties:
                 w_ref, a_ref = oracle_pipeline(reps, k, 2, "inter_class", labels)
                 assert_allclose(graph.weights[0], w_ref, atol=1e-12)
                 assert_allclose(graph.adjacency[0], a_ref, atol=1e-12)
-                backward((graph.adjacency_tensor * graph.adjacency_tensor).sum())
+                backward(total(mul(graph.adjacency_tensor, graph.adjacency_tensor)))
                 assert np.all(np.isfinite(x.grad))
                 assert_array_equal(x.grad[[1, 4, 7]], 0.0)
 
@@ -417,7 +418,7 @@ class TestPipeline:
         rng = np.random.default_rng(51)
         reps = Tensor(separated_reps(rng, 6, 3, 2), requires_grad=True)
         g = build_similarity_graph(reps, k=2)
-        backward((g.adjacency_tensor * g.adjacency_tensor).sum())
+        backward(total(mul(g.adjacency_tensor, g.adjacency_tensor)))
         assert np.any(reps.grad != 0.0)
         assert np.all(np.isfinite(reps.grad))
 
@@ -515,11 +516,11 @@ class TestStack:
             stacked = [Tensor(t, requires_grad=True) for t in taps]
             graph = build_similarity_graph(stacked, k=k, p=p, mask_mode=mode, labels=self.LABELS)
             assert graph.adjacency_tensor._parents == tuple(stacked)
-            backward((graph.adjacency_tensor * upstream).sum())
+            backward(total(mul(graph.adjacency_tensor, upstream)))
             for tap, x, up in zip(taps, stacked, upstream):
                 single = Tensor(tap, requires_grad=True)
                 one = build_similarity_graph(single, k=k, p=p, mask_mode=mode, labels=self.LABELS)
-                backward((one.adjacency_tensor * up).sum())
+                backward(total(mul(one.adjacency_tensor, up)))
                 assert_array_equal(x.grad, single.grad)
 
     def test_dense_pipeline_matches_public_stages(self):

@@ -605,6 +605,57 @@ class TestCliEndToEnd:
         assert not out.exists()
 
 
+    # a config value of the wrong type, and a fragment of its one error line
+    WRONG_TYPES = {
+        "seeds": ({"seeds": 5}, "config: seeds must be a list of integers"),
+        "milestones": ({"schedule": {"milestones": 5}},
+                       "schedule: milestones must be a list of integers"),
+        "depths": ({"teacher": {"depths": 3, "widths": [12]}},
+                   "teacher: depths must be a list of integers"),
+        "momentum": ({"momentum": None}, "config: momentum must be a number"),
+        "graph_k": ({"loss": "gkd", "lambda_kd": 1.0, "graph": {"k": None}},
+                    "graph: k must be an integer"),
+        "noise": ({"dataset": {"name": "two_arcs", "n": 80, "noise": "x"}},
+                  "dataset: noise must be a number"),
+    }
+
+    @pytest.mark.parametrize("case", list(WRONG_TYPES))
+    def test_config_value_of_wrong_type_exits_two(self, tmp_path, capsys, case):
+        overrides, fragment = self.WRONG_TYPES[case]
+        config_path = write_config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert main(["train-teacher", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    # a checkpoint header line, and a fragment of its one error line
+    BAD_HEADERS = {
+        "not_an_object": ("[1]", "header is not a JSON object"),
+        "null_input_dim": (
+            '{"classes": 2, "depths": [1, 1], "format_version": 1, "input_dim": null, '
+            '"widths": [12, 12]}',
+            "header field 'input_dim' must be an integer, got None",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_HEADERS))
+    def test_malformed_checkpoint_header_exits_two(self, tmp_path, capsys, case):
+        header, fragment = self.BAD_HEADERS[case]
+        config_path = write_config(tmp_path, loss="gkd", lambda_kd=1.0, seeds=[1])
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(header.encode() + b"\n")
+        out = tmp_path / "out"
+        code = main(["distill", "--config", str(config_path), "--out", str(out),
+                     "--teacher", str(ckpt)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"checkpoint {ckpt}: {fragment}" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+
 class TestTwoArcsConfig:
     def test_two_arcs_dataset_flows_through(self, tmp_path):
         config_path = write_config(

@@ -1,4 +1,5 @@
-"""Stand-ins for a linter's unused-import and dead-code rules over the package's modules."""
+"""Stand-ins for a linter's unused-import, dead-code and stale-export rules over the
+package's modules."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,34 @@ def test_check_flags_a_dead_private_definition():
 
 def test_no_dead_private_definitions():
     assert dead_private_definitions({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def stale_exports(source: str) -> list[str]:
+    """Names in a module's ``__all__`` that the module does not bind at top level."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+def test_check_flags_a_stale_export():
+    source = (
+        "from os import path as p\nimport json\nA, B = 1, 2\nC: int = 3\n"
+        "def f():\n    pass\nclass K:\n    pass\n"
+        "__all__ = ['p', 'json', 'A', 'B', 'C', 'f', 'K', 'gone', 'path']\n"
+    )
+    assert stale_exports(source) == ["gone", "path"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_stale_exports(path):
+    assert stale_exports(path.read_text()) == []

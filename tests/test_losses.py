@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from graphkd.autodiff import Tensor, add, backward, log_softmax, mul, square, sub, where
+from graphkd.autodiff import Tensor, backward
 from graphkd.graphs import build_similarity_graph
 from graphkd.losses import (
     _distances,
+    _huber,
+    _rkdd_tap,
+    _squared_distance,
     gkd_loss,
-    huber,
     ikd_loss,
     normalized_pairwise_distances,
     per_example_gkd,
@@ -27,6 +29,7 @@ from _oracles import (
     oracle_task_loss,
     separated_reps,
 )
+from _tape_ops import add, log_softmax, mul, square, sub, total, where
 
 
 def leaf(data):
@@ -75,7 +78,7 @@ class TestTaskLoss:
         backward(mul(loss, 0.3))
         ref_x = leaf(logits0)
         onehot = np.arange(4) == labels[:, None]
-        ref = mul(where(onehot, log_softmax(ref_x), 0.0).sum(), -1.0 / 7)
+        ref = mul(total(where(onehot, log_softmax(ref_x), 0.0)), -1.0 / 7)
         backward(mul(ref, 0.3))
         assert loss.data.tobytes() == ref.data.tobytes()
         assert x.grad.tobytes() == ref_x.grad.tobytes()
@@ -93,6 +96,11 @@ class TestTaskLoss:
         x = leaf(np.random.default_rng(2).normal(size=(4, 5)))
         backward(task_loss(x, np.array([0, 1, 2, 3])))
         assert_allclose(x.grad.sum(axis=1), np.zeros(4), atol=1e-12)
+
+
+def huber(x: float, y: float):
+    """RKD-D's elementwise penalty on the one difference x - y."""
+    return _huber(np.float64(x) - y)
 
 
 class TestHuber:
@@ -184,7 +192,7 @@ class TestIkd:
             assert len(children) == 1 and children[0]._parents == (tap,)
         backward(mul(loss, 0.7))
         ref_taps = [leaf(a) for a in s]
-        terms = [square(sub(x, Tensor(b))).sum() for x, b in zip(ref_taps, t)]
+        terms = [total(square(sub(x, Tensor(b)))) for x, b in zip(ref_taps, t)]
         ref = mul(add(terms[0], terms[1]), 1.0 / (6 * 2))
         backward(mul(ref, 0.7))
         assert loss.data.tobytes() == ref.data.tobytes()
@@ -335,7 +343,7 @@ class TestGkd:
         backward(mul(loss, 0.3))
         # the same term through the generic ops, on a leaf holding A_student
         ref_leaf = Tensor(a_s.data, requires_grad=True)
-        ref = square(sub(ref_leaf, Tensor(teacher.adjacency))).sum()
+        ref = total(square(sub(ref_leaf, Tensor(teacher.adjacency))))
         backward(mul(ref, 0.3))
         assert loss.data.tobytes() == ref.data.tobytes()
         assert a_s.grad.tobytes() == ref_leaf.grad.tobytes()
@@ -425,6 +433,54 @@ class TestGkd:
             assert_allclose(x.grad[rows], numeric, rtol=1e-4, atol=1e-7, err_msg=f"tap {i}")
             assert np.abs(numeric).max() > 1e-3
             assert_array_equal(np.delete(x.grad, rows, axis=0), 0.0)
+
+
+class TestSumNode:
+    """The sum over taps (or graphs) is one tape node over the per-tap terms,
+    bitwise equal to the add chain and, for IKD and RKD-D, the scale's mul."""
+
+    N = 8
+    WIDTHS = (3, 5, 2, 4)
+
+    def terms(self, loss, xs, teacher):
+        if loss == "gkd":
+            return [_squared_distance(build_similarity_graph(x, k=3, p=2).adjacency_tensor, t)
+                    for x, t in zip(xs, teacher)]
+        tap_term = _squared_distance if loss == "ikd" else _rkdd_tap
+        return [tap_term(x, t) for x, t in zip(xs, teacher)]
+
+    @pytest.mark.parametrize("taps", [1, 2, 4])
+    @pytest.mark.parametrize("loss", ["ikd", "rkdd", "gkd"])
+    def test_values_and_gradients_equal_the_add_chain(self, loss, taps):
+        rng = np.random.default_rng(40 + taps)
+        n, widths = self.N, self.WIDTHS[:taps]
+        s = [rng.normal(size=(n, d)) for d in widths]
+        t = [rng.normal(size=(n, d if loss == "ikd" else 6)) for d in widths]
+        xs = [leaf(a) for a in s]
+        if loss == "gkd":
+            teacher = [build_similarity_graph(x, k=3, p=2).adjacency for x in t]
+            got = gkd_loss([build_similarity_graph(x, k=3, p=2) for x in xs], teacher)
+            scale = None
+        elif loss == "ikd":
+            teacher, got, scale = t, ikd_loss(xs, t), 1.0 / (n * taps)
+        else:
+            teacher, got, scale = t, rkdd_loss(xs, t), 1.0 / (n * (n - 1))
+        if taps > 1 or scale is not None:
+            # one node whose parents are the per-tap terms, one node each
+            assert len(got._parents) == taps
+            assert all(len(term._parents) == 1 for term in got._parents)
+        backward(mul(got, 0.7))
+        ref_xs = [leaf(a) for a in s]
+        terms = self.terms(loss, ref_xs, teacher)
+        ref = terms[0]
+        for term in terms[1:]:
+            ref = add(ref, term)
+        if scale is not None:
+            ref = mul(ref, scale)
+        backward(mul(ref, 0.7))
+        assert got.data.tobytes() == ref.data.tobytes()
+        for x, ref_x in zip(xs, ref_xs):
+            assert x.grad.tobytes() == ref_x.grad.tobytes()
 
 
 class TestPermutationInvariance:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from graphkd import autodiff as ad
 from graphkd.autodiff import Tensor, backward
 from graphkd.losses import task_loss
 from graphkd.models import (
@@ -18,6 +17,8 @@ from graphkd.models import (
     load_checkpoint,
     save_checkpoint,
 )
+
+from _tape_ops import add, log_softmax, matmul, mul, relu, total, where
 
 
 def param_count(depths, widths, input_dim, classes):
@@ -142,16 +143,16 @@ def generic_forward(net, x) -> TapOutput:
     h, taps = x, []
     for block in net.blocks:
         for w, b in block:
-            h = ad.relu(ad.add(ad.matmul(h, w), b))
+            h = relu(add(matmul(h, w), b))
         taps.append(h)
     w, b = net.head
-    return TapOutput(taps=taps, logits=ad.add(ad.matmul(h, w), b))
+    return TapOutput(taps=taps, logits=add(matmul(h, w), b))
 
 
 def generic_task_loss(logits, labels):
     n, classes = logits.data.shape
     onehot = np.arange(classes) == labels[:, None]
-    return ad.mul(ad.where(onehot, ad.log_softmax(logits), 0.0).sum(), -1.0 / n)
+    return mul(total(where(onehot, log_softmax(logits), 0.0)), -1.0 / n)
 
 
 class TestFusedLayers:
@@ -167,7 +168,7 @@ class TestFusedLayers:
         loss = loss_fn(out.logits, labels)
         # a second consumer of every block output, as a KD term has
         for i, tap in enumerate(out.taps):
-            loss = ad.add(loss, ad.mul(tap, np.cos(np.arange(tap.data.size) + i).reshape(tap.data.shape)).sum())
+            loss = add(loss, total(mul(tap, np.cos(np.arange(tap.data.size) + i).reshape(tap.data.shape))))
         backward(loss)
         return net, xt, out, loss
 

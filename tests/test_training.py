@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from graphkd.autodiff import Tensor, add, mul
+from graphkd.autodiff import Tensor, backward
 from graphkd.config import Schedule
 from graphkd.datasets import minibatch_indices
 from graphkd.harness import build_split
@@ -22,6 +22,7 @@ from graphkd.training import (
 )
 
 from conftest import make_config, tape
+from _tape_ops import add, mul
 
 PAPER_SCHEDULE = Schedule(base_lr=0.1, decay_factor=0.2, milestones=(60, 120, 160), total_epochs=200)
 
@@ -282,22 +283,50 @@ class TestTrainLoop:
         out = forward_with_taps(student, Tensor(split.train.features[:24]))
         assert len(tape(task_loss(out.logits, split.train.labels[:24]))) == 14
 
-    def test_dense_gkd_step_adds_five_tape_nodes(self):
-        # the stacked graph node, the GKD term node, the lambda constant, mul
-        # and add
-        config = make_config(loss="gkd", graph={"k": 23})
+    def step_losses(self, loss, **overrides):
+        """(config, student, task, kd) of one batch's step under ``loss``, with
+        four-tap nets (ikd's teacher has the student's widths)."""
+        config = make_config(loss=loss, lambda_kd=1.5, **overrides)
         split = build_split(config)
         xb, yb = split.train.features[:24], split.train.labels[:24]
-        teacher = build_blocknet((1, 1, 1), (16, 16, 16), 3, 2, seed=9)
+        widths = (4, 4, 4) if loss == "ikd" else (16, 16, 16)
+        teacher = build_blocknet((1, 1, 1), widths, 3, 2, seed=9)
         student = build_blocknet((1, 1, 1), (4, 4, 4), 3, 2, seed=4)
         student.set_requires_grad(True)
         teacher.set_requires_grad(False)
         s_out, t_out = forward_with_taps(student, xb), forward_with_taps(teacher, xb)
         task = task_loss(s_out.logits, yb)
-        kd = training._kd_loss(config, s_out, t_out, yb)
-        total = add(task, mul(kd, config.lambda_kd))
+        return config, student, task, training._kd_loss(config, s_out, t_out, yb)
+
+    def test_dense_gkd_step_adds_three_tape_nodes(self):
+        # the stacked graph node, the GKD term node and the total node
+        config, student, task, kd = self.step_losses("gkd", graph={"k": 23})
+        total = training._total_loss(task, kd, config.lambda_kd)
         assert len(student.tap_names()) == 4
-        assert len(tape(total)) - len(tape(task)) == 5
+        assert len(tape(total)) - len(tape(task)) == 3
+
+    # tape nodes of a whole step: vanilla's 14, then the KD nodes (gkd: the
+    # graph and term nodes; rkdd, ikd: four tap terms and their sum node) and
+    # the total node
+    @pytest.mark.parametrize("loss,nodes", [("gkd", 17), ("rkdd", 20), ("ikd", 20)])
+    def test_kd_step_records_the_pinned_tape_nodes(self, loss, nodes):
+        graph = {"graph": {"k": 8, "p": 2, "mask_mode": "inter_class"}} if loss == "gkd" else {}
+        config, _, task, kd = self.step_losses(loss, **graph)
+        assert len(tape(training._total_loss(task, kd, config.lambda_kd))) == nodes
+
+    @pytest.mark.parametrize("loss", ["gkd", "rkdd", "ikd"])
+    def test_total_node_equals_add_of_mul(self, loss):
+        graph = {"graph": {"k": 8, "p": 2, "mask_mode": "inter_class"}} if loss == "gkd" else {}
+        config, student, task, kd = self.step_losses(loss, **graph)
+        got = training._total_loss(task, kd, config.lambda_kd)
+        backward(got)
+        grads = [p.grad for p in student.parameters()]
+        config, student, task, kd = self.step_losses(loss, **graph)
+        ref = add(task, mul(kd, config.lambda_kd))
+        backward(ref)
+        assert got.data.tobytes() == ref.data.tobytes()
+        for g, p in zip(grads, student.parameters()):
+            assert g.tobytes() == p.grad.tobytes()
 
     def test_rkdd_and_ikd_paths_run(self):
         split = build_split(make_config())
