@@ -20,13 +20,9 @@ from .graphs import (
     GraphParams,
     GraphSignal,
     SimilarityGraph,
-    adjacency_power,
     build_similarity_graph,
     class_mask,
-    cosine_similarity_matrix,
-    degree_normalize,
     fiedler_vector,
-    knn_sparsify,
     laplacian,
     smoothness,
     symmetric_eig,

@@ -47,9 +47,11 @@ DATASET_FIELDS = {
     "gaussian_mixture": {"n", "classes", "dim", "separation", "seed", "test_fraction"},
     "idx": {"images", "labels", "limit", "seed", "test_fraction"},
 }
-# each dataset field's JSON type, checked without converting the value, so a
-# config's digest keeps the values as written
+# the JSON type of each key, checked without converting the value: a bool is
+# no integer or number, and a dataset field keeps its value as written in the
+# config's digest
 _INT, _NUMBER, _STR = ("an integer", (int,)), ("a number", (int, float)), ("a string", (str,))
+_INTS = ("a list of integers", (list, tuple))
 DATASET_TYPES = {
     "n": _INT, "classes": _INT, "dim": _INT, "seed": _INT,
     "limit": ("an integer or null", (int, type(None))),
@@ -168,10 +170,7 @@ class DistillConfig:
                 raise ConfigError(
                     f"graph: k={graph.k} must lie in [1, batch_size-1] = [1, {self.batch_size - 1}]"
                 )
-        if not self.seeds:
-            raise ConfigError("config: seeds must be a non-empty list")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"config: seeds must be distinct, got {self.seeds}")
+        _check_seeds(self.seeds, "config: seeds")
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -192,27 +191,44 @@ def _require(obj: dict, key: str, context: str):
     return obj[key]
 
 
-def _cast(cast, value, key: str, context: str):
-    """``cast(value)``, or a ConfigError naming ``key`` if the value has the wrong type."""
+def _check_seeds(seeds, name: str) -> None:
+    """The seed rule, for the config's seeds, the dataset seed and the seed
+    overrides: a non-empty list of distinct non-negative integers."""
+    if not seeds:
+        raise ConfigError(f"{name} must be a non-empty list")
+    if min(seeds) < 0:
+        raise ConfigError(f"{name} must be non-negative, got {min(seeds)}")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"{name} must be distinct, got {seeds}")
+
+
+def _is(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _typed(value, kind, key: str, context: str):
+    """``value`` if its JSON type is ``kind`` (a list of integers as a tuple),
+    else a ConfigError naming ``key``."""
+    name, types = kind
+    if not _is(value, types) or (kind is _INTS and not all(_is(v, int) for v in value)):
+        raise ConfigError(f"{context}: {key} must be {name}, got {value!r}")
+    return tuple(value) if kind is _INTS else value
+
+
+def _float(value, key: str, context: str) -> float:
+    """A number key's value, stored as a float so that 1 and 1.0 digest alike."""
     try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if cast is int else "a number"
-        raise ConfigError(f"{context}: {key} must be {kind}, got {value!r}") from None
-
-
-def _int_list(value, key: str, context: str) -> tuple[int, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{context}: {key} must be a list of integers, got {value!r}")
-    return tuple(_cast(int, v, key, context) for v in value)
+        return float(_typed(value, _NUMBER, key, context))
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{context}: {key} must be a number, got {value!r}") from None
 
 
 def _parse_arch(obj, context: str) -> ArchSpec:
     if not isinstance(obj, dict):
         raise ConfigError(f"{context}: expected an object with depths and widths")
     _reject_unknown(obj, {"depths", "widths"}, context)
-    depths = _int_list(_require(obj, "depths", context), "depths", context)
-    widths = _int_list(_require(obj, "widths", context), "widths", context)
+    depths = _typed(_require(obj, "depths", context), _INTS, "depths", context)
+    widths = _typed(_require(obj, "widths", context), _INTS, "widths", context)
     try:
         return ArchSpec(depths=depths, widths=widths)
     except ConfigError as err:
@@ -242,9 +258,8 @@ def _parse_dataset(obj, context: str = "dataset") -> DatasetSpec:
             _require(params, key, context)
         params.setdefault("limit", None)
     for key, value in params.items():
-        kind, types = DATASET_TYPES[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ConfigError(f"{context}: {key} must be {kind}, got {value!r}")
+        _typed(value, DATASET_TYPES[key], key, context)
+    _check_seeds((params["seed"],), f"{context}: seed")
     return DatasetSpec(name=name, params=params)
 
 
@@ -255,10 +270,10 @@ def _parse_schedule(obj, context: str = "schedule") -> Schedule:
     _reject_unknown(obj, set(merged), context)
     merged.update(obj)
     return Schedule(
-        base_lr=_cast(float, merged["base_lr"], "base_lr", context),
-        decay_factor=_cast(float, merged["decay_factor"], "decay_factor", context),
-        milestones=_int_list(merged["milestones"], "milestones", context),
-        total_epochs=_cast(int, merged["total_epochs"], "total_epochs", context),
+        base_lr=_float(merged["base_lr"], "base_lr", context),
+        decay_factor=_float(merged["decay_factor"], "decay_factor", context),
+        milestones=_typed(merged["milestones"], _INTS, "milestones", context),
+        total_epochs=_typed(merged["total_epochs"], _INT, "total_epochs", context),
     )
 
 
@@ -266,7 +281,7 @@ def parse_config(obj: dict) -> DistillConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config: expected a JSON object at the top level")
     version = _require(obj, "version", "config")
-    if version != CONFIG_VERSION:
+    if not _is(version, int) or version != CONFIG_VERSION:
         raise ConfigError(f"config: unsupported version {version!r}, expected {CONFIG_VERSION}")
     allowed = {
         "version",
@@ -283,9 +298,9 @@ def parse_config(obj: dict) -> DistillConfig:
     }
     _reject_unknown(obj, allowed, "config")
 
-    loss = _require(obj, "loss", "config")
+    loss = _typed(_require(obj, "loss", "config"), _STR, "loss", "config")
     lambda_kd = obj.get("lambda_kd", 0.0 if loss == "vanilla" else DEFAULT_LAMBDA_KD)
-    batch_size = _cast(int, obj.get("batch_size", DEFAULT_BATCH_SIZE), "batch_size", "config")
+    batch_size = _typed(obj.get("batch_size", DEFAULT_BATCH_SIZE), _INT, "batch_size", "config")
     graph = None
     if loss == "gkd" or "graph" in obj:
         graph_obj = obj.get("graph", {})
@@ -293,9 +308,9 @@ def parse_config(obj: dict) -> DistillConfig:
             raise ConfigError("graph: expected an object")
         _reject_unknown(graph_obj, {"k", "p", "mask_mode"}, "graph")
         graph = GraphParams(
-            k=_cast(int, graph_obj.get("k", batch_size - 1), "k", "graph"),
-            p=_cast(int, graph_obj.get("p", 1), "p", "graph"),
-            mask_mode=str(graph_obj.get("mask_mode", "all")),
+            k=_typed(graph_obj.get("k", batch_size - 1), _INT, "k", "graph"),
+            p=_typed(graph_obj.get("p", 1), _INT, "p", "graph"),
+            mask_mode=_typed(graph_obj.get("mask_mode", "all"), _STR, "mask_mode", "graph"),
         )
     return DistillConfig(
         version=CONFIG_VERSION,
@@ -303,12 +318,12 @@ def parse_config(obj: dict) -> DistillConfig:
         teacher=_parse_arch(_require(obj, "teacher", "config"), "teacher"),
         student=_parse_arch(_require(obj, "student", "config"), "student"),
         loss=loss,
-        lambda_kd=_cast(float, lambda_kd, "lambda_kd", "config"),
+        lambda_kd=_float(lambda_kd, "lambda_kd", "config"),
         graph=graph,
         schedule=_parse_schedule(obj.get("schedule", {})),
         batch_size=batch_size,
-        momentum=_cast(float, obj.get("momentum", DEFAULT_MOMENTUM), "momentum", "config"),
-        seeds=_int_list(obj.get("seeds", DEFAULT_SEEDS), "seeds", "config"),
+        momentum=_float(obj.get("momentum", DEFAULT_MOMENTUM), "momentum", "config"),
+        seeds=_typed(obj.get("seeds", DEFAULT_SEEDS), _INTS, "seeds", "config"),
     )
 
 

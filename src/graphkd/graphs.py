@@ -1,22 +1,23 @@
 """Similarity graphs over batch representations, and a small spectral toolkit.
 
-Pipeline (in order): cosine_similarity_matrix -> class_mask -> knn_sparsify
--> degree_normalize -> adjacency_power.  The stages are plain-array
-functions; a masked-out entry is 0 even where the input is infinite or NaN:
-the class and top-k masks select with ``_select``, which ANDs each entry's
-bits with all ones or all zeros, so a kept entry keeps its bits (NaN, inf and
--0.0 included) and a dropped one is +0.0, exactly as ``np.where(mask, x, 0)``.
-Every graph is n x n whatever the width of its representations, so
-``build_similarity_graph`` also takes a list of taps and runs each stage once
-on their (taps, n, n) stack; one batch is the stack of one.  Given tensors,
-it records one tape node from the representations to A^p.  Its backward is
-closed form: the k-NN union W = max(kept, kept^T) of an exactly symmetric
-cosine stack keeps each entry or zeroes it, so the entries with W > 0 carry
-the gradient and every mask (ReLU, diagonal, class, top-k) is a constant.
+``build_similarity_graph`` is the one graph pipeline.  It runs the private
+stages in order, _cosine -> class_mask -> _knn -> _normalize -> _powers, on
+plain arrays.  A masked-out entry is 0 even where the input is infinite or
+NaN: the class and top-k masks select with ``_select``, which ANDs each
+entry's bits with all ones or all zeros, so a kept entry keeps its bits (NaN,
+inf and -0.0 included) and a dropped one is +0.0, exactly as
+``np.where(mask, x, 0)``.  Every graph is n x n whatever the width of its
+representations, so the pipeline also takes a list of taps and runs each
+stage once on their (taps, n, n) stack; one batch is the stack of one.
+Given tensors, it records one tape node from the representations to A^p.
+Its backward is closed form: the k-NN union W = max(kept, kept^T) of an
+exactly symmetric cosine stack keeps each entry or zeroes it, so the entries
+with W > 0 carry the gradient and every mask (ReLU, diagonal, class, top-k)
+is a constant.
 
 The spectral helpers (laplacian / smoothness / symmetric_eig / fiedler_vector)
-are plain-array utilities used on frozen graphs; the eigensolver is numpy's
-LAPACK-backed ``eigh``.
+are plain-array utilities used on frozen graphs.  They share one input check,
+``_square``, and the eigensolver is numpy's LAPACK-backed ``eigh``.
 """
 
 from __future__ import annotations
@@ -37,11 +38,7 @@ __all__ = [
     "GraphSignal",
     "SimilarityGraph",
     "MASK_MODES",
-    "cosine_similarity_matrix",
     "class_mask",
-    "knn_sparsify",
-    "degree_normalize",
-    "adjacency_power",
     "build_similarity_graph",
     "laplacian",
     "smoothness",
@@ -85,13 +82,6 @@ def _inv_sqrt(x: np.ndarray) -> np.ndarray:
     return np.where(pos, 1.0 / np.sqrt(np.where(pos, x, 1.0)), 0.0)
 
 
-def _square_matrix(m, who: str) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[1] != m.shape[0]:
-        raise ValueError(f"{who}: expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def _set_diagonal(m: np.ndarray, value) -> None:
     """Set the diagonal of every (n, n) slice of ``m`` in place."""
     diag = np.arange(m.shape[-1])
@@ -121,9 +111,9 @@ def _select(keep: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# pipeline stages.  The private helpers work on (taps, n, n) stacks, one
-# batch being the stack of one, and also return what the backward of
-# build_similarity_graph needs.
+# pipeline stages of build_similarity_graph.  They work on (taps, n, n)
+# stacks, one batch being the stack of one, and also return what its
+# backward needs.
 
 
 def _cosine(batches) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
@@ -131,14 +121,12 @@ def _cosine(batches) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     xs = [np.asarray(x, dtype=np.float64) for x in batches]
     for x in xs:
         if x.ndim != 2:
-            raise ValueError(
-                f"cosine_similarity_matrix: expected a 2-d batch, got shape {x.shape}"
-            )
+            raise ValueError(f"build_similarity_graph: expected a 2-d batch, got shape {x.shape}")
         if x.shape[0] < 2:
-            raise ValueError(f"cosine_similarity_matrix: need at least 2 rows, got {x.shape[0]}")
+            raise ValueError(f"build_similarity_graph: need at least 2 rows, got {x.shape[0]}")
         if x.shape[0] != xs[0].shape[0]:
             raise ValueError(
-                f"cosine_similarity_matrix: taps have {xs[0].shape[0]} and {x.shape[0]} rows"
+                f"build_similarity_graph: taps have {xs[0].shape[0]} and {x.shape[0]} rows"
             )
     n = xs[0].shape[0]
     sim = np.empty((len(xs), n, n))
@@ -151,14 +139,6 @@ def _cosine(batches) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
         inv_norms.append(inv_norm)
     _set_diagonal(sim, 0.0)
     return sim, units, inv_norms
-
-
-def cosine_similarity_matrix(reps) -> np.ndarray:
-    """Pairwise cosine similarity with negatives clamped to 0 and a zero diagonal.
-
-    Rows with zero norm get similarity 0 against everything.
-    """
-    return _cosine([reps])[0][0]
 
 
 def class_mask(sim, labels, mode: str):
@@ -183,7 +163,7 @@ def class_mask(sim, labels, mode: str):
 
 
 def _topk_mask(sim: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask of each row's k kept off-diagonal entries (see knn_sparsify),
+    """Boolean mask of each row's k kept off-diagonal entries (see ``_knn``),
     for k < n - 1.
 
     A row whose k-th largest entry is 0 keeps only its positive entries:
@@ -217,38 +197,27 @@ def _topk_mask(sim: np.ndarray, k: int) -> np.ndarray:
     return keep
 
 
-def _knn(sim: np.ndarray, k: int, from_cosine: bool) -> np.ndarray:
-    """k-NN union W = max(kept, kept^T) of a (taps, n, n) stack.
-
-    Set ``from_cosine`` only when ``sim`` comes from ``_cosine`` (through
-    ``class_mask``): its diagonal is then 0, and it is exactly symmetric,
-    because numpy computes U U^T as a symmetric rank-k update and mirrors it,
-    so at k = n - 1 the union is ``sim`` itself.
-    """
-    n = sim.shape[-1]
-    k = int(k)
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"knn_sparsify: k={k} outside the valid range [1, {n - 1}]")
-    if k == n - 1:  # every off-diagonal entry is kept
-        if from_cosine:
-            return sim
-        kept = sim.copy()
-        _set_diagonal(kept, 0.0)
-    else:
-        kept = _select(_topk_mask(sim, k), sim)
-    return np.maximum(kept, _swap(kept))
-
-
-def knn_sparsify(sim, k: int) -> np.ndarray:
-    """Keep each row's k largest off-diagonal entries and symmetrize by union.
+def _knn(sim: np.ndarray, k: int) -> np.ndarray:
+    """Keep each row's k largest off-diagonal entries of a (taps, n, n) stack
+    and symmetrize by union.
 
     Each row ranks its off-diagonal entries by value, highest first, with NaN
     below every number (``-inf`` included), and keeps the first k; equal
     values (and NaN against NaN) go to the lower column index first.  The
     diagonal is never kept.  The union W = np.maximum(kept, kept^T)
-    propagates NaN.
+    propagates NaN.  At k = n - 1 the union is ``sim`` itself: ``_cosine``
+    (through ``class_mask``) gives a zero diagonal and an exactly symmetric
+    stack, because numpy computes U U^T as a symmetric rank-k update and
+    mirrors it.
     """
-    return _knn(_square_matrix(sim, "knn_sparsify")[None], k, from_cosine=False)[0]
+    n = sim.shape[-1]
+    k = int(k)
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"build_similarity_graph: k={k} outside the valid range [1, {n - 1}]")
+    if k == n - 1:  # every off-diagonal entry is kept
+        return sim
+    kept = _select(_topk_mask(sim, k), sim)
+    return np.maximum(kept, _swap(kept))
 
 
 def _normalize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,27 +230,15 @@ def _normalize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, inv_sqrt
 
 
-def degree_normalize(weights) -> np.ndarray:
-    """Return A = D^-1/2 W D^-1/2; zero-degree nodes map to all-zero rows/columns."""
-    return _normalize(_weights_array(weights))[0]
-
-
 def _powers(adjacency: np.ndarray, p: int) -> list[np.ndarray]:
     """Return [A, A^2, ..., A^p], each power the previous one times A."""
     p = int(p)
     if p < 1:
-        raise ValueError(f"adjacency_power: p must be a positive integer, got {p}")
+        raise ValueError(f"build_similarity_graph: p must be a positive integer, got {p}")
     powers = [adjacency]
     for _ in range(p - 1):
         powers.append(powers[-1] @ adjacency)
     return powers
-
-
-def adjacency_power(adjacency, p: int):
-    """Left-associated matrix power A^p; p=1 returns the input unchanged."""
-    if int(p) == 1:
-        return adjacency
-    return _powers(_square_matrix(adjacency, "adjacency_power"), p)[-1]
 
 
 def build_similarity_graph(
@@ -308,9 +265,8 @@ def build_similarity_graph(
     taped = any(isinstance(t, Tensor) for t in taps)
     sim, units, inv_norms = _cosine([t.data if isinstance(t, Tensor) else t for t in taps])
     sim = class_mask(sim, labels, mask_mode)
-    w = _knn(sim, k, from_cosine=True)
+    w = _knn(sim, k)
     del sim  # the backward does not read it
-    # knn_sparsify's output is symmetric and non-negative, so skip degree_normalize's checks
     a, inv_sqrt = _normalize(w)
     powers = _powers(a, p)
     graph = SimilarityGraph(
@@ -359,21 +315,22 @@ def build_similarity_graph(
 # spectral toolkit (plain arrays)
 
 
-def _weights_array(w) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    n = w.shape[0]
-    if w.ndim != 2 or w.shape[1] != n:
-        raise ValueError(f"expected a square weight matrix, got shape {w.shape}")
-    if np.max(np.abs(w - w.T), initial=0.0) > 1e-12:
-        raise ValueError("weight matrix is not symmetric")
-    if np.any(w < 0):
-        raise ValueError("weight matrix has negative entries")
-    return w
+def _square(m, who: str, symmetric: bool = False) -> np.ndarray:
+    """``m`` as a float64 square matrix, else a ValueError naming ``who``; with
+    ``symmetric``, also symmetric within 1e-12."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{who}: expected a square matrix, got shape {m.shape}")
+    if symmetric and np.max(np.abs(m - m.T), initial=0.0) > 1e-12:
+        raise ValueError(f"{who}: matrix is asymmetric beyond 1e-12")
+    return m
 
 
 def laplacian(weights) -> np.ndarray:
     """Combinatorial graph Laplacian L = D - W."""
-    w = _weights_array(weights)
+    w = _square(weights, "laplacian", symmetric=True)
+    if np.any(w < 0):
+        raise ValueError("laplacian: weight matrix has negative entries")
     return np.diag(w.sum(axis=1)) - w
 
 
@@ -383,11 +340,9 @@ def smoothness(lap, signal) -> float:
     The edge-sum form is algebraically identical for a combinatorial
     Laplacian and returns exactly 0.0 for constant signals.
     """
-    lap = np.asarray(lap, dtype=np.float64)
+    lap = _square(lap, "smoothness")
     s = signal.s if isinstance(signal, GraphSignal) else np.asarray(signal, dtype=np.float64)
     n = lap.shape[0]
-    if lap.ndim != 2 or lap.shape[1] != n:
-        raise ValueError(f"smoothness: expected a square Laplacian, got shape {lap.shape}")
     if s.shape != (n,):
         raise ValueError(f"smoothness: signal shape {s.shape} does not match graph size {n}")
     w_off = -lap.copy()
@@ -402,13 +357,7 @@ def symmetric_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     Returns (eigenvalues, eigenvectors) with eigenvalues ascending and
     eigenvectors in the matching columns.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    n = m.shape[0]
-    if m.ndim != 2 or m.shape[1] != n:
-        raise ValueError(f"symmetric_eig: expected a square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.T), initial=0.0) > 1e-12:
-        raise ValueError("symmetric_eig: matrix is asymmetric beyond 1e-12")
-    return np.linalg.eigh(m)
+    return np.linalg.eigh(_square(matrix, "symmetric_eig", symmetric=True))
 
 
 def fiedler_vector(lap) -> GraphSignal:
@@ -418,10 +367,9 @@ def fiedler_vector(lap) -> GraphSignal:
     is positive.  For disconnected graphs the eigenvalue is degenerate and
     the eigensolver's deterministic choice is returned as-is.
     """
-    lap = np.asarray(lap, dtype=np.float64)
-    n = lap.shape[0]
-    if n < 2:
-        raise ValueError(f"fiedler_vector: need at least 2 nodes, got {n}")
+    lap = _square(lap, "fiedler_vector")  # symmetric_eig checks the symmetry
+    if lap.shape[0] < 2:
+        raise ValueError(f"fiedler_vector: need at least 2 nodes, got {lap.shape[0]}")
     _, vecs = symmetric_eig(lap)
     vec = vecs[:, 1].copy()
     vec /= np.linalg.norm(vec)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import concentration_report, consistency_curve, spectral_report
-from .config import ConfigError, DistillConfig, config_digest
+from .config import ConfigError, DistillConfig, _check_seeds, config_digest
 from .datasets import (
     DataSplit,
     gen_gaussian_mixture,
@@ -165,6 +165,7 @@ def run_train_teacher(config: DistillConfig, out_dir, seed: int | None = None) -
     """Train the teacher architecture on the task loss alone; returns the checkpoint path."""
     out_dir = Path(out_dir)
     seed = config.seeds[0] if seed is None else int(seed)
+    _check_seeds((seed,), "--seed")
     split = build_split(config)
     teacher_cfg = replace(config, loss="vanilla", lambda_kd=0.0, graph=None)
     net = build_net(config, "teacher", split, seed)
@@ -213,6 +214,7 @@ def run_distill(
     """Train one student per seed under the configured loss; aggregate medians."""
     out_dir = Path(out_dir)
     seeds = tuple(int(s) for s in (seeds if seeds is not None else config.seeds))
+    _check_seeds(seeds, "--seeds")  # an override keeps the manifest's config as it is
     split = build_split(config)
     teacher = _load_teacher(config, teacher_path, split)
 
@@ -309,6 +311,7 @@ def run_analyze(
 ) -> Path:
     """Loss-concentration and probe-consistency report for one student."""
     out_dir = Path(out_dir)
+    _check_seeds((seed,), "--seed")
     split = build_split(config)
     teacher = _require_checkpoint(teacher_path, "teacher")
     student = _require_checkpoint(student_path, "student")
@@ -361,6 +364,7 @@ def run_spectral(
 ) -> Path:
     """Smoothness curves for one or more students against a common teacher."""
     out_dir = Path(out_dir)
+    _check_seeds((seed,), "--seed")
     split = build_split(config)
     teacher = _require_checkpoint(teacher_path, "teacher")
     students = {
@@ -399,6 +403,7 @@ def run_dump_graph(
 ) -> Path:
     """Build one tap's similarity graph on a sample and write its edge list."""
     out_dir = Path(out_dir)
+    _check_seeds((seed,), "--seed")
     split = build_split(config)
     net = _require_checkpoint(checkpoint_path, "network")
     n = min(int(sample_size), len(split.train))

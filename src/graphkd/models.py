@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, record
-from .config import ArchSpec
+from .config import _INT, _INTS, ArchSpec, _is, _typed
 
 __all__ = [
     "BlockNet",
@@ -231,7 +231,8 @@ def load_checkpoint(path) -> BlockNet:
     if not isinstance(header, dict):
         raise ValueError(f"checkpoint {path}: header is not a JSON object")
     version = header.get("format_version")
-    if version != CHECKPOINT_FORMAT_VERSION:
+    # JSON true and 1.0 compare equal to 1, so check the type too
+    if not _is(version, int) or version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(
             f"checkpoint {path}: format version {version!r} is not supported "
             f"(expected {CHECKPOINT_FORMAT_VERSION})"
@@ -240,11 +241,8 @@ def load_checkpoint(path) -> BlockNet:
     if missing:
         raise ValueError(f"checkpoint {path}: header missing fields {sorted(missing)}")
     for key in ("depths", "widths", "input_dim", "classes"):
-        value = header[key]
-        listed = key in ("depths", "widths")
-        if listed != isinstance(value, list) or not all(map(_is_int, value if listed else [value])):
-            kind = "a list of integers" if listed else "an integer"
-            raise ValueError(f"checkpoint {path}: header field {key!r} must be {kind}, got {value!r}")
+        kind = _INTS if key in ("depths", "widths") else _INT
+        _typed(header[key], kind, f"header field {key!r}", f"checkpoint {path}")
 
     net = build_blocknet(
         header["depths"], header["widths"], header["input_dim"], header["classes"], seed=0
@@ -262,10 +260,6 @@ def load_checkpoint(path) -> BlockNet:
         p.data = flat[offset : offset + count].astype(np.float64).reshape(p.data.shape)
         offset += count
     return net
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def checkpoint_digest(path) -> str:

@@ -2,7 +2,8 @@
 
 The pipeline is checked two ways: frozen hand-worked values on tiny inputs,
 and equivalence with the loop-based reference in ``_oracles`` on random
-batches.
+batches.  Its stages are private helpers of ``build_similarity_graph``;
+the stage tests call them on one (n, n) matrix through the wrappers below.
 """
 
 import csv
@@ -15,16 +16,15 @@ from numpy.testing import assert_allclose, assert_array_equal
 from graphkd.autodiff import Tensor, backward
 from graphkd.graphs import (
     GraphParams,
+    _cosine,
     _knn,
+    _normalize,
+    _powers,
     _select,
-    adjacency_power,
     build_similarity_graph,
     class_mask,
-    cosine_similarity_matrix,
-    degree_normalize,
     dump_graph_csv,
     fiedler_vector,
-    knn_sparsify,
     laplacian,
     smoothness,
     symmetric_eig,
@@ -42,22 +42,37 @@ PATH_W = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 PATH_L = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
 
 
+def cosine(reps):
+    """The cosine stage on one batch."""
+    return _cosine([reps])[0][0]
+
+
+def knn(sim, k):
+    """The k-NN stage on one matrix."""
+    return _knn(np.asarray(sim, dtype=np.float64)[None], k)[0]
+
+
+def normalize(w):
+    """The degree-normalization stage on one W."""
+    return _normalize(np.asarray(w, dtype=np.float64))[0]
+
+
 class TestCosine:
     def test_known_pair(self):
-        sim = cosine_similarity_matrix(np.array([[1.0, 0.0], [1.0, 1.0]]))
+        sim = cosine(np.array([[1.0, 0.0], [1.0, 1.0]]))
         assert_allclose(sim[0, 1], 0.7071067811865475, atol=1e-12)
         assert sim[0, 1] == sim[1, 0]
 
     def test_diagonal_is_zero(self):
-        sim = cosine_similarity_matrix(np.random.default_rng(0).normal(size=(5, 3)))
+        sim = cosine(np.random.default_rng(0).normal(size=(5, 3)))
         assert_array_equal(np.diag(sim), np.zeros(5))
 
     def test_negative_similarity_clamped(self):
-        sim = cosine_similarity_matrix(np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        sim = cosine(np.array([[1.0, 0.0], [-1.0, 0.0]]))
         assert sim[0, 1] == 0.0
 
     def test_zero_row_gets_zero_similarity(self):
-        sim = cosine_similarity_matrix(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]))
+        sim = cosine(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]))
         assert_array_equal(sim[0], np.zeros(3))
         assert_array_equal(sim[:, 0], np.zeros(3))
         assert sim[1, 2] > 0
@@ -66,7 +81,7 @@ class TestCosine:
         # the pipeline takes the cosine stage's symmetry as given at dense k
         rng = np.random.default_rng(8)
         for n, d in ((5, 1), (128, 2), (128, 8), (128, 64), (256, 8)):
-            sim = cosine_similarity_matrix(rng.normal(size=(n, d)))
+            sim = cosine(rng.normal(size=(n, d)))
             assert_array_equal(sim, sim.T)
             graph = build_similarity_graph([rng.normal(size=(n, d))] * 2, k=n - 1)
             assert_array_equal(graph.weights, np.swapaxes(graph.weights, -1, -2))
@@ -74,7 +89,7 @@ class TestCosine:
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(3)
         reps = rng.normal(size=(8, 4))
-        assert_allclose(cosine_similarity_matrix(reps), oracle_cosine(reps), atol=1e-13)
+        assert_allclose(cosine(reps), oracle_cosine(reps), atol=1e-13)
 
 
 class TestClassMask:
@@ -166,7 +181,7 @@ class TestKnn:
                 [0.1, 0.1, 0.1, 0.0],
             ]
         )
-        w = knn_sparsify(sim, k=1)
+        w = knn(sim, k=1)
         assert w[0, 1] == 0.5
         # the 0->2 direction is dropped, but 2 keeps 0 as ITS neighbour, and
         # the union makes the edge symmetric again
@@ -180,7 +195,7 @@ class TestKnn:
                 [0.1, 0.8, 0.0],
             ]
         )
-        w = knn_sparsify(sim, k=1)
+        w = knn(sim, k=1)
         # node 2 keeps edge to 1; node 1 keeps only 0; union keeps both
         assert w[1, 2] == 0.8 and w[2, 1] == 0.8
         assert_array_equal(w, w.T)
@@ -188,14 +203,14 @@ class TestKnn:
     def test_k_bounds(self):
         sim = np.zeros((4, 4))
         with pytest.raises(ValueError):
-            knn_sparsify(sim, 0)
+            knn(sim, 0)
         with pytest.raises(ValueError):
-            knn_sparsify(sim, 4)
+            knn(sim, 4)
 
     def test_full_k_keeps_everything(self):
         rng = np.random.default_rng(2)
         sim = oracle_cosine(rng.normal(size=(6, 3)))
-        w = knn_sparsify(sim, k=5)
+        w = knn(sim, k=5)
         assert_array_equal(w, sim)
 
     def test_matches_loop_reference(self):
@@ -203,12 +218,14 @@ class TestKnn:
         for k in (1, 2, 4):
             reps = separated_reps(rng, 7, 3, k)
             sim = oracle_cosine(reps)
-            assert_allclose(knn_sparsify(sim, k), oracle_topk_union(sim, k), atol=0)
+            assert_allclose(knn(sim, k), oracle_topk_union(sim, k), atol=0)
 
 
-def _assert_matches_oracle_for_every_k(sim):
-    for k in range(1, sim.shape[0]):
-        assert_allclose(knn_sparsify(sim, k), oracle_topk_union(sim, k), atol=0)
+def _assert_matches_oracle_for_every_k(sim, dense=True):
+    """Every k from 1 to n - 1; without ``dense``, up to n - 2, for a ``sim``
+    that does not come from the cosine stage (its k = n - 1 returns ``sim``)."""
+    for k in range(1, sim.shape[0] - (0 if dense else 1)):
+        assert_allclose(knn(sim, k), oracle_topk_union(sim, k), atol=0)
 
 
 class TestKnnProperties:
@@ -218,25 +235,25 @@ class TestKnnProperties:
         rng = np.random.default_rng(71)
         reps = rng.normal(size=(5, 3))
         reps = reps[[0, 1, 0, 2, 1, 3, 4, 0]]  # rows 0, 2, 7 and 1, 4 coincide
-        _assert_matches_oracle_for_every_k(cosine_similarity_matrix(reps))
+        _assert_matches_oracle_for_every_k(cosine(reps))
 
     def test_equal_similarities_tie(self):
         rng = np.random.default_rng(72)
         for _ in range(20):
             sim = rng.integers(0, 3, size=(7, 7)) / 2.0
-            _assert_matches_oracle_for_every_k(sim)  # asymmetric
-            _assert_matches_oracle_for_every_k(np.maximum(sim, sim.T))
+            _assert_matches_oracle_for_every_k(sim, dense=False)  # asymmetric
+            _assert_matches_oracle_for_every_k(np.maximum(sim, sim.T), dense=False)
 
     def test_all_zero_rows(self):
-        sim = cosine_similarity_matrix(np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [2.0, 0.5]]))
+        sim = cosine(np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [2.0, 0.5]]))
         assert_array_equal(sim[0], np.zeros(4))
         _assert_matches_oracle_for_every_k(sim)
 
     def test_single_class_inter_class_mask_gives_empty_graph(self):
-        sim = cosine_similarity_matrix(np.random.default_rng(73).normal(size=(6, 3)))
+        sim = cosine(np.random.default_rng(73).normal(size=(6, 3)))
         masked = class_mask(sim, np.zeros(6, dtype=int), "inter_class")
         _assert_matches_oracle_for_every_k(masked)
-        assert_array_equal(knn_sparsify(masked, 2), np.zeros((6, 6)))
+        assert_array_equal(knn(masked, 2), np.zeros((6, 6)))
 
     def test_rows_whose_kth_key_is_zero(self):
         # dead-ReLU rows, and a single-class batch under the inter_class mask:
@@ -248,7 +265,7 @@ class TestKnnProperties:
         reps[[1, 4, 7]] = 0.0
         two_class = (np.arange(n) >= 7).astype(int)
         for labels in (np.zeros(n, dtype=int), two_class):
-            sim = class_mask(cosine_similarity_matrix(reps), labels, "inter_class")
+            sim = class_mask(cosine(reps), labels, "inter_class")
             off = sim[~np.eye(n, dtype=bool)].reshape(n, n - 1)
             for k in range(1, n - 1):
                 kth = -np.sort(-off, axis=1)[:, k - 1]
@@ -265,29 +282,20 @@ class TestKnnProperties:
                 assert np.all(np.isfinite(x.grad))
                 assert_array_equal(x.grad[[1, 4, 7]], 0.0)
 
-    def test_asymmetric_input_at_dense_k_is_union_symmetrized(self):
-        rng = np.random.default_rng(74)
-        sim = rng.uniform(size=(6, 6))
-        w = knn_sparsify(sim, 5)
-        expected = np.maximum(sim, sim.T)
-        np.fill_diagonal(expected, 0.0)
-        assert_array_equal(w, expected)
-        assert_array_equal(w, oracle_topk_union(sim, 5))
-
     def test_negative_infinity_entries(self):
         rng = np.random.default_rng(75)
         for _ in range(20):
             sim = rng.uniform(size=(6, 6))
             sim[rng.uniform(size=(6, 6)) < 0.4] = -np.inf
             sim[0, 1:] = -np.inf  # one row with no finite candidate
-            _assert_matches_oracle_for_every_k(sim)
-            _assert_matches_oracle_for_every_k(np.maximum(sim, sim.T))
+            _assert_matches_oracle_for_every_k(sim, dense=False)
+            _assert_matches_oracle_for_every_k(np.maximum(sim, sim.T), dense=False)
 
     def test_diagonal_is_never_kept(self):
         sim = np.full((4, 4), -np.inf)
         np.fill_diagonal(sim, 5.0)
-        for k in (1, 2, 3):
-            w = knn_sparsify(sim, k)
+        for k in (1, 2):
+            w = knn(sim, k)
             assert_array_equal(np.diag(w), np.zeros(4))
             assert_array_equal(w, oracle_topk_union(sim, k))
 
@@ -309,66 +317,60 @@ class TestKnnProperties:
                 [0.0, 0.4, 0.0, 0.0],
             ]
         )
-        assert_array_equal(knn_sparsify(sim, 2), expected)
+        assert_array_equal(knn(sim, 2), expected)
 
 
 class TestNormalize:
     def test_triangle_graph(self):
         w = np.ones((3, 3)) - np.eye(3)
-        a = degree_normalize(w)
+        a = normalize(w)
         assert_allclose(a, (np.ones((3, 3)) - np.eye(3)) / 2.0, atol=1e-15)
         vals, _ = symmetric_eig(a)
         assert_allclose(sorted(vals), [-0.5, -0.5, 1.0], atol=1e-10)
 
     def test_two_node_graph_power_two_is_identity(self):
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
-        a = degree_normalize(w)
+        a = normalize(w)
         assert_array_equal(a, w)
-        a2 = adjacency_power(a, 2)
+        a2 = _powers(a, 2)[-1]
         assert_allclose(a2, np.eye(2), atol=1e-15)
 
     def test_isolated_node_row_stays_zero(self):
         w = np.zeros((3, 3))
         w[0, 1] = w[1, 0] = 2.0
-        a = degree_normalize(w)
+        a = normalize(w)
         assert_array_equal(a[2], np.zeros(3))
         assert_array_equal(a[:, 2], np.zeros(3))
         assert_allclose(a[0, 1], 1.0)
-
-    def test_rejects_asymmetric(self):
-        w = np.array([[0.0, 1.0], [0.5, 0.0]])
-        with pytest.raises(ValueError, match="symmetric"):
-            degree_normalize(w)
-
-    def test_rejects_negative(self):
-        w = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        with pytest.raises(ValueError):
-            degree_normalize(w)
 
     def test_spectrum_lies_in_unit_interval(self):
         rng = np.random.default_rng(8)
         for _ in range(5):
             reps = rng.normal(size=(10, 4))
-            g = build_similarity_graph(reps, k=3)
-            vals, _ = symmetric_eig(degree_normalize(g.weights))
+            g = build_similarity_graph(reps, k=3)  # p = 1: the adjacency is A itself
+            assert_array_equal(g.adjacency, normalize(g.weights))
+            vals, _ = symmetric_eig(g.adjacency)
             assert vals.min() >= -1.0 - 1e-10
             assert vals.max() <= 1.0 + 1e-10
 
 
 class TestPower:
     def test_p_one_returns_input_unchanged(self):
-        a = Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert adjacency_power(a, 1) is a
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        powers = _powers(a, 1)
+        assert len(powers) == 1 and powers[0] is a
 
     def test_p_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            adjacency_power(np.eye(2), 0)
+        with pytest.raises(ValueError, match="build_similarity_graph: p must be"):
+            _powers(np.eye(2), 0)
 
     def test_left_associated_power(self):
         rng = np.random.default_rng(4)
         m = rng.normal(size=(4, 4))
         m = (m + m.T) / 2
-        assert_allclose(adjacency_power(m, 3), m @ m @ m, atol=1e-12)
+        powers = _powers(m, 3)
+        assert_array_equal(powers[1], m @ m)
+        assert_array_equal(powers[2], (m @ m) @ m)
 
 
 class TestPipeline:
@@ -490,9 +492,9 @@ class TestStack:
             for row in range(0, n, 3):
                 short[row, rng.integers(0, k) :] = np.nan
             stack = np.stack([mixed, plain, short])
-            w = _knn(stack, k, from_cosine=False)
+            w = _knn(stack, k)
             for sim, w_slice in zip(stack, w):
-                assert_array_equal(w_slice, knn_sparsify(sim, k))
+                assert_array_equal(w_slice, knn(sim, k))
                 assert_allclose(w_slice, oracle_topk_union(sim, k), atol=0)
             off = mixed[~np.eye(n, dtype=bool)].reshape(n, n - 1)
             kth = -np.sort(-off, axis=1)[:, k - 1 : k]
@@ -522,16 +524,6 @@ class TestStack:
                 one = build_similarity_graph(single, k=k, p=p, mask_mode=mode, labels=self.LABELS)
                 backward(total(mul(one.adjacency_tensor, up)))
                 assert_array_equal(x.grad, single.grad)
-
-    def test_dense_pipeline_matches_public_stages(self):
-        # the pipeline skips knn_sparsify's diagonal masking at k = n - 1,
-        # because the cosine stage has already zeroed the diagonal
-        rng = np.random.default_rng(64)
-        reps = rng.normal(size=(self.N, 4))
-        w = knn_sparsify(cosine_similarity_matrix(reps), self.N - 1)
-        graph = build_similarity_graph([reps, reps], k=self.N - 1, p=2)
-        assert_array_equal(graph.weights[1], w)
-        assert_array_equal(graph.adjacency[0], adjacency_power(degree_normalize(w), 2))
 
     def test_taps_must_share_the_batch(self):
         with pytest.raises(ValueError, match="rows"):
@@ -593,6 +585,25 @@ class TestSpectral:
     def test_laplacian_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             laplacian(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+    def test_laplacian_rejects_asymmetric_weights(self):
+        with pytest.raises(ValueError, match="laplacian: matrix is asymmetric"):
+            laplacian(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    # every spectral function takes one square matrix, and names itself when
+    # it gets another shape
+    SPECTRAL = {
+        "laplacian": laplacian,
+        "smoothness": lambda m: smoothness(m, np.zeros(2)),
+        "symmetric_eig": symmetric_eig,
+        "fiedler_vector": fiedler_vector,
+    }
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2), (2, 3)], ids=["0d", "1d", "3d", "2x3"])
+    @pytest.mark.parametrize("name", list(SPECTRAL))
+    def test_non_square_input_rejected(self, name, shape):
+        with pytest.raises(ValueError, match=f"^{name}: expected a square matrix"):
+            self.SPECTRAL[name](np.zeros(shape))
 
     def test_fiedler_sign_convention(self):
         vec = fiedler_vector(PATH_L).s

@@ -617,6 +617,22 @@ class TestCliEndToEnd:
                     "graph: k must be an integer"),
         "noise": ({"dataset": {"name": "two_arcs", "n": 80, "noise": "x"}},
                   "dataset: noise must be a number"),
+        # a number of the wrong JSON type is rejected, not converted
+        "batch_size_fraction": ({"batch_size": 20.9}, "config: batch_size must be an integer"),
+        "batch_size_string": ({"batch_size": "64"}, "config: batch_size must be an integer"),
+        "seeds_fractions": ({"seeds": [1.5, 2.2]}, "config: seeds must be a list of integers"),
+        "seeds_bool": ({"seeds": [True]}, "config: seeds must be a list of integers"),
+        "depths_fraction": ({"teacher": {"depths": [1.7], "widths": [12]}},
+                            "teacher: depths must be a list of integers"),
+        "widths_bool": ({"teacher": {"depths": [1], "widths": [True]}},
+                        "teacher: widths must be a list of integers"),
+        "total_epochs_fraction": ({"schedule": {"total_epochs": 2.9}},
+                                  "schedule: total_epochs must be an integer"),
+        "graph_k_fraction": ({"loss": "gkd", "lambda_kd": 1.0, "graph": {"k": 3.5}},
+                             "graph: k must be an integer"),
+        "momentum_string": ({"momentum": "0.5"}, "config: momentum must be a number"),
+        "lambda_kd_bool": ({"loss": "rkdd", "lambda_kd": True},
+                           "config: lambda_kd must be a number"),
     }
 
     @pytest.mark.parametrize("case", list(WRONG_TYPES))
@@ -627,6 +643,66 @@ class TestCliEndToEnd:
         assert main(["train-teacher", "--config", str(config_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and fragment in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    # a seed that breaks the seed rule (non-empty, distinct, non-negative) in
+    # the config or a command-line override: config overrides, command
+    # arguments, and a fragment of the one error line
+    BAD_SEEDS = {
+        "config_seeds_negative": ({"seeds": [-1]}, ["train-teacher"],
+                                  "config: seeds must be non-negative, got -1"),
+        "dataset_seed_negative": (
+            {"dataset": {"name": "two_arcs", "n": 80, "seed": -2}}, ["train-teacher"],
+            "dataset: seed must be non-negative, got -2"),
+        "seed_negative": ({}, ["train-teacher", "--seed=-4"],
+                          "--seed must be non-negative, got -4"),
+        "seeds_negative": ({}, ["distill", "--seeds=-4"], "--seeds must be non-negative, got -4"),
+        "seeds_repeated": ({}, ["distill", "--seeds", "1,1"],
+                           "--seeds must be distinct, got (1, 1)"),
+        "seeds_empty": ({}, ["distill", "--seeds", ","], "--seeds must be a non-empty list"),
+        "sample_seed_negative": ({}, ["dump-graph", "--checkpoint", "{ckpt}", "--seed=-1"],
+                                 "--seed must be non-negative, got -1"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_SEEDS))
+    def test_seed_rule_exits_two(self, tmp_path, capsys, case):
+        overrides, argv, fragment = self.BAD_SEEDS[case]
+        config_path = write_config(tmp_path, **overrides)
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(build_blocknet((1, 1), (4, 4), input_dim=3, classes=2, seed=1), ckpt)
+        out = tmp_path / "out"
+        command, *args = argv
+        code = main([command, "--config", str(config_path), "--out", str(out),
+                     *(arg.format(ckpt=ckpt) for arg in args)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and fragment in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    # dump-graph arguments that the graph pipeline rejects: the error names
+    # build_similarity_graph, the one public function of that path
+    @pytest.mark.parametrize("argv, fragment", [
+        (["--k", "0"], "k=0 outside the valid range"),
+        (["--p", "0"], "p must be a positive integer"),
+        (["--sample", "1"], "need at least 2 rows"),
+    ], ids=["k0", "p0", "sample1"])
+    def test_dump_graph_errors_name_build_similarity_graph(
+        self, tmp_path, capsys, argv, fragment
+    ):
+        config_path = write_config(tmp_path)
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(build_blocknet((1, 1), (4, 4), input_dim=3, classes=2, seed=1), ckpt)
+        out = tmp_path / "out"
+        code = main(["dump-graph", "--config", str(config_path), "--out", str(out),
+                     "--checkpoint", str(ckpt), *argv])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: build_similarity_graph: ") and fragment in err
+        for gone in ("cosine_similarity_matrix", "knn_sparsify", "degree_normalize",
+                     "adjacency_power"):
+            assert gone not in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 

@@ -1,5 +1,6 @@
 """Stand-ins for a linter's unused-import, dead-code and stale-export rules over the
-package's modules."""
+package's modules, and a check that every public function or class has a caller
+beyond the tests."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "graphkd"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SOURCES = sorted(PACKAGE.glob("*.py"))
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,6 +42,19 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def read_names(tree: ast.AST) -> set[str]:
+    """Every name that ``tree`` reads, imports or reaches as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
 def dead_private_definitions(sources: dict[str, str]) -> list[str]:
     """``module:name`` for each module-level private function, class or constant
     (a ``_name``, not a ``__dunder__``) that no module of ``sources`` reads,
@@ -58,13 +73,7 @@ def dead_private_definitions(sources: dict[str, str]) -> list[str]:
                 continue
             defined += [(module, name) for name in names
                         if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.add(node.name)
+        referenced |= read_names(tree)
     return [f"{module}:{name}" for module, name in defined if name not in referenced]
 
 
@@ -110,3 +119,36 @@ def test_check_flags_a_stale_export():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_stale_exports(path):
     assert stale_exports(path.read_text()) == []
+
+
+def public_definitions_only_tests_call(
+    sources: dict[str, str], readers: dict[str, str]
+) -> list[str]:
+    """``module:name`` for each public module-level function or class of
+    ``sources`` that no module but ``__init__.py`` reads, and no module of
+    ``readers`` (the acceptance tests) reads either: code that only unit tests
+    call."""
+    modules = {name: ast.parse(source) for name, source in sources.items() if name != "__init__.py"}
+    referenced = set()
+    for tree in [*modules.values(), *(ast.parse(source) for source in readers.values())]:
+        referenced |= read_names(tree)
+    return [f"{module}:{node.name}" for module, tree in modules.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in referenced]
+
+
+def test_check_flags_a_public_definition_only_tests_call():
+    sources = {
+        "__init__.py": "from .a import Spare, helper, stage, used\n",
+        "a.py": "def stage():\n    return 1\ndef helper():\n    return stage()\n"
+                "def used():\n    pass\nclass Spare:\n    pass\ndef _private():\n    pass\n",
+        "b.py": "from .a import helper\n",
+    }
+    readers = {"test_acceptance.py": "from graphkd.a import used\n"}
+    assert public_definitions_only_tests_call(sources, readers) == ["a.py:Spare"]
+
+
+def test_no_public_definition_that_only_tests_call():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    readers = {ACCEPTANCE.name: ACCEPTANCE.read_text()}
+    assert public_definitions_only_tests_call(sources, readers) == []

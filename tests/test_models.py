@@ -254,10 +254,11 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         header, payload = path.read_bytes().split(b"\n", 1)
         meta = json.loads(header)
-        meta["format_version"] = 99
-        path.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
-        with pytest.raises(ValueError, match="version"):
-            load_checkpoint(path)
+        for version in (99, True, 1.0):  # JSON true and 1.0 compare equal to 1
+            meta["format_version"] = version
+            path.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+            with pytest.raises(ValueError, match="version"):
+                load_checkpoint(path)
 
     def test_rejects_truncated_payload(self, tmp_path):
         net = build_blocknet((1,), (4,), 2, 2, seed=0)
