@@ -47,11 +47,24 @@ def _keep_freed_heap() -> None:
 
 
 def _int_list(raw: str) -> list[int]:
-    return [int(part) for part in raw.split(",") if part != ""]
+    try:
+        return [int(part) for part in raw.split(",") if part != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {raw!r}"
+        ) from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors reach ``main`` as one-line messages,
+    instead of a usage block and an exit; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="graphkd",
         description="Knowledge distillation through latent-space similarity graphs.",
     )
@@ -112,9 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _keep_freed_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args.config)
         if args.command == "train-teacher":
             ckpt = run_train_teacher(config, args.out, seed=args.seed)

@@ -345,8 +345,10 @@ def run_analyze(
         {
             "command": "analyze",
             "config_digest": config_digest(config),
-            "teacher": str(teacher_path),
-            "student": str(student_path),
+            "checkpoint_digests": {
+                "teacher": checkpoint_digest(teacher_path),
+                "student": checkpoint_digest(student_path),
+            },
             "consistency": dict(zip(curve.taps, curve.fractions)),
         },
     )

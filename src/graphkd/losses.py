@@ -12,7 +12,8 @@ Conventions:
 * RKD-D compares Huber-smoothed, mean-normalized pairwise distances over
   ordered pairs (x != x'), summed over taps and divided by the pair count.
   Each tap's term is one tape node with a closed-form backward; the pairwise
-  distances themselves are a plain-array function.
+  distances themselves are a plain-array function.  One clip of the
+  difference to [-1, 1] gives both the Huber penalty and its slope.
 * GKD is the raw squared Frobenius distance between degree-normalized
   adjacencies, summed over taps (no normalization; lambda absorbs scale).
   A stacked graph carries every tap, so the sum over taps is one term, and
@@ -35,7 +36,6 @@ __all__ = [
     "gkd_loss",
     "per_example_gkd",
     "per_example_rkdd",
-    "normalized_pairwise_distances",
 ]
 
 
@@ -73,18 +73,21 @@ def task_loss(logits, labels) -> Tensor:
 
 
 def _huber(d: np.ndarray) -> np.ndarray:
-    """Elementwise Huber penalty with delta=1 on differences ``d``."""
-    return np.where(np.abs(d) <= 1.0, (d * d) * 0.5, np.abs(d) - 0.5)
+    """Elementwise Huber penalty with delta=1 on differences ``d``; the clip is its slope."""
+    c = np.clip(d, -1.0, 1.0)
+    return c * (d - c * 0.5)
 
 
 def _distances(reps) -> tuple[np.ndarray, np.ndarray, float]:
-    """Return (normalized distances, distances, mean distance) of a batch."""
+    """Return (normalized distances, distances, mean distance) of a batch; the
+    normalized ones are divided by the mean over i != j, or 0 if all coincide."""
     x = np.asarray(reps, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"pairwise distances: expected a 2-d batch, got shape {x.shape}")
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"pairwise distances: need at least 2 rows, got {n}")
+    x = np.ascontiguousarray(x)  # numpy's syrk path then gives an exactly symmetric gram
     gram = x @ x.T
     sq = np.diag(gram).copy()
     dist = sq[None, :] + sq[:, None]
@@ -97,31 +100,24 @@ def _distances(reps) -> tuple[np.ndarray, np.ndarray, float]:
     return dist / mean, dist, mean
 
 
-def normalized_pairwise_distances(reps) -> np.ndarray:
-    """Pairwise L2 distances divided by their mean over ordered pairs (i != j).
-
-    Returns an n x n array with a zero diagonal.  If the mean distance is
-    zero (all points coincide) the normalized distances are defined as 0.
-    """
-    return _distances(reps)[0]
-
-
 def _rkdd_tap(student: Tensor, teacher: np.ndarray) -> Tensor:
     """One tap's summed Huber term, recorded as one node on the student tap."""
     x = student.data
     ds, dist, mean = _distances(x)
-    d = ds - normalized_pairwise_distances(teacher)
+    d = ds - _distances(teacher)[0]
     n = x.shape[0]
 
     def backward(g: np.ndarray) -> tuple[np.ndarray]:
         if mean == 0.0:  # coincident points: the distances are the constant 0
             return (np.zeros_like(x),)
-        g_ds = g * np.where(np.abs(d) <= 1.0, d, np.sign(d))
+        g_ds = g * np.clip(d, -1.0, 1.0)  # the Huber slope
         # ds = dist / mean, with mean = sum(dist) / (n (n - 1))
         g_dist = (g_ds - np.sum(g_ds * ds) / (n * (n - 1))) / mean
         # dist = sqrt(|x_i|^2 + |x_j|^2 - 2 x_i.x_j); its derivative at 0 is 0
         g_d2 = np.divide(0.5 * g_dist, dist, out=np.zeros_like(dist), where=dist > 0)
-        sym = g_d2 + g_d2.T
+        # numpy mirrors its syrk gram, so dist, and with it g_d2, is exactly
+        # symmetric: g_d2 + g_d2.T is g_d2 doubled
+        sym = np.add(g_d2, g_d2, out=g_d2)
         return (2.0 * (np.sum(sym, axis=1)[:, None] * x - sym @ x),)
 
     return record(np.sum(_huber(d)), (student,), backward)
@@ -262,7 +258,7 @@ def per_example_rkdd(student_tap, teacher_tap) -> np.ndarray:
     the per-tap loss."""
     s = student_tap.data if isinstance(student_tap, Tensor) else student_tap
     t = teacher_tap.data if isinstance(teacher_tap, Tensor) else teacher_tap
-    ds = normalized_pairwise_distances(s)
+    ds = _distances(s)[0]
     n = ds.shape[0]
-    h = _huber(ds - normalized_pairwise_distances(t))  # 0 on the diagonal
+    h = _huber(ds - _distances(t)[0])  # 0 on the diagonal
     return 0.5 * (h.sum(axis=1) + h.sum(axis=0)) / (n * (n - 1))

@@ -148,10 +148,14 @@ def _layer(h: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
     gradients are bitwise equal to it; each operand's gradient is computed
     only if it requires one.
     """
-    z = (h.data @ w.data) + b.data
+    z = h.data @ w.data
+    z += b.data
+    if relu:
+        np.maximum(z, 0.0, out=z)
 
     def backward(g: np.ndarray):
         if relu:
+            # z is the ReLU output: positive exactly where its input was
             g = g * (z > 0)  # the subgradient at 0 is 0
         return (
             g @ w.data.T if h.requires_grad else None,
@@ -159,7 +163,7 @@ def _layer(h: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
             np.sum(g, axis=(0,)).reshape(b.data.shape) if b.requires_grad else None,
         )
 
-    return record(np.maximum(z, 0.0) if relu else z, (h, w, b), backward)
+    return record(z, (h, w, b), backward)
 
 
 def frozen_forward(net: BlockNet, batch) -> TapOutput:

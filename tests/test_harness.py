@@ -434,6 +434,27 @@ class TestCliEndToEnd:
         for name in ("concentration.csv", "consistency.csv", "smoothness.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_analysis_summary_does_not_depend_on_the_paths_given(self, tmp_path, monkeypatch):
+        config_path = write_config(tmp_path, seeds=[1])
+        teacher_ckpt = self._train_teacher(tmp_path, config_path)
+        distill_out = tmp_path / "students"
+        assert main(["distill", "--config", str(config_path), "--out", str(distill_out)]) == 0
+        student_ckpt = distill_out / "seed1" / "student.ckpt"
+        monkeypatch.chdir(tmp_path)
+        relative = [config_path.name, "teacher_run/teacher.ckpt", "students/seed1/student.ckpt"]
+        absolute = [str(p.resolve()) for p in (config_path, teacher_ckpt, student_ckpt)]
+        for tag, (config, teacher, student) in (("rel", relative), ("abs", absolute)):
+            assert main(["analyze", "--config", config, "--out", tag, "--teacher", teacher,
+                         "--student", student, "--batches", "2", "--batch-size", "16"]) == 0
+        summary = (tmp_path / "rel" / "analysis_summary.json").read_bytes()
+        assert summary == (tmp_path / "abs" / "analysis_summary.json").read_bytes()
+        # the digests are the ones the teacher's and the students' manifests record
+        digests = json.loads(summary)["checkpoint_digests"]
+        teacher_manifest = json.loads((tmp_path / "teacher_run" / "manifest.json").read_text())
+        assert digests["teacher"] == teacher_manifest["checkpoint_digests"]["teacher"]
+        manifest = json.loads((distill_out / "manifest.json").read_text())
+        assert digests["student"] == manifest["checkpoint_digests"]["student_seed1"]
+
     # shallow taps on a 2-epoch teacher can leave isolated nodes; the
     # degenerate-Fiedler warning is expected behavior, not a failure
     @pytest.mark.filterwarnings("ignore:teacher graph.*disconnected:RuntimeWarning")
@@ -603,6 +624,38 @@ class TestCliEndToEnd:
         assert err.startswith("error:") and fragment in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    # command lines the parser rejects: a bad value for each option type, a
+    # missing required option and an unknown subcommand
+    PARSE_ERRORS = {
+        "seeds_not_integers": ["distill", "--out", "{out}", "--seeds", "1.5"],
+        "k_not_an_integer": ["spectral", "--out", "{out}", "--teacher", "t.ckpt",
+                             "--student", "a=s.ckpt", "--k", "x"],
+        "sample_not_an_integer": ["dump-graph", "--out", "{out}", "--checkpoint", "c.ckpt",
+                                  "--sample", "1.5"],
+        "missing_required": ["analyze", "--out", "{out}", "--teacher", "t.ckpt"],
+        "unknown_subcommand": ["frobnicate", "--out", "{out}"],
+    }
+
+    @pytest.mark.parametrize("case", list(PARSE_ERRORS))
+    def test_parse_error_is_one_line_and_exits_two(self, tmp_path, capsys, case):
+        config_path = write_config(tmp_path)
+        out = tmp_path / "out"
+        argv = [arg.format(out=out) for arg in self.PARSE_ERRORS[case]]
+        assert main([argv[0], "--config", str(config_path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "_int_list" not in lines[0] and "usage" not in lines[0]
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_seeds_error_names_the_expected_form(self, tmp_path, capsys):
+        argv = ["distill", "--config", "c.json", "--out", str(tmp_path / "o"), "--seeds", "1,x"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: argument --seeds: expected comma-separated integers, got '1,x'\n"
+        )
 
 
     # a config value of the wrong type, and a fragment of its one error line

@@ -1,11 +1,13 @@
 """Loss definitions: frozen hand-worked values, reference enumerations, FD grads."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from graphkd.autodiff import Tensor, backward
-from graphkd.graphs import build_similarity_graph
+from graphkd.graphs import _cosine, build_similarity_graph
 from graphkd.losses import (
     _distances,
     _huber,
@@ -13,7 +15,6 @@ from graphkd.losses import (
     _squared_distance,
     gkd_loss,
     ikd_loss,
-    normalized_pairwise_distances,
     per_example_gkd,
     per_example_rkdd,
     rkdd_loss,
@@ -30,6 +31,7 @@ from _oracles import (
     separated_reps,
 )
 from _tape_ops import add, log_softmax, mul, square, sub, total, where
+import _rkdd_ops
 
 
 def leaf(data):
@@ -117,24 +119,63 @@ class TestHuber:
     def test_symmetry(self):
         assert huber(2.0, 5.0) == huber(5.0, 2.0)
 
+    ONE = np.float64(1.0)
+    # the branch point and its neighbours, zeros, NaN, infinities, and a d
+    # whose square is subnormal
+    EDGES = {
+        "one": ONE,
+        "one_up": np.nextafter(ONE, 2.0),
+        "one_down": np.nextafter(ONE, 0.0),
+        "zero": 0.0,
+        "nan": np.nan,
+        "inf": np.inf,
+        "subnormal_square": 1e-160,
+    }
+
+    @pytest.mark.parametrize("name", list(EDGES))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_clip_form_is_bit_equal_to_the_where_form(self, name, sign):
+        d = np.copysign([self.EDGES[name]], sign)
+        assert np.clip(d, -1.0, 1.0).tobytes() == _rkdd_ops.huber_slope(d).tobytes()
+        if (name, sign) not in (("zero", -1.0), ("nan", -1.0)):  # see the exceptions
+            assert _huber(d).tobytes() == _rkdd_ops.huber(d).tobytes()
+
+    def test_exceptions_to_bit_equality(self):
+        # d = -0.0: the clip form's penalty is -0.0 and the where form's +0.0.
+        # RKD-D never meets it: d is a difference of distances, which are
+        # never -0.0.
+        d = np.array([-0.0])
+        assert np.signbit(_huber(d)[0]) and not np.signbit(_rkdd_ops.huber(d)[0])
+        # a NaN with its sign bit set: both penalties are NaN, but the where
+        # form's |d| clears the sign bit, which the clip form may keep
+        d = np.copysign([np.nan], -1.0)
+        assert np.isnan(_huber(d)[0]) and np.isnan(_rkdd_ops.huber(d)[0])
+        # a square in the subnormal range: the where form rounds d * d and
+        # then halves it, two roundings; d * (d / 2) rounds once, to the
+        # nearest double of the exact d^2 / 2, one subnormal step away here
+        d = np.array([1.1e-160, -1.1e-160])
+        exact = float(Fraction(1.1e-160) ** 2 / 2)  # correctly rounded
+        assert_array_equal(_huber(d), [exact, exact])
+        assert_array_equal(np.abs(_rkdd_ops.huber(d) - exact), [5e-324, 5e-324])
+
 
 class TestPairwiseDistances:
     def test_mean_of_offdiagonal_is_one(self):
         rng = np.random.default_rng(3)
-        d = normalized_pairwise_distances(rng.normal(size=(6, 4)))
+        d = _distances(rng.normal(size=(6, 4)))[0]
         n = 6
         assert_allclose(d.sum() / (n * (n - 1)), 1.0, rtol=1e-12)
         assert_array_equal(np.diag(d), np.zeros(n))
 
     def test_identical_points_collapse_to_zero(self):
-        d = normalized_pairwise_distances(np.ones((4, 3)))
+        d = _distances(np.ones((4, 3)))[0]
         assert_array_equal(d, np.zeros((4, 4)))
 
     def test_global_scale_invariance(self):
         rng = np.random.default_rng(4)
         reps = rng.normal(size=(5, 3))
-        d1 = normalized_pairwise_distances(reps)
-        d2 = normalized_pairwise_distances(reps * 7.3)
+        d1 = _distances(reps)[0]
+        d2 = _distances(reps * 7.3)[0]
         assert_allclose(d1, d2, atol=1e-9)
 
 
@@ -165,6 +206,25 @@ class TestInPlaceDistances:
 
     def test_coincident_points_have_mean_zero(self):
         assert _distances(distance_batch("coincident"))[2] == 0.0
+
+
+class TestExactSymmetry:
+    """RKD-D's backward doubles a matrix where it would add its transpose, and
+    ``_knn``'s k = n - 1 shortcut keeps the cosine stack as it is.  Both rely
+    on numpy's syrk gram, which mirrors one triangle; a gemm gram would not."""
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 64])
+    @pytest.mark.parametrize("n", [2, 3, 17, 100, 129, 256])
+    def test_gram_matrices_equal_their_transposes(self, n, d):
+        x = np.random.default_rng(1000 * n + d).normal(size=(n, d))
+        for m in (_distances(x)[1], _cosine([x])[0][0]):
+            assert m.tobytes() == m.T.tobytes()
+
+    def test_strided_tap(self):
+        x = np.random.default_rng(24).normal(size=(2 * 129, 3 * 64))[::2, ::3]
+        assert not x.flags.c_contiguous
+        for m in (_distances(x)[1], _cosine([x])[0][0]):
+            assert m.tobytes() == m.T.tobytes()
 
 
 class TestIkd:
@@ -269,6 +329,41 @@ class TestRkdd:
             if name == "coincident":
                 assert loss.data == 0.0
                 assert_array_equal(x.grad, np.zeros((5, 3)))
+
+    @staticmethod
+    def reference_pairs():
+        """(name, student, teacher) taps: random widths and sizes, an outlier
+        that puts pairs on the linear branch, strided taps, duplicates and a
+        coincident student."""
+        rng = np.random.default_rng(23)
+        for i, (n, ds, dt) in enumerate([(2, 1, 3), (3, 2, 2), (17, 8, 5), (64, 8, 16),
+                                         (128, 16, 64)]):
+            yield f"random{i}", rng.normal(size=(n, ds)), rng.normal(size=(n, dt))
+        teacher = rng.normal(size=(12, 4))
+        teacher[0] *= 40.0
+        yield "outlier", rng.normal(size=(12, 3)), teacher
+        wide = rng.normal(size=(2 * 20, 3 * 6))
+        yield "strided", wide[::2, ::3], rng.normal(size=(40, 9))[::2, 1::2]
+        yield "duplicates", distance_batch("duplicates"), rng.normal(size=(24, 5))
+        yield "coincident", distance_batch("coincident"), rng.normal(size=(6, 2))
+
+    def test_node_bit_equal_to_the_where_form(self):
+        branches = set()
+        for name, s0, t in self.reference_pairs():
+            x, ref_x = leaf(s0), leaf(s0)
+            node, ref = _rkdd_tap(x, t), _rkdd_ops.rkdd_tap(ref_x, t)
+            backward(mul(node, 0.7))
+            backward(mul(ref, 0.7))
+            assert node.data.tobytes() == ref.data.tobytes(), name
+            assert x.grad.tobytes() == ref_x.grad.tobytes(), name
+            d = np.abs(_distances(s0)[0] - _distances(t)[0])
+            branches |= {bool(v) for v in np.unique(d > 1.0)}
+        assert branches == {True, False}  # both Huber branches were met
+
+    def test_per_example_bit_equal_to_the_where_form(self):
+        for name, s0, t in self.reference_pairs():
+            got, want = per_example_rkdd(s0, t), _rkdd_ops.per_example_rkdd(s0, t)
+            assert got.tobytes() == want.tobytes(), name
 
     def test_one_tape_node_per_tap(self):
         rng = np.random.default_rng(18)
