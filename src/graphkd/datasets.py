@@ -147,7 +147,10 @@ def gen_gaussian_mixture(
     )
 
 
-def _read_idx(path: Path, expected_magic: int, what: str) -> tuple[np.ndarray, tuple[int, ...]]:
+def _read_idx(
+    path: Path, expected_magic: int, what: str
+) -> tuple[np.ndarray, tuple[int, ...], str]:
+    """Return an IDX file's data, its dimensions and a sha256 prefix of its bytes."""
     raw = path.read_bytes()
     if len(raw) < 4:
         raise ValueError(f"{what} file {path}: too short for an IDX magic number")
@@ -167,15 +170,13 @@ def _read_idx(path: Path, expected_magic: int, what: str) -> tuple[np.ndarray, t
             f"{what} file {path}: expected {expected_bytes} bytes, got {len(raw)}"
         )
     data = np.frombuffer(raw, dtype=np.uint8, offset=header)
-    return data, dims
+    return data, dims, hashlib.sha256(raw).hexdigest()[:16]
 
 
 def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
     """Load an IDX image/label pair, scaled to [0, 1] and flattened row-major."""
-    images_path = Path(images_path)
-    labels_path = Path(labels_path)
-    pixels, image_dims = _read_idx(images_path, IDX_IMAGE_MAGIC, "images")
-    label_bytes, label_dims = _read_idx(labels_path, IDX_LABEL_MAGIC, "labels")
+    pixels, image_dims, digest_i = _read_idx(Path(images_path), IDX_IMAGE_MAGIC, "images")
+    label_bytes, label_dims, digest_l = _read_idx(Path(labels_path), IDX_LABEL_MAGIC, "labels")
     count, rows, cols = image_dims
     if label_dims[0] != count:
         raise ValueError(
@@ -187,8 +188,6 @@ def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
         count = min(count, int(limit))
     features = pixels.reshape(image_dims)[:count].reshape(count, rows * cols) / 255.0
     labels = label_bytes[:count].astype(np.int64)
-    digest_i = hashlib.sha256(images_path.read_bytes()).hexdigest()[:16]
-    digest_l = hashlib.sha256(labels_path.read_bytes()).hexdigest()[:16]
     return Dataset(
         features=features.astype(np.float64),
         labels=labels,

@@ -3,9 +3,15 @@
 Every run directory receives a manifest (config digest, seeds, checkpoint
 digests, dataset provenance) sufficient to reproduce it bit-exactly, plus
 metrics.csv per run and a summary.json with per-seed and median metrics.
-A runner makes no directory itself: ``models.atomic_open`` makes each
+
+train-teacher, distill and sweep each run a plan: a list of run directories,
+each with its jobs (one net to train apiece, written by ``_train_job``) and a
+``finish`` that writes the directory's manifest and summary as soon as its
+last job is done; a sweep writes sweep.csv once the whole plan is done.  A
+runner makes no directory itself: ``models.atomic_open`` makes each
 artefact's directory as it writes it, so a run that fails on its inputs or
-arguments leaves no output directory behind.
+arguments leaves no output directory behind, and a failing job leaves only
+what the jobs and run directories before it wrote.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,28 +110,12 @@ def build_net(config: DistillConfig, which: str, split: DataSplit, seed: int) ->
 
 
 def write_metrics_csv(path: Path, result: TrainResult) -> None:
-    lines = [",".join(METRIC_COLUMNS)]
-    for m in result.metrics:
-        lines.append(
-            ",".join(
-                [
-                    str(m.epoch),
-                    # repr of a Python float round-trips to the exact double
-                    repr(float(m.lr)),
-                    repr(float(m.train_error)),
-                    repr(float(m.test_error)),
-                    repr(float(m.task_loss)),
-                    repr(float(m.kd_loss)),
-                    repr(float(m.total_loss)),
-                ]
-            )
-        )
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def _final_metrics(result: TrainResult) -> dict[str, float]:
-    final = result.final
-    return {key: float(getattr(final, key)) for key in FINAL_METRICS}
+    # repr of a Python float round-trips to the exact double
+    rows = [
+        ",".join([str(m.epoch), *(repr(float(getattr(m, c))) for c in METRIC_COLUMNS[1:])])
+        for m in result.metrics
+    ]
+    _write_text(path, "\n".join([",".join(METRIC_COLUMNS), *rows]) + "\n")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -136,18 +127,14 @@ def _write_json(path: Path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(
-    out_dir: Path,
-    command: str,
-    config: DistillConfig,
-    seeds,
-    split: DataSplit,
-    checkpoints: dict[str, str],
+def _write_run(
+    out_dir: Path, config: DistillConfig, seeds, split: DataSplit, checkpoints: dict, summary: dict
 ) -> None:
+    """Write a run directory's manifest.json, then its summary.json."""
     _write_json(
         out_dir / "manifest.json",
         {
-            "command": command,
+            "command": summary["command"],
             "config": config.to_dict(),
             "config_digest": config_digest(config),
             "seeds": list(seeds),
@@ -155,6 +142,57 @@ def _write_manifest(
             "checkpoint_digests": checkpoints,
         },
     )
+    _write_json(out_dir / "summary.json", summary)
+
+
+# ---------------------------------------------------------------------------
+# job plans
+
+
+class _Job(NamedTuple):
+    """One net to train under ``config``; ``role`` picks its architecture."""
+
+    config: DistillConfig
+    seed: int
+    role: str  # "teacher" or "student"
+    checkpoint: Path
+    metrics: Path
+
+
+def _train_job(job: _Job, split: DataSplit, teacher: BlockNet | None):
+    """Train a job's net, write its checkpoint and metrics.csv; return its
+    final metrics and checkpoint digest."""
+    net = build_net(job.config, job.role, split, job.seed)
+    result = train(net, split, job.config, job.seed, teacher=teacher)
+    save_checkpoint(net, job.checkpoint)
+    write_metrics_csv(job.metrics, result)
+    final = {key: float(getattr(result.final, key)) for key in FINAL_METRICS}
+    return final, checkpoint_digest(job.checkpoint)
+
+
+def _run_plan(plan, split: DataSplit, teacher: BlockNet | None = None) -> list:
+    """Run a plan of ``(jobs, finish)`` run directories in order.  Each
+    ``finish`` gets its jobs' results, in job order, as soon as the last of
+    them is done; returns what each ``finish`` returned."""
+    return [finish([_train_job(job, split, teacher) for job in jobs]) for jobs, finish in plan]
+
+
+def _distill_run(config: DistillConfig, out_dir: Path, seeds, split: DataSplit):
+    """One distill run directory as a plan entry: a student job per seed."""
+    jobs = [_Job(config, seed, "student", out_dir / f"seed{seed}" / "student.ckpt",
+                 out_dir / f"seed{seed}" / "metrics.csv") for seed in seeds]
+
+    def finish(results) -> ExperimentResult:
+        finals, digests = zip(*results)
+        per_seed = dict(zip(seeds, finals))
+        median = aggregate_median(per_seed)
+        checkpoints = {f"student_seed{s}": digest for s, digest in zip(seeds, digests)}
+        summary = {"command": "distill", "loss": config.loss, "seeds": list(seeds),
+                   "per_seed": {str(s): m for s, m in per_seed.items()}, "median": median}
+        _write_run(out_dir, config, seeds, split, checkpoints, summary)
+        return ExperimentResult(seeds=seeds, per_seed=per_seed, median=median)
+
+    return jobs, finish
 
 
 # ---------------------------------------------------------------------------
@@ -167,26 +205,19 @@ def run_train_teacher(config: DistillConfig, out_dir, seed: int | None = None) -
     seed = config.seeds[0] if seed is None else int(seed)
     _check_seeds((seed,), "--seed")
     split = build_split(config)
-    teacher_cfg = replace(config, loss="vanilla", lambda_kd=0.0, graph=None)
-    net = build_net(config, "teacher", split, seed)
-    result = train(net, split, teacher_cfg, seed)
     ckpt = out_dir / "teacher.ckpt"
-    save_checkpoint(net, ckpt)
-    write_metrics_csv(out_dir / "teacher_metrics.csv", result)
-    _write_manifest(
-        out_dir, "train-teacher", config, [seed], split,
-        {"teacher": checkpoint_digest(ckpt)},
-    )
-    _write_json(
-        out_dir / "summary.json",
-        {
-            "command": "train-teacher",
-            "seed": seed,
-            "final": _final_metrics(result),
-            "checkpoint": ckpt.name,  # relative to the run directory
-        },
-    )
-    return ckpt
+    teacher_cfg = replace(config, loss="vanilla", lambda_kd=0.0, graph=None)
+    job = _Job(teacher_cfg, seed, "teacher", ckpt, out_dir / "teacher_metrics.csv")
+
+    def finish(results) -> Path:
+        [(final, digest)] = results
+        # the checkpoint is named relative to the run directory
+        summary = {"command": "train-teacher", "seed": seed, "final": final,
+                   "checkpoint": ckpt.name}
+        _write_run(out_dir, config, [seed], split, {"teacher": digest}, summary)
+        return ckpt
+
+    return _run_plan([([job], finish)], split)[0]
 
 
 def _load_teacher(config: DistillConfig, teacher_path, split: DataSplit) -> BlockNet | None:
@@ -205,45 +236,13 @@ def _load_teacher(config: DistillConfig, teacher_path, split: DataSplit) -> Bloc
     return teacher
 
 
-def run_distill(
-    config: DistillConfig,
-    out_dir,
-    teacher_path=None,
-    seeds=None,
-) -> ExperimentResult:
+def run_distill(config: DistillConfig, out_dir, teacher_path=None, seeds=None) -> ExperimentResult:
     """Train one student per seed under the configured loss; aggregate medians."""
-    out_dir = Path(out_dir)
     seeds = tuple(int(s) for s in (seeds if seeds is not None else config.seeds))
     _check_seeds(seeds, "--seeds")  # an override keeps the manifest's config as it is
     split = build_split(config)
     teacher = _load_teacher(config, teacher_path, split)
-
-    per_seed: dict[int, dict[str, float]] = {}
-    checkpoints: dict[str, str] = {}
-    for seed in seeds:
-        net = build_net(config, "student", split, seed)
-        result = train(net, split, config, seed, teacher=teacher)
-        seed_dir = out_dir / f"seed{seed}"
-        ckpt = seed_dir / "student.ckpt"
-        save_checkpoint(net, ckpt)
-        write_metrics_csv(seed_dir / "metrics.csv", result)
-        per_seed[seed] = _final_metrics(result)
-        checkpoints[f"student_seed{seed}"] = checkpoint_digest(ckpt)
-
-    median = aggregate_median(per_seed)
-    experiment = ExperimentResult(seeds=seeds, per_seed=per_seed, median=median)
-    _write_manifest(out_dir, "distill", config, seeds, split, checkpoints)
-    _write_json(
-        out_dir / "summary.json",
-        {
-            "command": "distill",
-            "loss": config.loss,
-            "seeds": list(seeds),
-            "per_seed": {str(s): m for s, m in per_seed.items()},
-            "median": median,
-        },
-    )
-    return experiment
+    return _run_plan([_distill_run(config, Path(out_dir), seeds, split)], split, teacher)[0]
 
 
 def _sweep_value(param: str, raw: str):
@@ -263,31 +262,29 @@ def _apply_sweep(config: DistillConfig, param: str, value) -> DistillConfig:
 
 
 def run_sweep(config: DistillConfig, out_dir, param: str, values, teacher_path=None) -> Path:
-    """Run one distillation per parameter value; emit one sweep.csv row per value."""
+    """Run one distillation per parameter value; emit one sweep.csv row per value.
+
+    The split and the teacher are built once, for every value's run."""
     if param not in SWEEPABLE_PARAMS:
         raise ConfigError(f"cannot sweep {param!r}; choose from {SWEEPABLE_PARAMS}")
     if not values:
         raise ConfigError("sweep requires at least one value")
     # build (and so validate) every sub-config before the first run starts
     swept = [_sweep_value(param, str(raw)) for raw in values]
-    sub_configs = [(value, _apply_sweep(config, param, value)) for value in swept]
+    sub_configs = [_apply_sweep(config, param, value) for value in swept]
     out_dir = Path(out_dir)
+    # a swept parameter changes neither the dataset nor the loss
+    split = build_split(config)
+    teacher = _load_teacher(config, teacher_path, split)
+    plan = [
+        _distill_run(sub, out_dir / f"{param}_{value}", sub.seeds, split)
+        for value, sub in zip(swept, sub_configs)
+    ]
     rows = ["param,value,seeds,per_seed_test_errors,median_test_error"]
-    for value, sub_config in sub_configs:
-        sub_dir = out_dir / f"{param}_{value}"
-        experiment = run_distill(sub_config, sub_dir, teacher_path=teacher_path)
-        errors = [experiment.per_seed[s]["test_error"] for s in experiment.seeds]
-        rows.append(
-            ",".join(
-                [
-                    param,
-                    str(value),
-                    ";".join(str(s) for s in experiment.seeds),
-                    ";".join(repr(e) for e in errors),
-                    repr(experiment.median["test_error"]),
-                ]
-            )
-        )
+    for value, result in zip(swept, _run_plan(plan, split, teacher)):
+        seeds = ";".join(str(s) for s in result.seeds)
+        errors = ";".join(repr(result.per_seed[s]["test_error"]) for s in result.seeds)
+        rows.append(f"{param},{value},{seeds},{errors},{result.median['test_error']!r}")
     sweep_path = out_dir / "sweep.csv"
     _write_text(sweep_path, "\n".join(rows) + "\n")
     return sweep_path

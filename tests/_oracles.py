@@ -2,6 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (explicit
 loops, per-pair arithmetic) so it shares no code path with the package.
+The one exception is ``broadcast_degree_normalize``, a bitwise reference:
+the form that ``graphs._normalize`` had before its outer product became an
+einsum.
 """
 
 from __future__ import annotations
@@ -86,6 +89,17 @@ def oracle_degree_normalize(w: np.ndarray) -> np.ndarray:
             if deg[i] > 0 and deg[j] > 0:
                 out[i, j] = w[i, j] / np.sqrt(deg[i] * deg[j])
     return out
+
+
+def broadcast_degree_normalize(w: np.ndarray) -> np.ndarray:
+    """D^-1/2 W D^-1/2 of an (n, n) W or a (taps, n, n) stack, with the degree
+    outer product as a broadcast multiply; zero-degree rows stay zero."""
+    deg = np.sum(w, axis=-1)
+    pos = deg > 0
+    s = np.where(pos, 1.0 / np.sqrt(np.where(pos, deg, 1.0)), 0.0)
+    a = s[..., :, None] * s[..., None, :]
+    a *= w
+    return a
 
 
 def oracle_power(a: np.ndarray, p: int) -> np.ndarray:

@@ -31,6 +31,7 @@ from graphkd.graphs import (
 )
 
 from _oracles import (
+    broadcast_degree_normalize,
     oracle_cosine,
     oracle_pipeline,
     oracle_topk_union,
@@ -342,6 +343,20 @@ class TestNormalize:
         assert_array_equal(a[2], np.zeros(3))
         assert_array_equal(a[:, 2], np.zeros(3))
         assert_allclose(a[0, 1], 1.0)
+
+    @pytest.mark.parametrize("n", [2, 17, 128])
+    def test_outer_product_matches_the_broadcast_form_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        w = rng.uniform(size=(3, n, n)) * (rng.uniform(size=(3, n, n)) < 0.6)
+        w[(w > 0) & (w < 0.05)] = 5e-324  # subnormal weights in rows of normal degree
+        w = np.maximum(w, np.swapaxes(w, -1, -2))
+        diag = np.arange(n)
+        w[:, diag, diag] = 0.0
+        for tap, row in enumerate(rng.integers(0, n, size=3)):
+            w[tap, row, :] = w[tap, :, row] = 0.0  # a zero-degree row per slice
+        a = _normalize(w)[0]
+        assert a.tobytes() == broadcast_degree_normalize(w).tobytes()
+        assert_array_equal(a, np.swapaxes(a, -1, -2))
 
     def test_spectrum_lies_in_unit_interval(self):
         rng = np.random.default_rng(8)

@@ -14,7 +14,14 @@ from graphkd.config import (
     load_config,
     parse_config,
 )
-from graphkd.harness import aggregate_median
+from graphkd.harness import (
+    _apply_sweep,
+    _sweep_value,
+    aggregate_median,
+    run_distill,
+    run_sweep,
+    run_train_teacher,
+)
 from graphkd.models import build_blocknet, save_checkpoint
 
 from conftest import make_config
@@ -361,6 +368,26 @@ class TestCliEndToEnd:
         argv = ["distill", "--config", str(config_path), "--out", str(out)]
         assert main(argv + ["--teacher", str(teacher_ckpt)]) == 2
         self._assert_diverged(capsys, recwarn, out)
+
+    def test_diverging_sweep_value_keeps_the_values_before_it(self, tmp_path, capsys, recwarn):
+        teacher_ckpt = self._train_teacher(tmp_path, write_config(tmp_path))
+        config_path = write_config(tmp_path, "gkd.json", loss="gkd", lambda_kd=1.0, seeds=[1])
+        out = tmp_path / "sweep_run"
+        argv = ["sweep", "--config", str(config_path), "--out", str(out),
+                "--teacher", str(teacher_ckpt), "--param", "lambda_kd", "--values", "0.5,1e300"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "diverged" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        # the first value's run is whole; nothing of the second, and no sweep.csv
+        written = sorted(str(f.relative_to(out)) for f in out.rglob("*") if f.is_file())
+        assert written == [
+            "lambda_kd_0.5/manifest.json",
+            "lambda_kd_0.5/seed1/metrics.csv",
+            "lambda_kd_0.5/seed1/student.ckpt",
+            "lambda_kd_0.5/summary.json",
+        ]
 
     def test_train_teacher_summary_is_independent_of_out_dir(self, tmp_path):
         config_path = write_config(tmp_path)
@@ -783,6 +810,24 @@ class TestCliEndToEnd:
         assert err.startswith("error:") and f"checkpoint {ckpt}: {fragment}" in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+
+class TestSweep:
+    @pytest.mark.parametrize(
+        "param, values", [("k", ["5", "23"]), ("mask_mode", ["inter_class", "intra_class"])]
+    )
+    def test_each_value_matches_a_standalone_distill(self, tmp_path, param, values):
+        cfg = make_config(loss="gkd", lambda_kd=1.0, graph={"k": 10, "p": 2}, seeds=[1, 2])
+        ckpt = run_train_teacher(cfg, tmp_path / "teacher")
+        run_sweep(cfg, tmp_path / "sweep", param, values, teacher_path=ckpt)
+        for raw in values:
+            value = _sweep_value(param, raw)
+            alone = tmp_path / f"alone_{raw}"
+            run_distill(_apply_sweep(cfg, param, value), alone, teacher_path=ckpt)
+            swept = tmp_path / "sweep" / f"{param}_{value}"
+            for name in ("seed1/student.ckpt", "seed1/metrics.csv", "seed2/student.ckpt",
+                         "seed2/metrics.csv", "manifest.json", "summary.json"):
+                assert (swept / name).read_bytes() == (alone / name).read_bytes(), name
 
 
 class TestTwoArcsConfig:
