@@ -1,16 +1,19 @@
 """Experiment configuration: JSON parsing, validation, canonical digests.
 
-Configs are strict: a required ``version`` field and unknown keys rejected at
-every level by the parser.  Each config type checks its own rules in
-``__post_init__`` (cross-field ones such as graph k vs batch size in
-:class:`DistillConfig`), so a config built by ``dataclasses.replace`` is held
-to the same rules as a parsed one and fails before any training step.
+Configs are strict.  Each JSON object of a config, and the checkpoint header,
+has one schema table that maps each key to its JSON kind and to its default or
+``_REQUIRED``; one reader, :func:`_section`, reads every table and rejects
+unknown keys.  Each config type checks its own rules in ``__post_init__``
+(cross-field ones such as graph k vs batch size in :class:`DistillConfig`), so
+a config built by ``dataclasses.replace`` is held to the same rules as a parsed
+one and fails before any training step.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -32,31 +35,57 @@ __all__ = [
 CONFIG_VERSION = 1
 LOSSES = ("vanilla", "ikd", "rkdd", "gkd")
 MASK_MODES = ("all", "inter_class", "intra_class")
-DEFAULT_LAMBDA_KD = 25.0
-DEFAULT_SEEDS = (1, 2, 3)
-DEFAULT_BATCH_SIZE = 128
-DEFAULT_MOMENTUM = 0.9
-DEFAULT_SCHEDULE = {
-    "base_lr": 0.1,
-    "decay_factor": 0.2,
-    "milestones": [20, 40, 50],
-    "total_epochs": 60,
+
+
+def _is(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+# A JSON kind: its name in errors, a test of the value as parsed (a bool is no
+# integer or number), and how the value is stored: None keeps it as written,
+# and a _FLOAT key is stored as a float so that 1 and 1.0 digest alike.
+_INT = ("an integer", lambda v: _is(v, int), None)
+_NUMBER = ("a number", lambda v: _is(v, (int, float)), None)
+_FLOAT = ("a number", lambda v: _is(v, (int, float)), float)
+_STR = ("a string", lambda v: isinstance(v, str), None)
+_INTS = ("a list of integers",
+         lambda v: isinstance(v, (list, tuple)) and all(_is(i, int) for i in v), tuple)
+_INT_OR_NULL = ("an integer or null", lambda v: v is None or _is(v, int), None)
+_VERSION = (str(CONFIG_VERSION), lambda v: _is(v, int) and v == CONFIG_VERSION, None)
+_OBJECT = ("an object", lambda v: True, None)  # checked when its own table reads it
+_REQUIRED = object()  # the default of a key that must be given
+
+# one schema table per JSON object: key -> (kind, default); parse_config
+# fills in the defaults that depend on other keys
+_CONFIG = {
+    "version": (_VERSION, _REQUIRED),
+    "dataset": (_OBJECT, _REQUIRED),
+    "teacher": (_OBJECT, _REQUIRED),
+    "student": (_OBJECT, _REQUIRED),
+    "loss": (_STR, _REQUIRED),
+    "lambda_kd": (_FLOAT, 25.0),  # 0.0 for vanilla
+    "graph": (_OBJECT, {}),  # read for gkd, or when given
+    "schedule": (_OBJECT, {}),
+    "batch_size": (_INT, 128),
+    "momentum": (_FLOAT, 0.9),
+    "seeds": (_INTS, (1, 2, 3)),
 }
-DATASET_FIELDS = {
-    "two_arcs": {"n", "noise", "seed", "test_fraction"},
-    "gaussian_mixture": {"n", "classes", "dim", "separation", "seed", "test_fraction"},
-    "idx": {"images", "labels", "limit", "seed", "test_fraction"},
+_ARCH = {"depths": (_INTS, _REQUIRED), "widths": (_INTS, _REQUIRED)}
+_SCHEDULE = {
+    "base_lr": (_FLOAT, 0.1),
+    "decay_factor": (_FLOAT, 0.2),
+    "milestones": (_INTS, (20, 40, 50)),
+    "total_epochs": (_INT, 60),
 }
-# the JSON type of each key, checked without converting the value: a bool is
-# no integer or number, and a dataset field keeps its value as written in the
-# config's digest
-_INT, _NUMBER, _STR = ("an integer", (int,)), ("a number", (int, float)), ("a string", (str,))
-_INTS = ("a list of integers", (list, tuple))
-DATASET_TYPES = {
-    "n": _INT, "classes": _INT, "dim": _INT, "seed": _INT,
-    "limit": ("an integer or null", (int, type(None))),
-    "noise": _NUMBER, "separation": _NUMBER, "test_fraction": _NUMBER,
-    "images": _STR, "labels": _STR,
+_GRAPH = {"k": (_INT, None), "p": (_INT, 1), "mask_mode": (_STR, "all")}  # k: batch_size - 1
+# every dataset's keys: its name and the split's; then each dataset's own
+_DATASET = {"name": (_STR, _REQUIRED), "seed": (_INT, 0), "test_fraction": (_NUMBER, 0.25)}
+_DATASETS = {
+    "two_arcs": {"n": (_INT, _REQUIRED), "noise": (_NUMBER, 0.0)},
+    "gaussian_mixture": {"n": (_INT, _REQUIRED), "classes": (_INT, _REQUIRED),
+                         "dim": (_INT, _REQUIRED), "separation": (_NUMBER, _REQUIRED)},
+    "idx": {"images": (_STR, _REQUIRED), "labels": (_STR, _REQUIRED),
+            "limit": (_INT_OR_NULL, None)},
 }
 
 
@@ -106,6 +135,7 @@ class Schedule:
     total_epochs: int
 
     def __post_init__(self):
+        _check_finite("schedule", base_lr=self.base_lr, decay_factor=self.decay_factor)
         if self.base_lr <= 0:
             raise ConfigError(f"schedule: base_lr must be positive, got {self.base_lr}")
         if not 0 < self.decay_factor <= 1:
@@ -142,6 +172,7 @@ class DistillConfig:
 
     def __post_init__(self):
         """Cross-field rules; ``dataclasses.replace`` re-runs them too."""
+        _check_finite("config", lambda_kd=self.lambda_kd, momentum=self.momentum)
         if self.loss not in LOSSES:
             raise ConfigError(f"config: unknown loss {self.loss!r}, expected one of {LOSSES}")
         if self.batch_size < 2:
@@ -175,20 +206,7 @@ class DistillConfig:
     def to_dict(self) -> dict:
         out = asdict(self)
         out["dataset"] = {"name": self.dataset.name, **self.dataset.params}
-        out["graph"] = None if self.graph is None else asdict(self.graph)
         return out
-
-
-def _reject_unknown(obj: dict, allowed: set[str], context: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-
-
-def _require(obj: dict, key: str, context: str):
-    if key not in obj:
-        raise ConfigError(f"{context}: missing required key {key!r}")
-    return obj[key]
 
 
 def _check_seeds(seeds, name: str) -> None:
@@ -202,129 +220,80 @@ def _check_seeds(seeds, name: str) -> None:
         raise ConfigError(f"{name} must be distinct, got {seeds}")
 
 
-def _is(value, types) -> bool:
-    return isinstance(value, types) and not isinstance(value, bool)
+def _check_finite(context: str, **values) -> None:
+    for key, value in values.items():
+        if not -math.inf < value < math.inf:  # no float() call, so no OverflowError
+            raise ConfigError(f"{context}: {key} must be finite, got {value!r}")
 
 
 def _typed(value, kind, key: str, context: str):
-    """``value`` if its JSON type is ``kind`` (a list of integers as a tuple),
-    else a ConfigError naming ``key``."""
-    name, types = kind
-    if not _is(value, types) or (kind is _INTS and not all(_is(v, int) for v in value)):
-        raise ConfigError(f"{context}: {key} must be {name}, got {value!r}")
-    return tuple(value) if kind is _INTS else value
-
-
-def _float(value, key: str, context: str) -> float:
-    """A number key's value, stored as a float so that 1 and 1.0 digest alike."""
+    """``value`` stored as its JSON ``kind``, else a ConfigError naming ``key``."""
+    name, test, store = kind
     try:
-        return float(_typed(value, _NUMBER, key, context))
+        if test(value):
+            return store(value) if store else value
     except OverflowError:  # an integer beyond the float range
-        raise ConfigError(f"{context}: {key} must be a number, got {value!r}") from None
+        pass
+    raise ConfigError(f"{context}: {key} must be {name}, got {value!r}")
 
 
-def _parse_arch(obj, context: str) -> ArchSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context}: expected an object with depths and widths")
-    _reject_unknown(obj, {"depths", "widths"}, context)
-    depths = _typed(_require(obj, "depths", context), _INTS, "depths", context)
-    widths = _typed(_require(obj, "widths", context), _INTS, "widths", context)
-    try:
-        return ArchSpec(depths=depths, widths=widths)
-    except ConfigError as err:
-        raise ConfigError(f"{context}: {err}") from None
-
-
-def _parse_dataset(obj, context: str = "dataset") -> DatasetSpec:
+def _section(obj, schema: dict, context: str, label: str = "{}") -> dict:
+    """The keys of the JSON object ``obj`` as ``schema`` reads them, defaults
+    filled in.  Rejects a non-object, a missing key, a value not of its kind
+    and, last, unknown keys; ``label`` formats key names."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{context}: expected an object")
-    name = _require(obj, "name", context)
-    if not isinstance(name, str) or name not in DATASET_FIELDS:
+    out = {}
+    for key, (kind, default) in schema.items():
+        if key in obj:
+            out[key] = _typed(obj[key], kind, label.format(key), context)
+        elif default is _REQUIRED:
+            raise ConfigError(f"{context}: missing required key {key!r}")
+        else:
+            out[key] = default
+    unknown = set(obj) - set(schema)
+    if unknown:
+        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
+    return out
+
+
+def _read_dataset(obj, context: str = "dataset") -> DatasetSpec:
+    """The dataset section, read by its name's table plus the split keys."""
+    name = obj.get("name") if isinstance(obj, dict) else None
+    if name is not None and (not isinstance(name, str) or name not in _DATASETS):
         raise ConfigError(
-            f"{context}: unknown dataset {name!r}, expected one of {sorted(DATASET_FIELDS)}"
+            f"{context}: unknown dataset {name!r}, expected one of {sorted(_DATASETS)}"
         )
-    _reject_unknown(obj, DATASET_FIELDS[name] | {"name"}, context)
-    params = {k: v for k, v in obj.items() if k != "name"}
-    params.setdefault("seed", 0)
-    params.setdefault("test_fraction", 0.25)
-    if name == "two_arcs":
-        _require(params, "n", context)
-        params.setdefault("noise", 0.0)
-    elif name == "gaussian_mixture":
-        for key in ("n", "classes", "dim", "separation"):
-            _require(params, key, context)
-    else:  # idx
-        for key in ("images", "labels"):
-            _require(params, key, context)
-        params.setdefault("limit", None)
-    for key, value in params.items():
-        _typed(value, DATASET_TYPES[key], key, context)
+    # with no name (or no object), the reader says so
+    params = _section(obj, {**_DATASET, **_DATASETS.get(name, {})}, context)
+    del params["name"]
+    _check_finite(context, **{key: v for key, v in params.items() if isinstance(v, float)})
     _check_seeds((params["seed"],), f"{context}: seed")
     return DatasetSpec(name=name, params=params)
 
 
-def _parse_schedule(obj, context: str = "schedule") -> Schedule:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context}: expected an object")
-    merged = dict(DEFAULT_SCHEDULE)
-    _reject_unknown(obj, set(merged), context)
-    merged.update(obj)
-    return Schedule(
-        base_lr=_float(merged["base_lr"], "base_lr", context),
-        decay_factor=_float(merged["decay_factor"], "decay_factor", context),
-        milestones=_typed(merged["milestones"], _INTS, "milestones", context),
-        total_epochs=_typed(merged["total_epochs"], _INT, "total_epochs", context),
-    )
-
-
 def parse_config(obj: dict) -> DistillConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("config: expected a JSON object at the top level")
-    version = _require(obj, "version", "config")
-    if not _is(version, int) or version != CONFIG_VERSION:
-        raise ConfigError(f"config: unsupported version {version!r}, expected {CONFIG_VERSION}")
-    allowed = {
-        "version",
-        "dataset",
-        "teacher",
-        "student",
-        "loss",
-        "lambda_kd",
-        "graph",
-        "schedule",
-        "batch_size",
-        "momentum",
-        "seeds",
-    }
-    _reject_unknown(obj, allowed, "config")
-
-    loss = _typed(_require(obj, "loss", "config"), _STR, "loss", "config")
-    lambda_kd = obj.get("lambda_kd", 0.0 if loss == "vanilla" else DEFAULT_LAMBDA_KD)
-    batch_size = _typed(obj.get("batch_size", DEFAULT_BATCH_SIZE), _INT, "batch_size", "config")
+    top = _section(obj, _CONFIG, "config")
+    if top["loss"] == "vanilla" and "lambda_kd" not in obj:
+        top["lambda_kd"] = 0.0
     graph = None
-    if loss == "gkd" or "graph" in obj:
-        graph_obj = obj.get("graph", {})
-        if not isinstance(graph_obj, dict):
-            raise ConfigError("graph: expected an object")
-        _reject_unknown(graph_obj, {"k", "p", "mask_mode"}, "graph")
-        graph = GraphParams(
-            k=_typed(graph_obj.get("k", batch_size - 1), _INT, "k", "graph"),
-            p=_typed(graph_obj.get("p", 1), _INT, "p", "graph"),
-            mask_mode=_typed(graph_obj.get("mask_mode", "all"), _STR, "mask_mode", "graph"),
-        )
-    return DistillConfig(
-        version=CONFIG_VERSION,
-        dataset=_parse_dataset(_require(obj, "dataset", "config")),
-        teacher=_parse_arch(_require(obj, "teacher", "config"), "teacher"),
-        student=_parse_arch(_require(obj, "student", "config"), "student"),
-        loss=loss,
-        lambda_kd=_float(lambda_kd, "lambda_kd", "config"),
+    if top["loss"] == "gkd" or "graph" in obj:
+        graph = _section(top["graph"], _GRAPH, "graph")
+        if graph["k"] is None:
+            graph["k"] = top["batch_size"] - 1
+        graph = GraphParams(**graph)
+    top.update(
+        dataset=_read_dataset(top["dataset"]),
         graph=graph,
-        schedule=_parse_schedule(obj.get("schedule", {})),
-        batch_size=batch_size,
-        momentum=_float(obj.get("momentum", DEFAULT_MOMENTUM), "momentum", "config"),
-        seeds=_typed(obj.get("seeds", DEFAULT_SEEDS), _INTS, "seeds", "config"),
+        schedule=Schedule(**_section(top["schedule"], _SCHEDULE, "schedule")),
     )
+    for role in ("teacher", "student"):
+        arch = _section(top[role], _ARCH, role)
+        try:
+            top[role] = ArchSpec(**arch)
+        except ConfigError as err:  # ArchSpec's rules, which build_blocknet shares
+            raise ConfigError(f"{role}: {err}") from None
+    return DistillConfig(**top)
 
 
 def load_config(path) -> DistillConfig:

@@ -246,11 +246,14 @@ def run_distill(config: DistillConfig, out_dir, teacher_path=None, seeds=None) -
 
 
 def _sweep_value(param: str, raw: str):
-    if param in ("k", "p"):
-        return int(raw)
-    if param == "lambda_kd":
-        return float(raw)
-    return raw  # mask_mode
+    """A swept value typed like its config key: k and p integers, lambda_kd a number."""
+    if param == "mask_mode":
+        return raw
+    kind, convert = ("integers", int) if param in ("k", "p") else ("numbers", float)
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ConfigError(f"sweep: {param} values must be {kind}, got {raw!r}") from None
 
 
 def _apply_sweep(config: DistillConfig, param: str, value) -> DistillConfig:

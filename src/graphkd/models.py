@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, record
-from .config import _INT, _INTS, ArchSpec, _is, _typed
+from .config import _INT, _INTS, _REQUIRED, ArchSpec, _is, _section
 
 __all__ = [
     "BlockNet",
@@ -35,6 +35,10 @@ __all__ = [
 
 CHECKPOINT_FORMAT_VERSION = 1
 OUTPUT_TAP = "output"
+# the checkpoint header's schema table: the keys save_checkpoint writes
+_HEADER = {"format_version": (_INT, _REQUIRED), "depths": (_INTS, _REQUIRED),
+           "widths": (_INTS, _REQUIRED), "input_dim": (_INT, _REQUIRED),
+           "classes": (_INT, _REQUIRED)}
 
 
 @dataclass
@@ -241,13 +245,7 @@ def load_checkpoint(path) -> BlockNet:
             f"checkpoint {path}: format version {version!r} is not supported "
             f"(expected {CHECKPOINT_FORMAT_VERSION})"
         )
-    missing = {"depths", "widths", "input_dim", "classes"} - set(header)
-    if missing:
-        raise ValueError(f"checkpoint {path}: header missing fields {sorted(missing)}")
-    for key in ("depths", "widths", "input_dim", "classes"):
-        kind = _INTS if key in ("depths", "widths") else _INT
-        _typed(header[key], kind, f"header field {key!r}", f"checkpoint {path}")
-
+    header = _section(header, _HEADER, f"checkpoint {path}", label="header field {!r}")
     net = build_blocknet(
         header["depths"], header["widths"], header["input_dim"], header["classes"], seed=0
     )

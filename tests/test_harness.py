@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -182,6 +183,91 @@ class TestConfigParsing:
             replace(parse_config(tiny_config_dict()), lambda_kd=5.0)
 
 
+class TestConfigDigests:
+    """Digests of configs that lean on defaults, pinned so that a change to the
+    schema tables cannot move a default or a stored type unnoticed."""
+
+    ARCHS = {"teacher": {"depths": [1, 1], "widths": [12, 12]},
+             "student": {"depths": [1], "widths": [4]}}
+    PINNED = {
+        # dataset seed and test_fraction, lambda_kd, batch_size, momentum,
+        # schedule and seeds all omitted; separation an integer
+        "gaussian_mixture": (
+            {"version": 1, **ARCHS, "loss": "rkdd",
+             "dataset": {"name": "gaussian_mixture", "n": 80, "classes": 3, "dim": 2,
+                         "separation": 5}},
+            "948d64128d2b5ac32b1c7787fd126998362668a1ed8e96c7b2d3323b411a64e5",
+        ),
+        "idx_without_limit": (
+            {"version": 1, **ARCHS, "loss": "ikd", "lambda_kd": 2, "batch_size": 64,
+             "dataset": {"name": "idx", "images": "train-images.idx3-ubyte",
+                         "labels": "train-labels.idx1-ubyte"}},
+            "57e7ab53f5ee45153cbc6140d1050e01b9f7fca3f2cbadd742ef322b683e9dc7",
+        ),
+        # graph k, decay_factor and noise omitted; base_lr and momentum integers
+        "two_arcs_without_noise": (
+            {"version": 1, **ARCHS, "loss": "gkd", "graph": {"p": 2, "mask_mode": "inter_class"},
+             "batch_size": 32, "momentum": 0, "seeds": [4],
+             "schedule": {"base_lr": 1, "milestones": [3], "total_epochs": 5},
+             "dataset": {"name": "two_arcs", "n": 200, "seed": 3, "test_fraction": 0.5}},
+            "67b03f36041597788514cc8294070f390b20c192cf5c6f837f8be825099856bd",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(PINNED))
+    def test_digest_value_is_pinned(self, case):
+        obj, digest = self.PINNED[case]
+        assert config_digest(parse_config(obj)) == digest
+
+
+class TestNonFiniteNumbers:
+    # a config with a non-finite number, and its whole error line
+    NON_FINITE = {
+        "lambda_kd_nan": ({"loss": "gkd", "lambda_kd": math.nan},
+                          "config: lambda_kd must be finite, got nan"),
+        "lambda_kd_inf": ({"loss": "rkdd", "lambda_kd": math.inf},
+                          "config: lambda_kd must be finite, got inf"),
+        "momentum_nan": ({"momentum": math.nan}, "config: momentum must be finite, got nan"),
+        "base_lr_nan": ({"schedule": {"base_lr": math.nan}},
+                        "schedule: base_lr must be finite, got nan"),
+        "base_lr_inf": ({"schedule": {"base_lr": math.inf}},
+                        "schedule: base_lr must be finite, got inf"),
+        "decay_factor_minus_inf": ({"schedule": {"decay_factor": -math.inf}},
+                                   "schedule: decay_factor must be finite, got -inf"),
+        "noise_nan": ({"dataset": {"name": "two_arcs", "n": 80, "noise": math.nan}},
+                      "dataset: noise must be finite, got nan"),
+        "separation_inf": ({"dataset": {"name": "gaussian_mixture", "n": 80, "classes": 2,
+                                        "dim": 3, "separation": math.inf}},
+                           "dataset: separation must be finite, got inf"),
+        "test_fraction_nan": ({"dataset": {"name": "two_arcs", "n": 80,
+                                           "test_fraction": math.nan}},
+                              "dataset: test_fraction must be finite, got nan"),
+    }
+
+    @pytest.mark.parametrize("case", list(NON_FINITE))
+    def test_config_with_non_finite_number_exits_two(self, tmp_path, capsys, case):
+        overrides, message = self.NON_FINITE[case]
+        config_path = write_config(tmp_path, **overrides)  # json writes NaN and Infinity
+        out = tmp_path / "out"
+        assert main(["train-teacher", "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("lambda_kd", math.nan), ("lambda_kd", math.inf), ("momentum", -math.inf),
+    ])
+    def test_replace_rejects_a_non_finite_config_number(self, field, value):
+        config = parse_config(tiny_config_dict(loss="gkd"))
+        with pytest.raises(ConfigError, match=f"^config: {field} must be finite, got"):
+            replace(config, **{field: value})
+
+    @pytest.mark.parametrize("field", ["base_lr", "decay_factor"])
+    def test_replace_rejects_a_non_finite_schedule_number(self, field):
+        schedule = parse_config(tiny_config_dict()).schedule
+        with pytest.raises(ConfigError, match=f"^schedule: {field} must be finite, got nan"):
+            replace(schedule, **{field: math.nan})
+
+
 class TestAggregateMedian:
     def test_odd_count_picks_middle(self):
         per_seed = {
@@ -342,6 +428,24 @@ class TestCliEndToEnd:
                 "--param", "k", "--values", "3,500"]
         # the whole sweep fails before k=3 trains, so no k_3/ is left behind
         self._assert_sweep_rejected(capsys, out, argv, "k=500")
+
+    # a sweep parameter, its --values, and the whole error line
+    BAD_SWEEP_VALUES = {
+        "k_fraction": ("k", "5,1.5", "sweep: k values must be integers, got '1.5'"),
+        "p_word": ("p", "two", "sweep: p values must be integers, got 'two'"),
+        "lambda_kd_word": ("lambda_kd", "abc", "sweep: lambda_kd values must be numbers, got 'abc'"),
+        "lambda_kd_nan": ("lambda_kd", "0.5,nan", "config: lambda_kd must be finite, got nan"),
+        "lambda_kd_inf": ("lambda_kd", "inf", "config: lambda_kd must be finite, got inf"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_SWEEP_VALUES))
+    def test_bad_sweep_value_names_its_parameter(self, tmp_path, capsys, case):
+        param, values, message = self.BAD_SWEEP_VALUES[case]
+        config_path = write_config(tmp_path, loss="gkd", lambda_kd=1.0, seeds=[1])
+        # every value is checked before the teacher checkpoint is looked for
+        argv = ["--config", str(config_path), "--teacher", str(tmp_path / "ghost.ckpt"),
+                "--param", param, "--values", values]
+        self._assert_sweep_rejected(capsys, tmp_path / "sweep_run", argv, f"error: {message}\n")
 
     DIVERGING_SCHEDULE = {"base_lr": 1e200, "decay_factor": 0.2, "milestones": [], "total_epochs": 2}
 
@@ -793,6 +897,12 @@ class TestCliEndToEnd:
             '{"classes": 2, "depths": [1, 1], "format_version": 1, "input_dim": null, '
             '"widths": [12, 12]}',
             "header field 'input_dim' must be an integer, got None",
+        ),
+        # a key that save_checkpoint never writes
+        "unknown_key": (
+            '{"classes": 2, "depths": [1, 1], "dropout": 0.5, "format_version": 1, '
+            '"input_dim": 3, "widths": [12, 12]}',
+            "unknown keys ['dropout']",
         ),
     }
 

@@ -1,6 +1,6 @@
 """Stand-ins for a linter's unused-import, dead-code and stale-export rules over the
-package's modules, and a check that every public function or class has a caller
-beyond the tests."""
+package's modules, and checks that every public constant is read and every public
+function or class has a caller beyond the tests."""
 
 import ast
 from pathlib import Path
@@ -88,6 +88,41 @@ def test_check_flags_a_dead_private_definition():
 
 def test_no_dead_private_definitions():
     assert dead_private_definitions({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def dead_public_constants(sources: dict[str, str]) -> list[str]:
+    """``module:NAME`` for each public module-level UPPER_CASE constant of
+    ``sources`` that no module but ``__init__.py`` reads, imports or reaches as
+    an attribute: a re-export or an ``__all__`` entry is no use."""
+    modules = {name: ast.parse(source) for name, source in sources.items() if name != "__init__.py"}
+    defined, referenced = [], set()
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)
+                        and t.id.isupper() and not t.id.startswith("_")]
+        referenced |= read_names(tree)
+    return [f"{module}:{name}" for module, name in defined if name not in referenced]
+
+
+def test_check_flags_a_dead_public_constant():
+    sources = {
+        "__init__.py": "from .a import EXPORTED\n",
+        "a.py": "LIMIT = 3\nDEAD = 4\nEXPORTED = 5\nTYPED: int = 6\nATTR = 7\n"
+                "_PRIVATE = 8\nMixed = 9\n__all__ = ['DEAD']\n"
+                "def f():\n    return LIMIT\n",
+        "b.py": "from . import a\nx = a.ATTR\n",
+    }
+    assert dead_public_constants(sources) == ["a.py:DEAD", "a.py:EXPORTED", "a.py:TYPED"]
+
+
+def test_no_dead_public_constants():
+    assert dead_public_constants({p.name: p.read_text() for p in SOURCES}) == []
 
 
 def stale_exports(source: str) -> list[str]:
