@@ -1,4 +1,11 @@
-"""Command-line interface for training, distillation, sweeps, and analysis."""
+"""Command-line interface for training, distillation, sweeps, and analysis.
+
+``build_parser`` is the one table from subcommand to ``harness`` runner and
+stdout formatter.  Each option's ``dest`` is a keyword of its runner, and no
+option states a default, so the runner's own default holds for an option
+left out.  ``main`` parses, runs and prints; every user-facing error is one
+``error: ...`` line on stderr and exit status 2.
+"""
 
 from __future__ import annotations
 
@@ -7,15 +14,8 @@ import ctypes
 import sys
 
 from .config import MASK_MODES, ConfigError, load_config
-from .harness import (
-    SWEEPABLE_PARAMS,
-    run_analyze,
-    run_distill,
-    run_dump_graph,
-    run_spectral,
-    run_sweep,
-    run_train_teacher,
-)
+from .harness import (SWEEPABLE_PARAMS, run_analyze, run_distill, run_dump_graph,
+                      run_spectral, run_sweep, run_train_teacher)
 
 
 # glibc mallopt parameter numbers (malloc.h)
@@ -46,13 +46,29 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
+def _str_list(raw: str) -> list[str]:
+    return [part for part in raw.split(",") if part != ""]
+
+
 def _int_list(raw: str) -> list[int]:
     try:
-        return [int(part) for part in raw.split(",") if part != ""]
+        return [int(part) for part in _str_list(raw)]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {raw!r}"
         ) from None
+
+
+def _name_path(raw: str) -> tuple[str, str]:
+    name, sep, path = raw.partition("=")
+    if not sep or not name or not path:
+        raise argparse.ArgumentTypeError(f"expected NAME=PATH, got {raw!r}")
+    return name, path
+
+
+def _distilled(result) -> str:
+    return (f"distilled {len(result.seeds)} seed(s); "
+            f"median test error {result.median['test_error']:.4f}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,125 +79,82 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+class _Help(argparse.HelpFormatter):
+    """Help that names an option's value after the option, not its runner keyword."""
+
+    def _get_default_metavar_for_optional(self, action):
+        return action.option_strings[-1].lstrip("-").upper().replace("-", "_")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command table; runners are read from this module's globals per call."""
     parser = _Parser(
         prog="graphkd",
         description="Knowledge distillation through latent-space similarity graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help, run, report):
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS,
+                           formatter_class=_Help)
+        p.set_defaults(run=run, report=report)
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
-        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", dest="out_dir", required=True, help="output directory")
+        return p
 
-    p = sub.add_parser("train-teacher", help="train the teacher architecture on the task loss")
-    common(p)
-    p.add_argument("--seed", type=int, default=None, help="defaults to the first config seed")
+    p = command("train-teacher", "train the teacher architecture on the task loss",
+                run_train_teacher, "teacher checkpoint written to {}".format)
+    p.add_argument("--seed", type=int, help="defaults to the first config seed")
 
-    p = sub.add_parser("distill", help="train one student per seed under the configured loss")
-    common(p)
-    p.add_argument("--teacher", default=None, help="teacher checkpoint (KD losses)")
-    p.add_argument("--seeds", type=_int_list, default=None, help="comma-separated override")
+    p = command("distill", "train one student per seed under the configured loss",
+                run_distill, _distilled)
+    p.add_argument("--teacher", dest="teacher_path", help="teacher checkpoint (KD losses)")
+    p.add_argument("--seeds", type=_int_list, help="comma-separated override")
 
-    p = sub.add_parser("sweep", help="rerun distillation across one parameter's values")
-    common(p)
-    p.add_argument("--teacher", default=None)
+    p = command("sweep", "rerun distillation across one parameter's values",
+                run_sweep, "sweep table written to {}".format)
+    p.add_argument("--teacher", dest="teacher_path")
     p.add_argument("--param", required=True, choices=SWEEPABLE_PARAMS)
-    p.add_argument("--values", required=True, help="comma-separated parameter values")
+    p.add_argument("--values", type=_str_list, required=True,
+                   help="comma-separated parameter values")
 
-    p = sub.add_parser("analyze", help="loss concentration and probe consistency")
-    common(p)
-    p.add_argument("--teacher", required=True)
-    p.add_argument("--student", required=True)
-    p.add_argument("--batches", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
+    p = command("analyze", "loss concentration and probe consistency",
+                run_analyze, "analysis written to {}".format)
+    p.add_argument("--teacher", dest="teacher_path", required=True)
+    p.add_argument("--student", dest="student_path", required=True)
+    p.add_argument("--batches", dest="n_batches", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("spectral", help="graph smoothness of labels and teacher Fiedler vectors")
-    common(p)
-    p.add_argument("--teacher", required=True)
-    p.add_argument(
-        "--student",
-        action="append",
-        required=True,
-        metavar="NAME=PATH",
-        help="repeatable; e.g. --student gkd=runs/gkd/seed1/student.ckpt",
-    )
-    p.add_argument("--sample", type=int, default=1000)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p = command("spectral", "graph smoothness of labels and teacher Fiedler vectors",
+                run_spectral, "spectral report written to {}".format)
+    p.add_argument("--teacher", dest="teacher_path", required=True)
+    p.add_argument("--student", dest="student_paths", type=_name_path, action="append",
+                   required=True, metavar="NAME=PATH",
+                   help="repeatable; e.g. --student gkd=runs/gkd/seed1/student.ckpt")
+    p.add_argument("--sample", dest="sample_size", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("dump-graph", help="write one tap's similarity graph as a CSV edge list")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--block", default="block1", help="tap name, e.g. block2 or output")
-    p.add_argument("--sample", type=int, default=128)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--mask", default=None, choices=MASK_MODES)
-    p.add_argument("--seed", type=int, default=0)
+    p = command("dump-graph", "write one tap's similarity graph as a CSV edge list",
+                run_dump_graph, "graph dump written to {}".format)
+    p.add_argument("--checkpoint", dest="checkpoint_path", required=True)
+    p.add_argument("--block", help="tap name, e.g. block2 or output")
+    p.add_argument("--sample", dest="sample_size", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--p", type=int)
+    p.add_argument("--mask", dest="mask_mode", choices=MASK_MODES)
+    p.add_argument("--seed", type=int)
     return parser
 
 
 def main(argv=None) -> int:
     _keep_freed_heap()
     try:
-        args = build_parser().parse_args(argv)
-        config = load_config(args.config)
-        if args.command == "train-teacher":
-            ckpt = run_train_teacher(config, args.out, seed=args.seed)
-            print(f"teacher checkpoint written to {ckpt}")
-        elif args.command == "distill":
-            result = run_distill(config, args.out, teacher_path=args.teacher, seeds=args.seeds)
-            print(
-                f"distilled {len(result.seeds)} seed(s); "
-                f"median test error {result.median['test_error']:.4f}"
-            )
-        elif args.command == "sweep":
-            values = [v for v in args.values.split(",") if v != ""]
-            path = run_sweep(config, args.out, args.param, values, teacher_path=args.teacher)
-            print(f"sweep table written to {path}")
-        elif args.command == "analyze":
-            out = run_analyze(
-                config,
-                args.out,
-                args.teacher,
-                args.student,
-                n_batches=args.batches,
-                batch_size=args.batch_size,
-                seed=args.seed,
-            )
-            print(f"analysis written to {out}")
-        elif args.command == "spectral":
-            students = {}
-            for item in args.student:
-                name, sep, path = item.partition("=")
-                if not sep or not name or not path:
-                    raise ConfigError(f"--student expects NAME=PATH, got {item!r}")
-                students[name] = path
-            out = run_spectral(
-                config,
-                args.out,
-                args.teacher,
-                students,
-                sample_size=args.sample,
-                k=args.k,
-                seed=args.seed,
-            )
-            print(f"spectral report written to {out}")
-        else:  # dump-graph
-            out = run_dump_graph(
-                config,
-                args.out,
-                args.checkpoint,
-                block=args.block,
-                sample_size=args.sample,
-                k=args.k,
-                p=args.p,
-                mask_mode=args.mask,
-                seed=args.seed,
-            )
-            print(f"graph dump written to {out}")
+        args = vars(build_parser().parse_args(argv))
+        del args["command"]
+        run, report, config = args.pop("run"), args.pop("report"), args.pop("config")
+        print(report(run(load_config(config), **args)))
     except (ValueError, OSError, RuntimeError) as err:  # ConfigError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2

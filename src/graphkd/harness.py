@@ -274,6 +274,8 @@ def run_sweep(config: DistillConfig, out_dir, param: str, values, teacher_path=N
         raise ConfigError("sweep requires at least one value")
     # build (and so validate) every sub-config before the first run starts
     swept = [_sweep_value(param, str(raw)) for raw in values]
+    if len(set(swept)) != len(swept):
+        raise ConfigError(f"sweep: {param} values must be distinct, got {swept}")
     sub_configs = [_apply_sweep(config, param, value) for value in swept]
     out_dir = Path(out_dir)
     # a swept parameter changes neither the dataset nor the loss
@@ -359,19 +361,22 @@ def run_spectral(
     config: DistillConfig,
     out_dir,
     teacher_path,
-    student_paths: dict[str, str],
+    student_paths: list[tuple[str, str]],
     sample_size: int = 1000,
     k: int | None = None,
     seed: int = 0,
 ) -> Path:
-    """Smoothness curves for one or more students against a common teacher."""
+    """Smoothness curves for one or more students against a common teacher;
+    ``student_paths`` holds (name, checkpoint path) pairs with distinct names."""
     out_dir = Path(out_dir)
     _check_seeds((seed,), "--seed")
+    names = [name for name, _ in student_paths]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"spectral: student names must be distinct, got {names}")
     split = build_split(config)
     teacher = _require_checkpoint(teacher_path, "teacher")
     students = {
-        name: _require_checkpoint(path, f"student {name!r}")
-        for name, path in student_paths.items()
+        name: _require_checkpoint(path, f"student {name!r}") for name, path in student_paths
     }
     report = spectral_report(
         teacher, students, split.train, sample_size=sample_size, k=k, seed=seed
@@ -396,7 +401,7 @@ def run_dump_graph(
     config: DistillConfig,
     out_dir,
     checkpoint_path,
-    block,
+    block: str = "block1",
     sample_size: int = 128,
     k: int | None = None,
     p: int | None = None,

@@ -246,9 +246,12 @@ def load_checkpoint(path) -> BlockNet:
             f"(expected {CHECKPOINT_FORMAT_VERSION})"
         )
     header = _section(header, _HEADER, f"checkpoint {path}", label="header field {!r}")
-    net = build_blocknet(
-        header["depths"], header["widths"], header["input_dim"], header["classes"], seed=0
-    )
+    try:
+        net = build_blocknet(
+            header["depths"], header["widths"], header["input_dim"], header["classes"], seed=0
+        )
+    except ValueError as err:  # a well-typed header that describes no net
+        raise ValueError(f"checkpoint {path}: header: {err}") from None
     payload = raw[newline + 1 :]
     expected = 8 * net.num_parameters()
     if len(payload) != expected:

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -38,6 +39,41 @@ def make_config(**overrides):
     }
     base.update(overrides)
     return parse_config(base)
+
+
+def tiny_config_dict(**overrides):
+    """A small config as a JSON-ready dict; tests override individual keys."""
+    base = {
+        "version": 1,
+        "dataset": {
+            "name": "gaussian_mixture",
+            "n": 80,
+            "classes": 2,
+            "dim": 3,
+            "separation": 8.0,
+            "seed": 0,
+            "test_fraction": 0.25,
+        },
+        "teacher": {"depths": [1, 1], "widths": [12, 12]},
+        "student": {"depths": [1, 1], "widths": [4, 4]},
+        "loss": "vanilla",
+        "schedule": {
+            "base_lr": 0.1,
+            "decay_factor": 0.2,
+            "milestones": [],
+            "total_epochs": 2,
+        },
+        "batch_size": 20,
+        "seeds": [1, 2],
+    }
+    base.update(overrides)
+    return base
+
+
+def write_config(tmp_path, name="config.json", **overrides):
+    path = tmp_path / name
+    path.write_text(json.dumps(tiny_config_dict(**overrides)))
+    return path
 
 
 def tape(loss):

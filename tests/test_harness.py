@@ -25,41 +25,7 @@ from graphkd.harness import (
 )
 from graphkd.models import build_blocknet, save_checkpoint
 
-from conftest import make_config
-
-
-def tiny_config_dict(**overrides):
-    base = {
-        "version": 1,
-        "dataset": {
-            "name": "gaussian_mixture",
-            "n": 80,
-            "classes": 2,
-            "dim": 3,
-            "separation": 8.0,
-            "seed": 0,
-            "test_fraction": 0.25,
-        },
-        "teacher": {"depths": [1, 1], "widths": [12, 12]},
-        "student": {"depths": [1, 1], "widths": [4, 4]},
-        "loss": "vanilla",
-        "schedule": {
-            "base_lr": 0.1,
-            "decay_factor": 0.2,
-            "milestones": [],
-            "total_epochs": 2,
-        },
-        "batch_size": 20,
-        "seeds": [1, 2],
-    }
-    base.update(overrides)
-    return base
-
-
-def write_config(tmp_path, name="config.json", **overrides):
-    path = tmp_path / name
-    path.write_text(json.dumps(tiny_config_dict(**overrides)))
-    return path
+from conftest import make_config, tiny_config_dict, write_config
 
 
 class TestConfigParsing:
@@ -436,6 +402,12 @@ class TestCliEndToEnd:
         "lambda_kd_word": ("lambda_kd", "abc", "sweep: lambda_kd values must be numbers, got 'abc'"),
         "lambda_kd_nan": ("lambda_kd", "0.5,nan", "config: lambda_kd must be finite, got nan"),
         "lambda_kd_inf": ("lambda_kd", "inf", "config: lambda_kd must be finite, got inf"),
+        # values that are equal once typed would train into one directory
+        "lambda_kd_repeated": ("lambda_kd", "1,1.0,1e0",
+                               "sweep: lambda_kd values must be distinct, got [1.0, 1.0, 1.0]"),
+        "k_repeated": ("k", "5,05", "sweep: k values must be distinct, got [5, 5]"),
+        "mask_mode_repeated": ("mask_mode", "all,all",
+                               "sweep: mask_mode values must be distinct, got ['all', 'all']"),
     }
 
     @pytest.mark.parametrize("case", list(BAD_SWEEP_VALUES))
@@ -756,6 +728,20 @@ class TestCliEndToEnd:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_spectral_repeated_student_name_exits_two(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(build_blocknet((1, 1), (4, 4), input_dim=3, classes=2, seed=1), ckpt)
+        out = tmp_path / "out"
+        code = main(["spectral", "--config", str(config_path), "--out", str(out),
+                     "--teacher", str(ckpt), "--student", f"gkd={ckpt}",
+                     "--student", f"vanilla={ckpt}", "--student", f"gkd={tmp_path / 'other'}"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: spectral: student names must be distinct, got ['gkd', 'vanilla', 'gkd']\n"
+        )
+        assert not out.exists()
+
     # command lines the parser rejects: a bad value for each option type, a
     # missing required option and an unknown subcommand
     PARSE_ERRORS = {
@@ -903,6 +889,16 @@ class TestCliEndToEnd:
             '{"classes": 2, "depths": [1, 1], "dropout": 0.5, "format_version": 1, '
             '"input_dim": 3, "widths": [12, 12]}',
             "unknown keys ['dropout']",
+        ),
+        # well-typed fields that describe no net
+        "zero_input_dim": (
+            '{"classes": 2, "depths": [1, 1], "format_version": 1, "input_dim": 0, '
+            '"widths": [12, 12]}',
+            "header: need input_dim >= 1 and classes >= 2, got 0 and 2",
+        ),
+        "no_blocks": (
+            '{"classes": 2, "depths": [], "format_version": 1, "input_dim": 3, "widths": []}',
+            "header: depths and widths must be equal-length non-empty lists, got () and ()",
         ),
     }
 
