@@ -4,7 +4,8 @@
 stdout formatter.  Each option's ``dest`` is a keyword of its runner, and no
 option states a default, so the runner's own default holds for an option
 left out.  ``main`` parses, runs and prints; every user-facing error is one
-``error: ...`` line on stderr and exit status 2.
+``error: ...`` line on stderr and exit status 2, and a warning that is shown
+is one ``warning: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import sys
+import warnings
 
 from .config import MASK_MODES, ConfigError, load_config
 from .harness import (SWEEPABLE_PARAMS, run_analyze, run_distill, run_dump_graph,
@@ -150,6 +152,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _keep_freed_heap()
+    # a warning that is shown is one line, without its source location; the
+    # filters, and whatever records warnings instead, are left as they are
+    format_warning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         args = vars(build_parser().parse_args(argv))
         del args["command"]
@@ -158,6 +164,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError, RuntimeError) as err:  # ConfigError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = format_warning
     return 0
 
 

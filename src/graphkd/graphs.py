@@ -1,5 +1,8 @@
 """Similarity graphs over batch representations, and a small spectral toolkit.
 
+This module is the graph math alone, on arrays and tensors; it reads and
+writes no files (``harness`` writes a graph's edge list).
+
 ``build_similarity_graph`` is the one graph pipeline.  It runs the private
 stages in order, _cosine -> class_mask -> _knn -> _normalize -> _powers, on
 plain arrays.  A masked-out entry is 0 even where the input is infinite or
@@ -22,16 +25,12 @@ are plain-array utilities used on frozen graphs.  They share one input check,
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tensor, record
 from .config import MASK_MODES, GraphParams
-from .models import atomic_open
 
 __all__ = [
     "GraphParams",
@@ -44,7 +43,6 @@ __all__ = [
     "smoothness",
     "symmetric_eig",
     "fiedler_vector",
-    "dump_graph_csv",
 ]
 
 _SIGN_EPS = 1e-12  # |component| above this counts as nonzero for sign fixing
@@ -380,30 +378,3 @@ def fiedler_vector(lap) -> GraphSignal:
                 vec = -vec
             break
     return GraphSignal(s=vec, name="fiedler")
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def dump_graph_csv(graph: SimilarityGraph, edges_path, params_path) -> None:
-    """Write the upper-triangle edge list (i,j,weight) plus a JSON param sidecar.
-
-    Each file appears only once complete (see ``models.atomic_open``).
-    """
-    w = graph.weights
-    with atomic_open(edges_path) as fh, io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
-        writer = csv.writer(text)
-        writer.writerow(["i", "j", "weight"])
-        for i in range(graph.n):
-            for j in range(i + 1, graph.n):
-                if w[i, j] != 0.0:
-                    writer.writerow([i, j, repr(float(w[i, j]))])
-    sidecar = {
-        "n": graph.n,
-        "k": graph.params.k,
-        "p": graph.params.p,
-        "mask_mode": graph.params.mask_mode,
-    }
-    with atomic_open(params_path) as fh:
-        fh.write((json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode("utf-8"))

@@ -3,6 +3,8 @@
 Every run directory receives a manifest (config digest, seeds, checkpoint
 digests, dataset provenance) sufficient to reproduce it bit-exactly, plus
 metrics.csv per run and a summary.json with per-seed and median metrics.
+Every CSV table goes through ``_write_table``, so the table format is decided
+here alone.
 
 train-teacher, distill and sweep each run a plan: a list of run directories,
 each with its jobs (one net to train apiece, written by ``_train_job``) and a
@@ -17,7 +19,7 @@ what the jobs and run directories before it wrote.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,7 +34,7 @@ from .datasets import (
     load_idx,
     split_dataset,
 )
-from .graphs import GraphParams, build_similarity_graph, dump_graph_csv
+from .graphs import GraphParams, build_similarity_graph
 from .models import (
     BlockNet,
     atomic_open,
@@ -110,12 +112,21 @@ def build_net(config: DistillConfig, which: str, split: DataSplit, seed: int) ->
 
 
 def write_metrics_csv(path: Path, result: TrainResult) -> None:
-    # repr of a Python float round-trips to the exact double
-    rows = [
-        ",".join([str(m.epoch), *(repr(float(getattr(m, c))) for c in METRIC_COLUMNS[1:])])
-        for m in result.metrics
-    ]
-    _write_text(path, "\n".join([",".join(METRIC_COLUMNS), *rows]) + "\n")
+    _write_table(path, METRIC_COLUMNS,
+                 ([getattr(m, c) for c in METRIC_COLUMNS] for m in result.metrics))
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):  # numpy floats too; repr round-trips to the exact double
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def _write_table(path: Path, header, rows) -> None:
+    """Write a CSV table through ``_write_text``: a float cell is its repr, None
+    is empty and anything else its str; every line ends in a bare newline."""
+    lines = [",".join(header), *(",".join(map(_cell, row)) for row in rows)]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -285,13 +296,12 @@ def run_sweep(config: DistillConfig, out_dir, param: str, values, teacher_path=N
         _distill_run(sub, out_dir / f"{param}_{value}", sub.seeds, split)
         for value, sub in zip(swept, sub_configs)
     ]
-    rows = ["param,value,seeds,per_seed_test_errors,median_test_error"]
-    for value, result in zip(swept, _run_plan(plan, split, teacher)):
-        seeds = ";".join(str(s) for s in result.seeds)
-        errors = ";".join(repr(result.per_seed[s]["test_error"]) for s in result.seeds)
-        rows.append(f"{param},{value},{seeds},{errors},{result.median['test_error']!r}")
+    rows = [(param, value, ";".join(map(str, r.seeds)),
+             ";".join(_cell(r.per_seed[s]["test_error"]) for s in r.seeds), r.median["test_error"])
+            for value, r in zip(swept, _run_plan(plan, split, teacher))]
     sweep_path = out_dir / "sweep.csv"
-    _write_text(sweep_path, "\n".join(rows) + "\n")
+    _write_table(sweep_path, ("param", "value", "seeds", "per_seed_test_errors",
+                              "median_test_error"), rows)
     return sweep_path
 
 
@@ -319,7 +329,7 @@ def run_analyze(
     student = _require_checkpoint(student_path, "student")
 
     graph = config.graph if config.graph is not None else GraphParams(k=batch_size - 1)
-    conc_rows = ["loss,tap,median_concentration_pct"]
+    conc_rows = []
     for loss_name in ("gkd", "rkdd"):
         report = concentration_report(
             teacher,
@@ -331,16 +341,14 @@ def run_analyze(
             batch_size=batch_size,
             seed=seed,
         )
-        for tap, pct in report.per_tap.items():
-            conc_rows.append(f"{loss_name},{tap},{'' if pct is None else repr(pct)}")
+        conc_rows += [(loss_name, tap, pct) for tap, pct in report.per_tap.items()]
     # both reports are computed before either table is written, so a run
     # that fails in the probe fit leaves no lone concentration.csv
     curve = consistency_curve(teacher, student, split.train, split.test)
-    _write_text(out_dir / "concentration.csv", "\n".join(conc_rows) + "\n")
-    cons_rows = ["tap,consistency"]
-    for tap, frac in zip(curve.taps, curve.fractions):
-        cons_rows.append(f"{tap},{repr(frac)}")
-    _write_text(out_dir / "consistency.csv", "\n".join(cons_rows) + "\n")
+    _write_table(out_dir / "concentration.csv", ("loss", "tap", "median_concentration_pct"),
+                 conc_rows)
+    _write_table(out_dir / "consistency.csv", ("tap", "consistency"),
+                 zip(curve.taps, curve.fractions))
 
     _write_json(
         out_dir / "analysis_summary.json",
@@ -381,18 +389,17 @@ def run_spectral(
     report = spectral_report(
         teacher, students, split.train, sample_size=sample_size, k=k, seed=seed
     )
-    rows = ["student,signal,tap,smoothness"]
-    payload: dict = {}
+    rows, payload = [], {}
     for student_name, curves in report.items():
-        payload[student_name] = {}
-        for curve in curves:
-            payload[student_name][curve.signal] = dict(zip(curve.taps, curve.values))
-            for tap, value in zip(curve.taps, curve.values):
-                rows.append(f"{student_name},{curve.signal},{tap},{repr(value)}")
-    _write_text(out_dir / "smoothness.csv", "\n".join(rows) + "\n")
+        payload[student_name] = {c.signal: dict(zip(c.taps, c.values)) for c in curves}
+        rows += [(student_name, c.signal, tap, value)
+                 for c in curves for tap, value in zip(c.taps, c.values)]
+    _write_table(out_dir / "smoothness.csv", ("student", "signal", "tap", "smoothness"), rows)
     _write_json(
         out_dir / "spectral_summary.json",
-        {"command": "spectral", "config_digest": config_digest(config), "curves": payload},
+        {"command": "spectral", "config_digest": config_digest(config), "curves": payload,
+         # the points actually used: spectral_report caps the sample at the split
+         "sample_size": min(int(sample_size), len(split.train))},
     )
     return out_dir
 
@@ -408,9 +415,13 @@ def run_dump_graph(
     mask_mode: str | None = None,
     seed: int = 0,
 ) -> Path:
-    """Build one tap's similarity graph on a sample and write its edge list."""
+    """Build one tap's similarity graph on a sample; write its upper-triangle
+    edges (i,j,weight, row-major, every nonzero weight, NaN included) to
+    graph_edges.csv and its parameters to graph_params.json."""
     out_dir = Path(out_dir)
     _check_seeds((seed,), "--seed")
+    if int(sample_size) < 0:
+        raise ConfigError(f"--sample must be non-negative, got {sample_size}")
     split = build_split(config)
     net = _require_checkpoint(checkpoint_path, "network")
     n = min(int(sample_size), len(split.train))
@@ -431,5 +442,9 @@ def run_dump_graph(
     graph = build_similarity_graph(
         reps, k=params.k, p=params.p, mask_mode=params.mask_mode, labels=yb
     )
-    dump_graph_csv(graph, out_dir / "graph_edges.csv", out_dir / "graph_params.json")
+    w = graph.weights
+    rows, cols = np.nonzero(np.triu(w, 1))  # a NaN weight is nonzero, -0.0 is not
+    _write_table(out_dir / "graph_edges.csv", ("i", "j", "weight"),
+                 zip(rows.tolist(), cols.tolist(), w[rows, cols].tolist()))
+    _write_json(out_dir / "graph_params.json", {"n": graph.n, **asdict(graph.params)})
     return out_dir

@@ -6,6 +6,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from graphkd.config import parse_config
+from graphkd.models import build_blocknet, save_checkpoint
 
 
 def make_config(**overrides):
@@ -73,6 +74,13 @@ def tiny_config_dict(**overrides):
 def write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(tiny_config_dict(**overrides)))
+    return path
+
+
+def write_net(tmp_path, name, widths, seed):
+    """Save an untrained two-block net on the tiny configs' 3-d, 2-class data."""
+    path = tmp_path / name
+    save_checkpoint(build_blocknet((1, 1), widths, input_dim=3, classes=2, seed=seed), path)
     return path
 
 

@@ -5,6 +5,10 @@ import argparse
 import ast
 import inspect
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,7 +19,7 @@ from graphkd.config import load_config
 from graphkd.harness import run_analyze, run_dump_graph, run_spectral
 from graphkd.models import build_blocknet, save_checkpoint
 
-from conftest import write_config
+from conftest import write_config, write_net
 
 
 def subcommands() -> dict[str, argparse.ArgumentParser]:
@@ -49,12 +53,6 @@ def test_main_has_no_per_command_branch():
     nodes = list(ast.walk(main_def))
     assert not [n for n in nodes if isinstance(n, (ast.If, ast.IfExp, ast.Match))]
     assert not [n for n in nodes if isinstance(n, ast.Constant) and n.value in COMMANDS]
-
-
-def _net(tmp_path, name, widths, seed):
-    path = tmp_path / name
-    save_checkpoint(build_blocknet((1, 1), widths, input_dim=3, classes=2, seed=seed), path)
-    return path
 
 
 def _files(root: Path) -> dict[str, bytes]:
@@ -114,8 +112,8 @@ def test_post_hoc_defaults_are_the_runners(tmp_path, command):
     dataset = {"name": "gaussian_mixture", "n": 360, "classes": 2, "dim": 3,
                "separation": 8.0, "seed": 0, "test_fraction": 0.25}
     config_path = write_config(tmp_path, dataset=dataset)
-    paths = {"teacher": _net(tmp_path, "teacher.ckpt", (12, 12), seed=1),
-             "student": _net(tmp_path, "student.ckpt", (4, 4), seed=2)}
+    paths = {"teacher": write_net(tmp_path, "teacher.ckpt", (12, 12), seed=1),
+             "student": write_net(tmp_path, "student.ckpt", (4, 4), seed=2)}
     argv, run = POST_HOC[command]
     assert main([command, "--config", str(config_path), "--out", str(tmp_path / "cli"),
                  *(arg.format(**paths) for arg in argv)]) == 0
@@ -142,3 +140,52 @@ def test_help_names_values_after_their_options(command):
     for keyword in ("OUT_DIR", "TEACHER_PATH", "STUDENT_PATH", "N_BATCHES", "SAMPLE_SIZE",
                     "CHECKPOINT_PATH"):
         assert keyword not in text
+
+
+def _disconnected_teacher_run(tmp_path):
+    """A spectral command line whose teacher has all-zero weights: every tap is
+    zero, so every teacher graph has no edge and warns that it is disconnected."""
+    teacher = build_blocknet((1, 1), (4, 4), input_dim=3, classes=2, seed=1)
+    for p in teacher.parameters():
+        p.data[:] = 0.0
+    save_checkpoint(teacher, tmp_path / "teacher.ckpt")
+    student = write_net(tmp_path, "student.ckpt", (4, 4), seed=2)
+    return ["spectral", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out"),
+            "--teacher", str(tmp_path / "teacher.ckpt"), "--student", f"s={student}",
+            "--sample", "8"]
+
+
+DISCONNECTED = [f"teacher graph at {tap} is disconnected; Fiedler vector is degenerate"
+                for tap in ("block1", "block2", "output")]
+
+
+@pytest.mark.parametrize("flag, code, last_line", [
+    ("default", 0, "spectral report written to"),
+    ("error", 1, f"RuntimeWarning: {DISCONNECTED[0]}"),
+], ids=["default", "error"])
+def test_a_shown_warning_is_one_line(tmp_path, flag, code, last_line):
+    # in a process of its own, where nothing records warnings and they are shown
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-W", flag, "-m", "graphkd.cli",
+                           *_disconnected_teacher_run(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code
+    if flag == "default":
+        assert proc.stderr.splitlines() == [f"warning: {text}" for text in DISCONNECTED]
+        assert proc.stdout.startswith(last_line)
+    else:  # the filters are the interpreter's own: -W error still raises
+        assert proc.stderr.splitlines()[-1] == last_line
+
+
+@pytest.mark.filterwarnings("default")
+def test_a_recorder_still_sees_each_warning(tmp_path, recwarn):
+    format_warning = warnings.formatwarning
+    assert main(_disconnected_teacher_run(tmp_path)) == 0
+    assert [str(w.message) for w in recwarn] == DISCONNECTED
+    assert warnings.formatwarning is format_warning  # main puts the format back
+
+
+def test_an_error_filter_still_raises_the_warning(tmp_path):
+    # the suite's own filter turns a RuntimeWarning into an error
+    with pytest.raises(RuntimeWarning, match="teacher graph at block1 is disconnected"):
+        main(_disconnected_teacher_run(tmp_path))

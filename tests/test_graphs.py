@@ -6,9 +6,6 @@ batches.  Its stages are private helpers of ``build_similarity_graph``;
 the stage tests call them on one (n, n) matrix through the wrappers below.
 """
 
-import csv
-import json
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -23,7 +20,6 @@ from graphkd.graphs import (
     _select,
     build_similarity_graph,
     class_mask,
-    dump_graph_csv,
     fiedler_vector,
     laplacian,
     smoothness,
@@ -638,32 +634,3 @@ class TestSpectral:
         assert_allclose(np.linalg.norm(vec), 1.0, atol=1e-12)
         assert_allclose(lap @ vec, np.zeros(4), atol=1e-8)
 
-
-class TestDump:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(61)
-        reps = rng.normal(size=(7, 3))
-        g = build_similarity_graph(reps, k=2, p=2, mask_mode="all")
-        edges = tmp_path / "edges.csv"
-        params = tmp_path / "params.json"
-        dump_graph_csv(g, edges, params)
-
-        rebuilt = np.zeros((7, 7))
-        with edges.open() as fh:
-            rows = list(csv.DictReader(fh))
-        for row in rows:
-            i, j = int(row["i"]), int(row["j"])
-            assert i < j
-            rebuilt[i, j] = rebuilt[j, i] = float(row["weight"])
-        assert_array_equal(rebuilt, g.weights)
-
-        sidecar = json.loads(params.read_text())
-        assert sidecar == {"n": 7, "k": 2, "p": 2, "mask_mode": "all"}
-
-    def test_write_failing_midway_leaves_no_file(self, tmp_path):
-        g = build_similarity_graph(np.random.default_rng(62).normal(size=(7, 3)), k=6)
-        g.weights = g.weights.astype(object)
-        g.weights[3, 5] = "not a number"  # fails after rows 0-2 are written
-        with pytest.raises(ValueError):
-            dump_graph_csv(g, tmp_path / "edges.csv", tmp_path / "params.json")
-        assert list(tmp_path.iterdir()) == []

@@ -3,11 +3,13 @@
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from graphkd import harness
 from graphkd.cli import main
 from graphkd.config import (
     ConfigError,
@@ -16,16 +18,19 @@ from graphkd.config import (
     parse_config,
 )
 from graphkd.harness import (
+    METRIC_COLUMNS,
     _apply_sweep,
     _sweep_value,
     aggregate_median,
     run_distill,
+    run_dump_graph,
+    run_spectral,
     run_sweep,
     run_train_teacher,
 )
-from graphkd.models import build_blocknet, save_checkpoint
+from graphkd.models import atomic_open, build_blocknet, save_checkpoint
 
-from conftest import make_config, tiny_config_dict, write_config
+from conftest import make_config, tiny_config_dict, write_config, write_net
 
 
 class TestConfigParsing:
@@ -857,7 +862,8 @@ class TestCliEndToEnd:
         (["--k", "0"], "k=0 outside the valid range"),
         (["--p", "0"], "p must be a positive integer"),
         (["--sample", "1"], "need at least 2 rows"),
-    ], ids=["k0", "p0", "sample1"])
+        (["--sample", "0"], "need at least 2 rows"),
+    ], ids=["k0", "p0", "sample1", "sample0"])
     def test_dump_graph_errors_name_build_similarity_graph(
         self, tmp_path, capsys, argv, fragment
     ):
@@ -874,6 +880,17 @@ class TestCliEndToEnd:
                      "adjacency_power"):
             assert gone not in err
         assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_dump_graph_negative_sample_exits_two(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        ckpt = tmp_path / "net.ckpt"
+        save_checkpoint(build_blocknet((1, 1), (4, 4), input_dim=3, classes=2, seed=1), ckpt)
+        out = tmp_path / "out"
+        code = main(["dump-graph", "--config", str(config_path), "--out", str(out),
+                     "--checkpoint", str(ckpt), "--sample", "-5"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --sample must be non-negative, got -5\n"
         assert not out.exists()
 
     # a checkpoint header line, and a fragment of its one error line
@@ -956,3 +973,129 @@ class TestTwoArcsConfig:
         assert main(["train-teacher", "--config", str(config_path), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert 0.0 <= summary["final"]["test_error"] <= 1.0
+
+
+class TestDumpGraph:
+    """run_dump_graph writes the graph's upper-triangle edges through harness's
+    one table writer, and its parameters as a JSON sidecar."""
+
+    def _dump(self, tmp_path, monkeypatch, edit=lambda w: None, **kwargs):
+        """Run dump-graph on an untrained net; return the graph it wrote, after
+        ``edit`` has changed its weights in place."""
+        built, build = [], harness.build_similarity_graph
+
+        def spy(*args, **kw):
+            graph = build(*args, **kw)
+            edit(graph.weights)
+            built.append(graph)
+            return graph
+
+        monkeypatch.setattr(harness, "build_similarity_graph", spy)
+        net = write_net(tmp_path, "net.ckpt", (12, 12), seed=1)
+        run_dump_graph(make_config(), tmp_path / "graph", net, **kwargs)
+        return built[0]
+
+    @staticmethod
+    def _edges(path):
+        with path.open(newline="") as fh:
+            return [(int(r["i"]), int(r["j"]), float(r["weight"])) for r in csv.DictReader(fh)]
+
+    def test_round_trip(self, tmp_path, monkeypatch):
+        graph = self._dump(tmp_path, monkeypatch, sample_size=7, k=2, p=2)
+        out = tmp_path / "graph"
+        edges = self._edges(out / "graph_edges.csv")
+        rebuilt = np.zeros((7, 7))
+        for i, j, weight in edges:
+            assert i < j
+            rebuilt[i, j] = rebuilt[j, i] = weight
+        np.testing.assert_array_equal(rebuilt, graph.weights)
+        assert [(i, j) for i, j, _ in edges] == sorted((i, j) for i, j, _ in edges)
+        sidecar = json.loads((out / "graph_params.json").read_text())
+        assert sidecar == {"n": 7, "k": 2, "p": 2, "mask_mode": "all"}
+
+    def test_nan_weight_is_kept_and_signed_zeros_dropped(self, tmp_path, monkeypatch):
+        def edit(w):
+            w[0, 1] = w[1, 0] = np.nan
+            w[1, 2] = w[2, 1] = -0.0
+            w[2, 3] = w[3, 2] = 0.0
+
+        graph = self._dump(tmp_path, monkeypatch, edit, sample_size=6, k=5)
+        edges = self._edges(tmp_path / "graph" / "graph_edges.csv")
+        assert edges[0][:2] == (0, 1) and math.isnan(edges[0][2])
+        upper = {(i, j) for i in range(6) for j in range(i + 1, 6) if graph.weights[i, j] != 0}
+        assert [(i, j) for i, j, _ in edges] == sorted(upper)
+        assert (1, 2) not in upper and (2, 3) not in upper
+
+    def test_write_failing_midway_leaves_no_file(self, tmp_path, monkeypatch):
+        @contextmanager
+        def failing_open(path):
+            with atomic_open(path) as fh:
+                fh.write(b"i,j,weight\n0,1,")
+                raise OSError("No space left on device")
+
+        monkeypatch.setattr(harness, "atomic_open", failing_open)
+        with pytest.raises(OSError, match="No space left"):
+            self._dump(tmp_path, monkeypatch, sample_size=7, k=2)
+        assert [f for f in tmp_path.rglob("*") if f.is_file()] == [tmp_path / "net.ckpt"]
+
+
+class TestSpectralSummary:
+    # the tiny config's dataset has 60 training points
+    @pytest.mark.filterwarnings("ignore:teacher graph.*disconnected:RuntimeWarning")
+    @pytest.mark.parametrize("sample, used", [(1000, 60), (40, 40)])
+    def test_records_the_sample_size_used(self, tmp_path, sample, used):
+        teacher = write_net(tmp_path, "teacher.ckpt", (12, 12), seed=1)
+        student = write_net(tmp_path, "student.ckpt", (4, 4), seed=2)
+        out = tmp_path / "spectral"
+        run_spectral(load_config(write_config(tmp_path)), out, teacher, [("s", student)],
+                     sample_size=sample)
+        summary = json.loads((out / "spectral_summary.json").read_text())
+        assert summary["sample_size"] == used
+
+
+# every CSV a command writes, and the header it starts with
+CSV_HEADERS = {
+    "teacher_metrics.csv": ",".join(METRIC_COLUMNS),
+    "metrics.csv": ",".join(METRIC_COLUMNS),
+    "sweep.csv": "param,value,seeds,per_seed_test_errors,median_test_error",
+    "concentration.csv": "loss,tap,median_concentration_pct",
+    "consistency.csv": "tap,consistency",
+    "smoothness.csv": "student,signal,tap,smoothness",
+    "graph_edges.csv": "i,j,weight",
+}
+CSV_COMMANDS = {
+    "train-teacher": [],
+    "distill": ["--teacher", "{teacher}"],
+    "sweep": ["--teacher", "{teacher}", "--param", "k", "--values", "4,8"],
+    "analyze": ["--teacher", "{teacher}", "--student", "{student}",
+                "--batches", "2", "--batch-size", "16"],
+    "spectral": ["--teacher", "{teacher}", "--student", "gkd={student}", "--sample", "40"],
+    "dump-graph": ["--checkpoint", "{teacher}", "--sample", "24", "--k", "4"],
+}
+
+
+@pytest.fixture(scope="module")
+def command_runs(tmp_path_factory):
+    """Each of CSV_COMMANDS run once, in order, into a directory of its own."""
+    root = tmp_path_factory.mktemp("tables")
+    config = str(write_config(root, loss="gkd", lambda_kd=1.0, graph={"k": 10}, seeds=[1]))
+    runs = {command: root / command for command in CSV_COMMANDS}
+    paths = {"teacher": runs["train-teacher"] / "teacher.ckpt",
+             "student": runs["distill"] / "seed1" / "student.ckpt"}
+    for command, extra in CSV_COMMANDS.items():
+        argv = [command, "--config", config, "--out", str(runs[command])]
+        assert main(argv + [arg.format(**paths) for arg in extra]) == 0
+    return runs
+
+
+@pytest.mark.filterwarnings("ignore:teacher graph.*disconnected:RuntimeWarning")
+@pytest.mark.parametrize("command", list(CSV_COMMANDS))
+def test_every_table_has_its_header_first_and_newline_line_ends(command_runs, command):
+    tables = sorted(command_runs[command].rglob("*.csv"))
+    assert tables
+    for table in tables:
+        data = table.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n"), table.name
+        lines = data.decode().splitlines()
+        assert lines[0] == CSV_HEADERS[table.name]
+        assert len(lines) > 1 and {line.count(",") for line in lines} == {lines[0].count(",")}

@@ -187,3 +187,49 @@ def test_no_public_definition_that_only_tests_call():
     sources = {p.name: p.read_text() for p in SOURCES}
     readers = {ACCEPTANCE.name: ACCEPTANCE.read_text()}
     assert public_definitions_only_tests_call(sources, readers) == []
+
+
+# file I/O lives in models (atomic_open, checkpoints), harness (artefacts),
+# config and datasets (inputs) and cli; these modules only compute
+COMPUTE_MODULES = ("autodiff.py", "graphs.py", "losses.py", "training.py", "analysis.py")
+FILE_IO_MODULES = {"csv", "io", "json", "os"}
+ATOMIC_OPEN_USERS = ("models.py", "harness.py")
+
+
+def file_io_breaches(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each import of a FILE_IO_MODULES module by a
+    COMPUTE_MODULES module, and for each module outside ATOMIC_OPEN_USERS that
+    names ``atomic_open``."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        if module in COMPUTE_MODULES:
+            imported = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update(a.name.split(".")[0] for a in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+            found += [f"{module}:{name}" for name in sorted(imported & FILE_IO_MODULES)]
+        if module not in ATOMIC_OPEN_USERS and "atomic_open" in read_names(tree):
+            found.append(f"{module}:atomic_open")
+    return found
+
+
+def test_check_flags_file_io_outside_its_modules():
+    sources = {
+        "graphs.py": "import csv, numpy\nfrom os import path\nfrom .models import atomic_open\n",
+        "losses.py": "def f():\n    import io.text\n    return io\n",
+        "training.py": "from .graphs import build\nimport jsonschema\n",
+        "config.py": "import json\nfrom . import models\nw = models.atomic_open\n",
+        "harness.py": "import json\nfrom .models import atomic_open\n",
+        "models.py": "import os\ndef atomic_open():\n    pass\n",
+    }
+    assert file_io_breaches(sources) == [
+        "graphs.py:csv", "graphs.py:os", "graphs.py:atomic_open", "losses.py:io",
+        "config.py:atomic_open",
+    ]
+
+
+def test_compute_modules_do_no_file_io():
+    assert file_io_breaches({p.name: p.read_text() for p in SOURCES}) == []
