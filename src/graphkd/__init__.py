@@ -36,7 +36,6 @@ from .losses import (
 )
 from .models import (
     BlockNet,
-    TapOutput,
     build_blocknet,
     forward_with_taps,
     load_checkpoint,

@@ -1,6 +1,8 @@
 """Post-hoc analyses: loss concentration, probe consistency, graph smoothness.
 
 These all operate on frozen networks; nothing here touches the gradient tape.
+Each forwards a net through ``models.frozen_forward`` and uses its tap list as
+it comes, so every report names its taps by ``tap_names()``, in that order.
 
 The probes of a consistency curve, one per net and block, fit in lockstep on
 the same labels.  Probes whose features share a shape form one group, with
@@ -84,11 +86,6 @@ class ConcentrationReport:
     per_tap: dict[str, float | None] = field(default_factory=dict)
 
 
-def _frozen_taps(net: BlockNet, features: np.ndarray):
-    out = frozen_forward(net, features)
-    return [*out.taps, out.logits]
-
-
 def concentration_report(
     teacher: BlockNet,
     student: BlockNet,
@@ -124,8 +121,8 @@ def concentration_report(
     for _ in range(n_batches):
         idx = rng.choice(len(data), size=batch_size, replace=False)
         xb, yb = data.features[idx], data.labels[idx]
-        s_taps = _frozen_taps(student, xb)
-        t_taps = _frozen_taps(teacher, xb)
+        s_taps = frozen_forward(student, xb)
+        t_taps = frozen_forward(teacher, xb)
         for name, s_tap, t_tap in zip(names, s_taps, t_taps):
             if loss == "gkd":
                 sg = build_similarity_graph(
@@ -266,10 +263,10 @@ def _agreements(
     for block in blocks:
         if not 1 <= block <= teacher.num_blocks or not 1 <= block <= student.num_blocks:
             raise ValueError(f"consistency_probe: block {block!r} out of range")
-    t_eval, s_eval = (_frozen_taps(net, eval_data.features) for net in (teacher, student))
+    t_eval, s_eval = (frozen_forward(net, eval_data.features) for net in (teacher, student))
     fractions = []
     if blocks:
-        t_train, s_train = (_frozen_taps(net, train_data.features) for net in (teacher, student))
+        t_train, s_train = (frozen_forward(net, train_data.features) for net in (teacher, student))
         reps = [taps[block - 1].data for block in blocks for taps in (t_train, s_train)]
         probes = [LogisticProbe() for _ in reps]
         _fit_lockstep(probes, reps, train_data.labels, train_data.num_classes)
@@ -307,7 +304,7 @@ def consistency_curve(
     """Probe consistency for every block, plus output agreement as the last entry."""
     blocks = list(range(1, student.num_blocks + 1))
     return ConsistencyCurve(
-        taps=[f"block{block}" for block in blocks] + [OUTPUT_TAP],
+        taps=student.tap_names(),
         fractions=_agreements(teacher, student, train_data, eval_data, blocks),
     )
 
@@ -349,7 +346,7 @@ def spectral_report(
         k = n - 1
     names = teacher.tap_names()
 
-    teacher_taps = _frozen_taps(teacher, xb)
+    teacher_taps = frozen_forward(teacher, xb)
     indicator_signals = [
         (yb == c).astype(np.float64) for c in range(data.num_classes)
     ]
@@ -369,7 +366,7 @@ def spectral_report(
 
     report: dict[str, list[SmoothnessCurve]] = {}
     for student_name, student in students.items():
-        student_taps = _frozen_taps(student, xb)
+        student_taps = frozen_forward(student, xb)
         label_vals, fiedler_vals = [], []
         for tap, fied in zip(student_taps, fiedlers):
             lap_s = laplacian(build_similarity_graph(tap.data, k=k).weights)

@@ -107,6 +107,13 @@ def build_net(config: DistillConfig, which: str, split: DataSplit, seed: int) ->
     )
 
 
+def _graph_at(config: DistillConfig, n: int) -> GraphParams:
+    """The config's graph at n points, k capped at n - 1; a config with no
+    graph gets the dense k = n - 1."""
+    graph = config.graph if config.graph is not None else GraphParams(k=n - 1)
+    return replace(graph, k=min(graph.k, n - 1))
+
+
 # ---------------------------------------------------------------------------
 # artifact writers
 
@@ -328,19 +335,11 @@ def run_analyze(
     teacher = _require_checkpoint(teacher_path, "teacher")
     student = _require_checkpoint(student_path, "student")
 
-    graph = config.graph if config.graph is not None else GraphParams(k=batch_size - 1)
+    graph = _graph_at(config, batch_size)
     conc_rows = []
     for loss_name in ("gkd", "rkdd"):
-        report = concentration_report(
-            teacher,
-            student,
-            split.train,
-            loss_name,
-            graph=GraphParams(k=min(graph.k, batch_size - 1), p=graph.p, mask_mode=graph.mask_mode),
-            n_batches=n_batches,
-            batch_size=batch_size,
-            seed=seed,
-        )
+        report = concentration_report(teacher, student, split.train, loss_name, graph=graph,
+                                      n_batches=n_batches, batch_size=batch_size, seed=seed)
         conc_rows += [(loss_name, tap, pct) for tap, pct in report.per_tap.items()]
     # both reports are computed before either table is written, so a run
     # that fails in the probe fit leaves no lone concentration.csv
@@ -417,7 +416,9 @@ def run_dump_graph(
 ) -> Path:
     """Build one tap's similarity graph on a sample; write its upper-triangle
     edges (i,j,weight, row-major, every nonzero weight, NaN included) to
-    graph_edges.csv and its parameters to graph_params.json."""
+    graph_edges.csv and its parameters to graph_params.json.  An explicit
+    ``k``, ``p`` or ``mask_mode`` overrides ``_graph_at``'s graph as given:
+    such a ``k`` is not capped, so one outside [1, n - 1] is rejected."""
     out_dir = Path(out_dir)
     _check_seeds((seed,), "--seed")
     if int(sample_size) < 0:
@@ -428,17 +429,16 @@ def run_dump_graph(
     idx = np.random.default_rng(seed).choice(len(split.train), size=n, replace=False)
     xb, yb = split.train.features[idx], split.train.labels[idx]
 
-    base = config.graph if config.graph is not None else GraphParams(k=n - 1)
+    base = _graph_at(config, n)
     params = GraphParams(
-        k=min(base.k if k is None else int(k), n - 1),
+        k=base.k if k is None else int(k),
         p=base.p if p is None else int(p),
         mask_mode=base.mask_mode if mask_mode is None else str(mask_mode),
     )
     tap_names = net.tap_names()
     if block not in tap_names:
         raise ConfigError(f"unknown tap {block!r}; available: {tap_names}")
-    out = frozen_forward(net, xb)
-    reps = [*out.taps, out.logits][tap_names.index(block)].data
+    reps = frozen_forward(net, xb)[tap_names.index(block)].data
     graph = build_similarity_graph(
         reps, k=params.k, p=params.p, mask_mode=params.mask_mode, labels=yb
     )

@@ -2,7 +2,10 @@
 
 All losses return scalar tensors so a single backward pass covers the
 combined objective.  Teacher-side inputs are constants (arrays, or tensors
-whose values are read); only the student side contributes gradients.
+whose values are read); only the student side contributes gradients.  IKD
+and RKD-D take the student's and the teacher's tap lists in the forward
+pass's order and pair them once, in ``_tap_pairs``, which checks that the
+two lists are one length and not empty.
 
 Conventions:
 
@@ -123,7 +126,8 @@ def _rkdd_tap(student: Tensor, teacher: np.ndarray) -> Tensor:
     return record(np.sum(_huber(d)), (student,), backward)
 
 
-def _check_tap_lists(student_taps, teacher_taps, loss_name):
+def _tap_pairs(student_taps, teacher_taps, loss_name) -> list[tuple[Tensor, np.ndarray]]:
+    """Pair two tap lists of one length as (student tensor, teacher array), tap by tap."""
     if len(student_taps) != len(teacher_taps):
         raise ValueError(
             f"{loss_name}: student has {len(student_taps)} taps but teacher has "
@@ -131,6 +135,9 @@ def _check_tap_lists(student_taps, teacher_taps, loss_name):
         )
     if not student_taps:
         raise ValueError(f"{loss_name}: empty tap list")
+    return [(s if isinstance(s, Tensor) else Tensor(s),
+             t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64))
+            for s, t in zip(student_taps, teacher_taps)]
 
 
 def ikd_loss(student_taps, teacher_taps) -> Tensor:
@@ -139,42 +146,30 @@ def ikd_loss(student_taps, teacher_taps) -> Tensor:
     Requires equal widths at every tap; this is the individual KD regime,
     which cannot bridge differently-sized latent spaces.
     """
-    _check_tap_lists(student_taps, teacher_taps, "ikd_loss")
-    terms = []
-    n = None
-    for idx, (s, t) in enumerate(zip(student_taps, teacher_taps)):
-        s_t = s if isinstance(s, Tensor) else Tensor(s)
-        t_arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
-        if s_t.data.shape != t_arr.shape:
+    pairs = _tap_pairs(student_taps, teacher_taps, "ikd_loss")
+    for idx, (s, t) in enumerate(pairs):
+        if s.data.shape != t.shape:
             raise ValueError(
-                f"ikd_loss: tap {idx} has student shape {s_t.data.shape} and teacher "
-                f"shape {t_arr.shape}; IKD requires identical dimensions at every tap"
+                f"ikd_loss: tap {idx} has student shape {s.data.shape} and teacher "
+                f"shape {t.shape}; IKD requires identical dimensions at every tap"
             )
-        if n is None:
-            n = s_t.data.shape[0]
-        terms.append(_squared_distance(s_t, t_arr))
-    return _sum_node(terms, 1.0 / (n * len(student_taps)))
+    n = pairs[0][0].data.shape[0]
+    return _sum_node([_squared_distance(s, t) for s, t in pairs], 1.0 / (n * len(pairs)))
 
 
 def rkdd_loss(student_taps, teacher_taps) -> Tensor:
     """Distance-wise relational KD over ordered pairs, summed across taps."""
-    _check_tap_lists(student_taps, teacher_taps, "rkdd_loss")
-    terms = []
-    n = None
-    for idx, (s, t) in enumerate(zip(student_taps, teacher_taps)):
-        s_t = s if isinstance(s, Tensor) else Tensor(s)
-        t_arr = t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64)
-        if s_t.data.shape[0] != t_arr.shape[0]:
+    pairs = _tap_pairs(student_taps, teacher_taps, "rkdd_loss")
+    for idx, (s, t) in enumerate(pairs):
+        if s.data.shape[0] != t.shape[0]:
             raise ValueError(
-                f"rkdd_loss: tap {idx} has {s_t.data.shape[0]} student rows and "
-                f"{t_arr.shape[0]} teacher rows"
+                f"rkdd_loss: tap {idx} has {s.data.shape[0]} student rows and "
+                f"{t.shape[0]} teacher rows"
             )
-        if n is None:
-            n = s_t.data.shape[0]
-            if n < 2:
-                raise ValueError(f"rkdd_loss: need at least 2 examples, got {n}")
-        terms.append(_rkdd_tap(s_t, t_arr))
-    return _sum_node(terms, 1.0 / (n * (n - 1)))
+    n = pairs[0][0].data.shape[0]
+    if n < 2:
+        raise ValueError(f"rkdd_loss: need at least 2 examples, got {n}")
+    return _sum_node([_rkdd_tap(s, t) for s, t in pairs], 1.0 / (n * (n - 1)))
 
 
 def gkd_loss(student_graphs, teacher_graphs) -> Tensor:

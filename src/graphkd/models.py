@@ -2,9 +2,10 @@
 
 A BlockNet is a stack of blocks, each a sequence of affine+ReLU layers of a
 fixed per-block width, followed by an affine head producing logits.  The
-taps are every block output plus the logits, so distillation losses see one
-matrix per tap.  Each layer (affine+ReLU, or the affine head) is one
-tape node with a closed-form backward.
+taps are every block output plus the logits; the forward pass returns them
+as one list in ``tap_names()`` order, which every loss and report uses as it
+comes, so the tap order is decided here alone.  Each layer (affine+ReLU, or
+the affine head) is one tape node with a closed-form backward.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .config import _INT, _INTS, _REQUIRED, ArchSpec, _is, _section
 
 __all__ = [
     "BlockNet",
-    "TapOutput",
     "build_blocknet",
     "forward_with_taps",
     "frozen_forward",
@@ -39,14 +39,6 @@ OUTPUT_TAP = "output"
 _HEADER = {"format_version": (_INT, _REQUIRED), "depths": (_INTS, _REQUIRED),
            "widths": (_INTS, _REQUIRED), "input_dim": (_INT, _REQUIRED),
            "classes": (_INT, _REQUIRED)}
-
-
-@dataclass
-class TapOutput:
-    """Forward results: one matrix per block plus the logits."""
-
-    taps: list[Tensor]
-    logits: Tensor
 
 
 @dataclass
@@ -80,6 +72,7 @@ class BlockNet:
         return len(self.blocks)
 
     def tap_names(self) -> list[str]:
+        """The names of the forward pass's taps, in its order: each block, then the logits."""
         return [f"block{i}" for i in range(1, self.num_blocks + 1)] + [OUTPUT_TAP]
 
 
@@ -123,8 +116,9 @@ def build_blocknet(depths, widths, input_dim: int, classes: int, seed: int) -> B
     )
 
 
-def forward_with_taps(net: BlockNet, batch) -> TapOutput:
-    """Forward pass recording each block's output and the logits.
+def forward_with_taps(net: BlockNet, batch) -> list[Tensor]:
+    """Forward pass returning the taps in ``net.tap_names()`` order: each
+    block's output, then the logits (``[-1]``).
 
     With trainable parameters the tapped matrices stay on the gradient tape.
     """
@@ -140,8 +134,8 @@ def forward_with_taps(net: BlockNet, batch) -> TapOutput:
         for w, b in block:
             h = _layer(h, w, b, relu=True)
         taps.append(h)
-    logits = _layer(h, *net.head, relu=False)
-    return TapOutput(taps=taps, logits=logits)
+    taps.append(_layer(h, *net.head, relu=False))
+    return taps
 
 
 def _layer(h: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
@@ -170,8 +164,8 @@ def _layer(h: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
     return record(z, (h, w, b), backward)
 
 
-def frozen_forward(net: BlockNet, batch) -> TapOutput:
-    """Forward pass that keeps the parameters off the tape; their flags are restored."""
+def frozen_forward(net: BlockNet, batch) -> list[Tensor]:
+    """``forward_with_taps`` with the parameters kept off the tape; their flags are restored."""
     flags = [p.requires_grad for p in net.parameters()]
     net.set_requires_grad(False)
     try:

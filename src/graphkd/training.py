@@ -102,7 +102,7 @@ class TrainResult:
 
 def evaluate_error(net: BlockNet, dataset) -> float:
     """Top-1 error rate on a dataset, computed without touching the tape."""
-    logits = frozen_forward(net, dataset.features).logits.data
+    logits = frozen_forward(net, dataset.features)[-1].data
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred != dataset.labels))
 
@@ -119,11 +119,10 @@ def _validate_setup(net, data: DataSplit, config: DistillConfig, teacher) -> Non
                 f"teacher ({teacher.input_dim} -> {teacher.classes}) and student "
                 f"({net.input_dim} -> {net.classes}) disagree on input/classes"
             )
-        if teacher.num_blocks != net.num_blocks:
-            raise ValueError(
-                f"teacher exposes {teacher.num_blocks + 1} taps but student exposes "
-                f"{net.num_blocks + 1}; KD losses need matching tap counts"
-            )
+        t_count, s_count = len(teacher.tap_names()), len(net.tap_names())
+        if t_count != s_count:
+            raise ValueError(f"teacher exposes {t_count} taps but student exposes {s_count}; "
+                             "KD losses need matching tap counts")
         if config.loss == "ikd" and teacher.widths != net.widths:
             raise ValueError(
                 f"ikd requires identical tap widths, got teacher {teacher.widths} "
@@ -144,13 +143,13 @@ def _validate_setup(net, data: DataSplit, config: DistillConfig, teacher) -> Non
         )
 
 
-def _kd_loss(config: DistillConfig, student_out, teacher_out, labels) -> Tensor:
+def _kd_loss(config: DistillConfig, s_taps, t_taps, labels) -> Tensor:
     """Return the configured KD loss as a tensor on the student's tape.
 
-    The teacher's taps go in as arrays, so nothing on the teacher side is taped.
+    Both tap lists are as the forward pass returns them.  The teacher's taps
+    go in as arrays, so nothing on the teacher side is taped.
     """
-    s_taps = [*student_out.taps, student_out.logits]
-    t_taps = [tap.data for tap in (*teacher_out.taps, teacher_out.logits)]
+    t_taps = [tap.data for tap in t_taps]
     if config.loss == "gkd":
         g = config.graph
         # one (taps, n, n) stack per side
@@ -209,12 +208,11 @@ def train(
         for step, idx in enumerate(batches):
             xb = Tensor(features[idx])
             yb = labels[idx]
-            student_out = forward_with_taps(net, xb)
-            task_t = task_loss(student_out.logits, yb)
+            s_taps = forward_with_taps(net, xb)
+            task_t = task_loss(s_taps[-1], yb)
             task = float(task_t.data)
             if kd_active:
-                teacher_out = forward_with_taps(teacher, xb)
-                kd_t = _kd_loss(config, student_out, teacher_out, yb)
+                kd_t = _kd_loss(config, s_taps, forward_with_taps(teacher, xb), yb)
                 total_t = _total_loss(task_t, kd_t, config.lambda_kd)
                 kd = float(kd_t.data)
                 total = task + config.lambda_kd * kd
@@ -231,7 +229,7 @@ def train(
             sgd_momentum_step(params, [p.grad for p in params], state)
 
             batch_sums += (task, kd, total)
-            hits += int(np.sum(np.argmax(student_out.logits.data, axis=1) == yb))
+            hits += int(np.sum(np.argmax(s_taps[-1].data, axis=1) == yb))
             seen += len(yb)
 
         if not all(np.isfinite(p.data).all() for p in params):

@@ -1,5 +1,7 @@
 """Loss-concentration, probe-consistency, and spectral-smoothness analyses."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,6 +22,16 @@ from graphkd.models import build_blocknet
 
 from conftest import make_config
 from _oracles import oracle_probe_fit
+
+
+def blocks_nets(blocks: int, input_dim: int, classes: int, widths=(8, 4, 4)):
+    """Untrained nets of ``blocks`` one-layer blocks, one per width, seeded 0, 1, ..."""
+    return [build_blocknet((1,) * blocks, (width,) * blocks, input_dim, classes, seed=i)
+            for i, width in enumerate(widths)]
+
+
+# every report names its taps as the nets' tap_names() do, in that order
+TAP_ORDER_BLOCKS = (1, 2, 3)
 
 
 class TestLossConcentration:
@@ -191,11 +203,12 @@ class TestConsistency:
     def test_curve_covers_blocks_and_output(self):
         train = gen_gaussian_mixture(n=120, classes=2, dim=3, separation=4.0, seed=0)
         evald = gen_gaussian_mixture(n=80, classes=2, dim=3, separation=4.0, seed=1)
-        teacher = build_blocknet((1, 1), (8, 8), 3, 2, seed=0)
-        student = build_blocknet((1, 1), (4, 4), 3, 2, seed=1)
-        curve = consistency_curve(teacher, student, train, evald)
-        assert curve.taps == ["block1", "block2", "output"]
-        assert all(0.0 <= f <= 1.0 for f in curve.fractions)
+        for blocks in TAP_ORDER_BLOCKS:
+            teacher, student = blocks_nets(blocks, 3, 2, widths=(8, 4))
+            curve = consistency_curve(teacher, student, train, evald)
+            assert curve.taps == student.tap_names()
+            assert len(curve.fractions) == blocks + 1
+            assert all(0.0 <= f <= 1.0 for f in curve.fractions)
 
     def test_curve_equals_per_block_probes_and_output(self):
         train = gen_gaussian_mixture(n=120, classes=3, dim=3, separation=3.0, seed=0)
@@ -253,18 +266,16 @@ class TestSpectralReport:
     @pytest.mark.filterwarnings("ignore:teacher graph.*disconnected:RuntimeWarning")
     def test_curve_shapes_and_nonnegativity(self):
         data = gen_gaussian_mixture(n=90, classes=3, dim=4, separation=5.0, seed=0)
-        teacher = build_blocknet((1, 1), (8, 8), 4, 3, seed=0)
-        students = {
-            "a": build_blocknet((1, 1), (4, 4), 4, 3, seed=1),
-            "b": build_blocknet((1, 1), (4, 4), 4, 3, seed=2),
-        }
-        report = spectral_report(teacher, students, data, sample_size=40, k=6, seed=0)
-        assert set(report) == {"a", "b"}
-        for curves in report.values():
-            assert [c.signal for c in curves] == ["label_indicator", "teacher_fiedler"]
-            for curve in curves:
-                assert curve.taps == ["block1", "block2", "output"]
-                assert all(v >= -1e-12 for v in curve.values)
+        for blocks in TAP_ORDER_BLOCKS:
+            teacher, a, b = blocks_nets(blocks, 4, 3)
+            report = spectral_report(teacher, {"a": a, "b": b}, data, sample_size=40, k=6, seed=0)
+            assert set(report) == {"a", "b"}
+            for curves in report.values():
+                assert [c.signal for c in curves] == ["label_indicator", "teacher_fiedler"]
+                for curve in curves:
+                    assert curve.taps == teacher.tap_names() == a.tap_names()
+                    assert len(curve.values) == blocks + 1
+                    assert all(v >= -1e-12 for v in curve.values)
 
     def test_intra_class_only_edges_zero_label_smoothness(self):
         """Orthogonal class clusters + identity tap: no cross-class edges, so
@@ -292,9 +303,8 @@ class TestConcentrationReport:
         from graphkd.harness import build_split
 
         split = build_split(config)
-        teacher = build_blocknet((1, 1), (8, 8), 3, 2, seed=0)
-        student = build_blocknet((1, 1), (4, 4), 3, 2, seed=1)
-        for loss in ("gkd", "rkdd"):
+        for blocks, loss in itertools.product(TAP_ORDER_BLOCKS, ("gkd", "rkdd")):
+            teacher, student = blocks_nets(blocks, 3, 2, widths=(8, 4))
             report = concentration_report(
                 teacher,
                 student,
@@ -305,7 +315,7 @@ class TestConcentrationReport:
                 batch_size=16,
                 seed=0,
             )
-            assert set(report.per_tap) == {"block1", "block2", "output"}
+            assert list(report.per_tap) == student.tap_names()
             for value in report.per_tap.values():
                 assert value is None or 0.0 < value <= 100.0
 

@@ -857,13 +857,15 @@ class TestCliEndToEnd:
         assert not out.exists()
 
     # dump-graph arguments that the graph pipeline rejects: the error names
-    # build_similarity_graph, the one public function of that path
+    # build_similarity_graph, the one public function of that path; an
+    # explicit --k is taken as given, not capped at the sample
     @pytest.mark.parametrize("argv, fragment", [
         (["--k", "0"], "k=0 outside the valid range"),
+        (["--sample", "24", "--k", "1000"], "k=1000 outside the valid range [1, 23]"),
         (["--p", "0"], "p must be a positive integer"),
         (["--sample", "1"], "need at least 2 rows"),
         (["--sample", "0"], "need at least 2 rows"),
-    ], ids=["k0", "p0", "sample1", "sample0"])
+    ], ids=["k0", "k1000", "p0", "sample1", "sample0"])
     def test_dump_graph_errors_name_build_similarity_graph(
         self, tmp_path, capsys, argv, fragment
     ):
@@ -1025,6 +1027,13 @@ class TestDumpGraph:
         upper = {(i, j) for i in range(6) for j in range(i + 1, 6) if graph.weights[i, j] != 0}
         assert [(i, j) for i, j, _ in edges] == sorted(upper)
         assert (1, 2) not in upper and (2, 3) not in upper
+
+    def test_config_k_is_capped_at_the_sample(self, tmp_path):
+        net = write_net(tmp_path, "net.ckpt", (12, 12), seed=1)
+        config = make_config(loss="gkd", lambda_kd=1.0, graph={"k": 10, "p": 2})
+        run_dump_graph(config, tmp_path / "graph", net, sample_size=7)
+        sidecar = json.loads((tmp_path / "graph" / "graph_params.json").read_text())
+        assert sidecar == {"n": 7, "k": 6, "p": 2, "mask_mode": "all"}
 
     def test_write_failing_midway_leaves_no_file(self, tmp_path, monkeypatch):
         @contextmanager

@@ -1,8 +1,12 @@
 """Stand-ins for a linter's unused-import, dead-code and stale-export rules over the
-package's modules, and checks that every public constant is read and every public
-function or class has a caller beyond the tests."""
+package's modules, checks that every public constant is read and every public
+function or class has a caller beyond the tests, and a check that perfbench's
+tracer still finds every function it wraps."""
 
 import ast
+import importlib
+import inspect
+import types
 from pathlib import Path
 
 import pytest
@@ -233,3 +237,85 @@ def test_check_flags_file_io_outside_its_modules():
 
 def test_compute_modules_do_no_file_io():
     assert file_io_breaches({p.name: p.read_text() for p in SOURCES}) == []
+
+
+# perfbench's tracer wraps the functions its TARGETS name and reads some of
+# their arguments by name; a name it cannot resolve is silently reported as
+# 0 calls, and training.steps, which step_ms divides by, counts the calls of
+# training.sgd_momentum_step
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+# graph stages that build_similarity_graph runs inline; the tracer may still name them
+STALE_TRACER_TARGETS = {"cosine_similarity_matrix", "knn_sparsify", "degree_normalize",
+                        "adjacency_power"}
+
+
+def tracer_reads(source: str) -> tuple[list, dict[str, list[str]]]:
+    """A tracer source's TARGETS, and for each attribute that its wrapper
+    branches on (``if attr == "name":``) the arguments it reads with ``_getter``."""
+    tree = ast.parse(source)
+    targets = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)]
+    reads = {}
+    for node in ast.walk(tree):
+        test = getattr(node, "test", None)
+        if (isinstance(node, ast.If) and isinstance(test, ast.Compare)
+                and isinstance(test.left, ast.Name) and test.left.id == "attr"
+                and isinstance(test.comparators[0], ast.Constant)):
+            reads[test.comparators[0].value] = [
+                call.args[1].value for call in ast.walk(ast.Module(node.body, []))
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_getter"]
+    return (targets[0] if targets else []), reads
+
+
+def tracer_breaches(targets, reads: dict[str, list[str]], resolve) -> list[str]:
+    """``module.attr`` for each target that ``resolve(module)`` lacks, but for
+    STALE_TRACER_TARGETS, and ``module.attr(name)`` for each argument read by
+    name that is not a parameter of its function."""
+    found = []
+    for module, attr, _ in targets:
+        fn = resolve(module)
+        for part in attr.split("."):
+            fn = getattr(fn, part, None)
+        if fn is None:
+            if attr not in STALE_TRACER_TARGETS:
+                found.append(f"{module}.{attr}")
+            continue
+        params = inspect.signature(fn).parameters
+        found += [f"{module}.{attr}({name})" for name in reads.get(attr, ()) if name not in params]
+    return found
+
+
+def test_check_flags_what_the_tracer_cannot_find():
+    source = (
+        "TARGETS = (('m', 'f', None), ('m', 'g', None), ('m', 'gone', 'm.gone'),\n"
+        "           ('m', 'knn_sparsify', 'm.knn'), ('m', 'K.fit', 'm.K.fit'))\n"
+        "class Tracer:\n"
+        "    def _wrapper(self, attr, name, fn):\n"
+        "        if attr == 'f':\n"
+        "            net = _getter(fn, 'net')\n"
+        "        elif attr == 'g':\n"
+        "            reps, other = _getter(fn, 'reps'), _getter(fn, 'other')\n"
+    )
+    targets, reads = tracer_reads(source)
+    assert reads == {"f": ["net"], "g": ["reps", "other"]}
+
+    class K:
+        def fit(self, x):
+            pass
+
+    def f(net, batch):
+        pass
+
+    def g(batch, other):
+        pass
+
+    module = types.SimpleNamespace(f=f, g=g, K=K)
+    assert tracer_breaches(targets, reads, {"m": module}.get) == ["m.g(reps)", "m.gone"]
+
+
+def test_perfbench_tracer_finds_every_target():
+    targets, reads = tracer_reads(TRACING.read_text())
+    assert targets and reads
+    assert tracer_breaches(
+        targets, reads, lambda module: importlib.import_module(f"graphkd.{module}")) == []

@@ -1,5 +1,6 @@
 """Loss definitions: frozen hand-worked values, reference enumerations, FD grads."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -373,6 +374,34 @@ class TestRkdd:
             children = [node for node in tape(loss) if any(p is tap for p in node._parents)]
             assert len(children) == 1
             assert children[0]._parents == (tap,)
+
+
+# (loss, student tap shapes, teacher tap shapes, the whole error message)
+TAP_LIST_ERRORS = {
+    "ikd_count": (ikd_loss, [(3, 2), (3, 2)], [(3, 2)],
+                  "ikd_loss: student has 2 taps but teacher has 1"),
+    "rkdd_count": (rkdd_loss, [(3, 2)], [(3, 2), (3, 2)],
+                   "rkdd_loss: student has 1 taps but teacher has 2"),
+    "ikd_empty": (ikd_loss, [], [], "ikd_loss: empty tap list"),
+    "rkdd_empty": (rkdd_loss, [], [], "rkdd_loss: empty tap list"),
+    "ikd_shape_at_tap1": (ikd_loss, [(3, 2), (3, 4)], [(3, 2), (3, 5)],
+                          "ikd_loss: tap 1 has student shape (3, 4) and teacher shape (3, 5); "
+                          "IKD requires identical dimensions at every tap"),
+    "rkdd_rows": (rkdd_loss, [(3, 2), (3, 2)], [(3, 4), (4, 2)],
+                  "rkdd_loss: tap 1 has 3 student rows and 4 teacher rows"),
+    "rkdd_one_row": (rkdd_loss, [(1, 2), (1, 3)], [(1, 4), (1, 3)],
+                     "rkdd_loss: need at least 2 examples, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(TAP_LIST_ERRORS))
+def test_tap_list_errors(case):
+    loss, s_shapes, t_shapes, message = TAP_LIST_ERRORS[case]
+    rng = np.random.default_rng(19)
+    s = [Tensor(rng.normal(size=shape)) for shape in s_shapes]
+    t = [rng.normal(size=shape) for shape in t_shapes]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        loss(s, t)
 
 
 class TestGkd:

@@ -10,7 +10,6 @@ from graphkd.autodiff import Tensor, backward
 from graphkd.losses import task_loss
 from graphkd.models import (
     BlockNet,
-    TapOutput,
     build_blocknet,
     checkpoint_digest,
     forward_with_taps,
@@ -35,9 +34,8 @@ def param_count(depths, widths, input_dim, classes):
 class TestBuild:
     def test_tap_shapes_and_logits(self):
         net = build_blocknet(depths=(2, 1), widths=(8, 4), input_dim=3, classes=5, seed=0)
-        out = forward_with_taps(net, np.zeros((7, 3)))
-        assert [t.data.shape for t in out.taps] == [(7, 8), (7, 4)]
-        assert out.logits.data.shape == (7, 5)
+        taps = forward_with_taps(net, np.zeros((7, 3)))
+        assert [t.data.shape for t in taps] == [(7, 8), (7, 4), (7, 5)]
 
     def test_parameter_count_closed_form(self):
         for depths, widths, input_dim, classes in (
@@ -75,8 +73,16 @@ class TestBuild:
                 fan_in = w.data.shape[1]
 
     def test_default_tap_set(self):
-        net = build_blocknet((1, 1, 1), (4, 4, 4), 2, 2, seed=0)
-        assert net.tap_names() == ["block1", "block2", "block3", "output"]
+        # the forward pass returns one tap per name, the head's output last
+        x = np.random.default_rng(0).normal(size=(5, 2))
+        for blocks in (1, 2, 3):
+            net = build_blocknet((1,) * blocks, (4,) * blocks, 2, 3, seed=0)
+            names = [f"block{i}" for i in range(1, blocks + 1)]
+            assert net.tap_names() == names + ["output"]
+            taps = forward_with_taps(net, x)
+            assert len(taps) == len(net.tap_names())
+            w, b = net.head
+            assert_array_equal(taps[-1].data, taps[-2].data @ w.data + b.data)
 
     def test_arch_validation(self):
         with pytest.raises(ValueError):
@@ -94,10 +100,10 @@ class TestForward:
         net = build_blocknet((1, 1), (3, 3), 2, 2, seed=0)
         for p in net.parameters():
             p.data[:] = 0.0
-        out = forward_with_taps(net, np.random.default_rng(0).normal(size=(4, 2)))
-        for tap in out.taps:
+        taps = forward_with_taps(net, np.random.default_rng(0).normal(size=(4, 2)))
+        for tap in taps[:-1]:
             assert_array_equal(tap.data, np.zeros((4, 3)))
-        assert_array_equal(out.logits.data, np.zeros((4, 2)))
+        assert_array_equal(taps[-1].data, np.zeros((4, 2)))
 
     def test_identity_block_passes_nonnegative_input_through(self):
         net = build_blocknet((1,), (2,), 2, 2, seed=0)
@@ -105,8 +111,7 @@ class TestForward:
         w.data[:] = np.eye(2)
         b.data[:] = 0.0
         x = np.array([[0.5, 1.5], [2.0, 0.0]])
-        out = forward_with_taps(net, x)
-        assert_array_equal(out.taps[0].data, x)
+        assert_array_equal(forward_with_taps(net, x)[0].data, x)
 
     def test_taps_depend_only_on_earlier_blocks(self):
         """Perturbing block 3 must leave tap 1 and tap 2 bit-identical."""
@@ -114,15 +119,15 @@ class TestForward:
         a = build_blocknet((1, 1, 1), (4, 4, 4), 2, 2, seed=7)
         b = build_blocknet((1, 1, 1), (4, 4, 4), 2, 2, seed=7)
         b.blocks[2][0][0].data += 1.0
-        out_a, out_b = forward_with_taps(a, x), forward_with_taps(b, x)
-        assert_array_equal(out_a.taps[0].data, out_b.taps[0].data)
-        assert_array_equal(out_a.taps[1].data, out_b.taps[1].data)
-        assert not np.array_equal(out_a.taps[2].data, out_b.taps[2].data)
+        taps_a, taps_b = forward_with_taps(a, x), forward_with_taps(b, x)
+        assert_array_equal(taps_a[0].data, taps_b[0].data)
+        assert_array_equal(taps_a[1].data, taps_b[1].data)
+        assert not np.array_equal(taps_a[2].data, taps_b[2].data)
 
     def test_forward_is_pure(self):
         net = build_blocknet((2,), (5,), 3, 2, seed=2)
         x = np.random.default_rng(2).normal(size=(6, 3))
-        assert_array_equal(forward_with_taps(net, x).logits.data, forward_with_taps(net, x).logits.data)
+        assert_array_equal(forward_with_taps(net, x)[-1].data, forward_with_taps(net, x)[-1].data)
 
     def test_input_width_mismatch_rejected(self):
         net = build_blocknet((1,), (4,), 3, 2, seed=0)
@@ -132,13 +137,12 @@ class TestForward:
     def test_accepts_tensor_input_on_tape(self):
         net = build_blocknet((1,), (4,), 2, 2, seed=0)
         x = Tensor(np.zeros((3, 2)), requires_grad=True)
-        out = forward_with_taps(net, x)
-        assert out.logits.data.shape == (3, 2)
+        assert forward_with_taps(net, x)[-1].data.shape == (3, 2)
 
 
 
 
-def generic_forward(net, x) -> TapOutput:
+def generic_forward(net, x) -> list[Tensor]:
     """The layers as the generic relu(add(matmul(...))) chain: the bitwise reference."""
     h, taps = x, []
     for block in net.blocks:
@@ -146,7 +150,7 @@ def generic_forward(net, x) -> TapOutput:
             h = relu(add(matmul(h, w), b))
         taps.append(h)
     w, b = net.head
-    return TapOutput(taps=taps, logits=add(matmul(h, w), b))
+    return taps + [add(matmul(h, w), b)]
 
 
 def generic_task_loss(logits, labels):
@@ -164,24 +168,24 @@ class TestFusedLayers:
         net.blocks[0][0][1].data[0, :2] = 0.0  # a zero row of x meets zero biases
         net.set_requires_grad(True)
         xt = Tensor(x, requires_grad=True)
-        out = forward(net, xt)
-        loss = loss_fn(out.logits, labels)
+        taps = forward(net, xt)
+        loss = loss_fn(taps[-1], labels)
         # a second consumer of every block output, as a KD term has
-        for i, tap in enumerate(out.taps):
+        for i, tap in enumerate(taps[:-1]):
             loss = add(loss, total(mul(tap, np.cos(np.arange(tap.data.size) + i).reshape(tap.data.shape))))
         backward(loss)
-        return net, xt, out, loss
+        return net, xt, taps, loss
 
     def test_values_and_gradients_equal_the_generic_chain(self):
         x = np.random.default_rng(31).normal(size=(6, 3))
         x[2] = 0.0
         for batch in (x, np.zeros((4, 3))):
             labels = np.arange(len(batch)) % 3
-            net, xt, out, loss = self.run(forward_with_taps, task_loss, batch, labels)
-            r_net, r_xt, r_out, r_loss = self.run(generic_forward, generic_task_loss, batch, labels)
+            net, xt, taps, loss = self.run(forward_with_taps, task_loss, batch, labels)
+            r_net, r_xt, r_taps, r_loss = self.run(generic_forward, generic_task_loss, batch, labels)
             w, b = net.blocks[0][0]
             assert np.any(batch @ w.data + b.data == 0.0)  # the ReLU's kink is hit
-            for tap, r_tap in zip(out.taps + [out.logits], r_out.taps + [r_out.logits]):
+            for tap, r_tap in zip(taps, r_taps):
                 assert tap.data.tobytes() == r_tap.data.tobytes()
             assert loss.data.tobytes() == r_loss.data.tobytes()
             assert xt.grad.tobytes() == r_xt.grad.tobytes()
@@ -192,9 +196,8 @@ class TestFusedLayers:
         net = build_blocknet((2, 1), (5, 4), 3, 3, seed=12)
         net.set_requires_grad(True)
         x = Tensor(np.ones((4, 3)))
-        out = forward_with_taps(net, x)
         layers = [layer for block in net.blocks for layer in block] + [net.head]
-        node = out.logits
+        node = forward_with_taps(net, x)[-1]
         for w, b in reversed(layers):
             assert node._parents[1:] == (w, b)
             node = node._parents[0]
@@ -293,6 +296,6 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         loaded = load_checkpoint(path)
         assert_array_equal(
-            forward_with_taps(net, x).logits.data,
-            forward_with_taps(loaded, x).logits.data,
+            forward_with_taps(net, x)[-1].data,
+            forward_with_taps(loaded, x)[-1].data,
         )

@@ -257,12 +257,12 @@ class TestTrainLoop:
         student = build_blocknet((1, 1), (4, 4), 3, 2, seed=4)
         student.set_requires_grad(True)
         teacher.set_requires_grad(False)
-        s_out, t_out = forward_with_taps(student, xb), forward_with_taps(teacher, xb)
+        s_taps, t_taps = forward_with_taps(student, xb), forward_with_taps(teacher, xb)
         for loss in ("gkd", "rkdd"):
             config = make_config(loss=loss, **({"graph": {"k": 7}} if loss == "gkd" else {}))
-            kd = training._kd_loss(config, s_out, t_out, yb)
+            kd = training._kd_loss(config, s_taps, t_taps, yb)
             taped = {id(t) for t in tape(kd)}
-            assert not any(id(tap) in taped for tap in t_out.taps)
+            assert not any(id(tap) in taped for tap in t_taps)
         # one stacked build per side, student first
         assert len(built) == 2
         (s_reps, s_graph), (t_reps, t_graph) = built
@@ -280,8 +280,8 @@ class TestTrainLoop:
         split = build_split(make_config())
         student = build_blocknet((1, 1, 1), (4, 4, 4), 3, 2, seed=4)
         student.set_requires_grad(True)
-        out = forward_with_taps(student, Tensor(split.train.features[:24]))
-        assert len(tape(task_loss(out.logits, split.train.labels[:24]))) == 14
+        logits = forward_with_taps(student, Tensor(split.train.features[:24]))[-1]
+        assert len(tape(task_loss(logits, split.train.labels[:24]))) == 14
 
     def step_losses(self, loss, **overrides):
         """(config, student, task, kd) of one batch's step under ``loss``, with
@@ -294,9 +294,9 @@ class TestTrainLoop:
         student = build_blocknet((1, 1, 1), (4, 4, 4), 3, 2, seed=4)
         student.set_requires_grad(True)
         teacher.set_requires_grad(False)
-        s_out, t_out = forward_with_taps(student, xb), forward_with_taps(teacher, xb)
-        task = task_loss(s_out.logits, yb)
-        return config, student, task, training._kd_loss(config, s_out, t_out, yb)
+        s_taps, t_taps = forward_with_taps(student, xb), forward_with_taps(teacher, xb)
+        task = task_loss(s_taps[-1], yb)
+        return config, student, task, training._kd_loss(config, s_taps, t_taps, yb)
 
     def test_dense_gkd_step_adds_three_tape_nodes(self):
         # the stacked graph node, the GKD term node and the total node
