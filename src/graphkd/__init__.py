@@ -43,9 +43,7 @@ from .models import (
 )
 from .training import lr_at, sgd_momentum_step, train
 from .analysis import (
-    ConsistencyCurve,
     LogisticProbe,
-    SmoothnessCurve,
     consistency_curve,
     consistency_probe,
     concentration_report,

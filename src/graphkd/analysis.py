@@ -2,7 +2,10 @@
 
 These all operate on frozen networks; nothing here touches the gradient tape.
 Each forwards a net through ``models.frozen_forward`` and uses its tap list as
-it comes, so every report names its taps by ``tap_names()``, in that order.
+it comes.  Every report is a ``{tap: value}`` table keyed by ``tap_names()``,
+in that order, or a dict of such tables: the tables that ``harness`` writes.
+``spectral_report`` uses every point it is given; ``harness`` draws the
+fixed sample.
 
 The probes of a consistency curve, one per net and block, fit in lockstep on
 the same labels.  Probes whose features share a shape form one group, with
@@ -21,7 +24,6 @@ is, and the loss itself is computed only to report a diverged probe.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,14 +40,11 @@ from .models import OUTPUT_TAP, BlockNet, frozen_forward
 
 __all__ = [
     "loss_concentration",
-    "ConcentrationReport",
     "concentration_report",
     "LogisticProbe",
     "probe_agreement",
     "consistency_probe",
-    "ConsistencyCurve",
     "consistency_curve",
-    "SmoothnessCurve",
     "spectral_report",
 ]
 
@@ -77,15 +76,6 @@ def loss_concentration(per_example, fraction: float = 0.9) -> float | None:
     return 100.0 * count / v.size
 
 
-@dataclass
-class ConcentrationReport:
-    loss: str
-    fraction: float
-    batch_size: int
-    n_batches: int
-    per_tap: dict[str, float | None] = field(default_factory=dict)
-
-
 def concentration_report(
     teacher: BlockNet,
     student: BlockNet,
@@ -96,8 +86,9 @@ def concentration_report(
     batch_size: int = 256,
     fraction: float = 0.9,
     seed: int = 0,
-) -> ConcentrationReport:
-    """Median per-tap loss concentration over random batches.
+) -> dict[str, float | None]:
+    """Median loss concentration per tap over random batches, as ``{tap:
+    median}``; a tap whose loss was all zero in every batch gets None.
 
     For "gkd" the per-example contributions are row sums of the squared
     adjacency mismatch; for "rkdd" each pair's Huber value is split half to
@@ -137,13 +128,7 @@ def concentration_report(
             pct = loss_concentration(per_ex, fraction)
             if pct is not None:
                 collected[name].append(pct)
-    report = ConcentrationReport(
-        loss=loss, fraction=fraction, batch_size=batch_size, n_batches=n_batches
-    )
-    for name in names:
-        vals = collected[name]
-        report.per_tap[name] = float(np.median(vals)) if vals else None
-    return report
+    return {name: float(np.median(vals)) if vals else None for name, vals in collected.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -292,63 +277,43 @@ def consistency_probe(
     return _agreements(teacher, student, train_data, eval_data, blocks)[0]
 
 
-@dataclass
-class ConsistencyCurve:
-    taps: list[str]
-    fractions: list[float]
-
-
 def consistency_curve(
     teacher: BlockNet, student: BlockNet, train_data: Dataset, eval_data: Dataset
-) -> ConsistencyCurve:
-    """Probe consistency for every block, plus output agreement as the last entry."""
+) -> dict[str, float]:
+    """Probe consistency at every block, then output agreement, as ``{tap: fraction}``."""
     blocks = list(range(1, student.num_blocks + 1))
-    return ConsistencyCurve(
-        taps=student.tap_names(),
-        fractions=_agreements(teacher, student, train_data, eval_data, blocks),
-    )
+    return dict(zip(student.tap_names(),
+                    _agreements(teacher, student, train_data, eval_data, blocks)))
 
 
 # ---------------------------------------------------------------------------
 # spectral smoothness
 
 
-@dataclass
-class SmoothnessCurve:
-    signal: str
-    taps: list[str]
-    values: list[float]
-
-
 def spectral_report(
-    teacher: BlockNet,
-    students: dict[str, BlockNet],
-    data: Dataset,
-    sample_size: int = 1000,
-    k: int | None = None,
-    seed: int = 0,
-) -> dict[str, list[SmoothnessCurve]]:
-    """Smoothness of label indicators and teacher Fiedler vectors on student graphs.
+    teacher: BlockNet, students: dict[str, BlockNet], data: Dataset, k: int | None = None
+) -> dict[str, dict[str, dict[str, float]]]:
+    """Smoothness of label indicators and teacher Fiedler vectors on student graphs,
+    as ``{student: {signal: {tap: value}}}``, the signals "label_indicator" and
+    "teacher_fiedler" in that order.
 
-    For each tap, a similarity graph is built per network on a fixed sample.
-    The label signal is the sum over classes of one-vs-rest indicator
-    smoothness; the teacher signal is the Fiedler vector of the teacher's
-    graph evaluated on each student's Laplacian.  A disconnected teacher
-    graph makes the Fiedler vector degenerate, which is reported as a
-    warning rather than a failure.
+    For each tap, a similarity graph is built per network on every point of
+    ``data``, with k = n - 1 by default.  The label signal is the sum over
+    classes of one-vs-rest indicator smoothness; the teacher signal is the
+    Fiedler vector of the teacher's graph evaluated on each student's
+    Laplacian.  A disconnected teacher graph makes the Fiedler vector
+    degenerate, which is reported as a warning rather than a failure.
     """
-    n = min(int(sample_size), len(data))
+    n = len(data)
     if n < 2:
         raise ValueError(f"spectral_report: need at least 2 examples, got {n}")
-    idx = np.random.default_rng(seed).choice(len(data), size=n, replace=False)
-    xb, yb = data.features[idx], data.labels[idx]
     if k is None:
         k = n - 1
     names = teacher.tap_names()
 
-    teacher_taps = frozen_forward(teacher, xb)
+    teacher_taps = frozen_forward(teacher, data.features)
     indicator_signals = [
-        (yb == c).astype(np.float64) for c in range(data.num_classes)
+        (data.labels == c).astype(np.float64) for c in range(data.num_classes)
     ]
     fiedlers = []
     for name, tap in zip(names, teacher_taps):
@@ -364,16 +329,12 @@ def spectral_report(
             )
         fiedlers.append(fied.s)
 
-    report: dict[str, list[SmoothnessCurve]] = {}
+    report = {}
     for student_name, student in students.items():
-        student_taps = frozen_forward(student, xb)
-        label_vals, fiedler_vals = [], []
-        for tap, fied in zip(student_taps, fiedlers):
+        label_vals, fiedler_vals = {}, {}
+        for name, tap, fied in zip(names, frozen_forward(student, data.features), fiedlers):
             lap_s = laplacian(build_similarity_graph(tap.data, k=k).weights)
-            label_vals.append(sum(smoothness(lap_s, sig) for sig in indicator_signals))
-            fiedler_vals.append(smoothness(lap_s, fied))
-        report[student_name] = [
-            SmoothnessCurve(signal="label_indicator", taps=list(names), values=label_vals),
-            SmoothnessCurve(signal="teacher_fiedler", taps=list(names), values=fiedler_vals),
-        ]
+            label_vals[name] = sum(smoothness(lap_s, sig) for sig in indicator_signals)
+            fiedler_vals[name] = smoothness(lap_s, fied)
+        report[student_name] = {"label_indicator": label_vals, "teacher_fiedler": fiedler_vals}
     return report

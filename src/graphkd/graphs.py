@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _SIGN_EPS = 1e-12  # |component| above this counts as nonzero for sign fixing
+_MAX_INV_SQRT = float(np.sqrt(np.finfo(np.float64).max))  # squares to the largest double
 
 
 @dataclass
@@ -218,15 +219,27 @@ def _knn(sim: np.ndarray, k: int) -> np.ndarray:
     return np.maximum(kept, _swap(kept))
 
 
-def _normalize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (D^-1/2 W D^-1/2, d^-1/2) per slice, for a W already known to be
-    symmetric and non-negative."""
-    inv_sqrt = _inv_sqrt(np.sum(w, axis=-1))
+def _normalize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Return (D^-1/2 W D^-1/2, d^-1/2, W, shift) per slice, for a W already
+    known to be symmetric and non-negative.
+
+    A is the same for any scaling of W, so a slice whose largest d^-1/2 would
+    overflow when squared is normalized as W 2^shift, its largest degree in
+    [0.5, 1); its d^-1/2 and W are returned scaled, and a gradient for W is
+    2^shift times one for the scaled W.  ``shift`` is None when no slice is.
+    """
+    deg = np.sum(w, axis=-1)
+    inv_sqrt, shift = _inv_sqrt(deg), None
+    if inv_sqrt.max(initial=0.0) > _MAX_INV_SQRT:
+        over = inv_sqrt.max(axis=-1) > _MAX_INV_SQRT
+        shift = np.where(over, -np.frexp(deg.max(axis=-1))[1], 0)[..., None, None]
+        w = np.ldexp(w, shift)  # a power of two: no rounding in the normal range
+        inv_sqrt = _inv_sqrt(np.sum(w, axis=-1))
     # scaling by the outer product, not by rows then columns, keeps A exactly
     # symmetric; einsum builds it with the broadcast multiply's bits, faster
     a = np.einsum("...i,...j->...ij", inv_sqrt, inv_sqrt)
     a *= w
-    return a, inv_sqrt
+    return a, inv_sqrt, w, shift
 
 
 def _powers(adjacency: np.ndarray, p: int) -> list[np.ndarray]:
@@ -266,7 +279,7 @@ def build_similarity_graph(
     sim = class_mask(sim, labels, mask_mode)
     w = _knn(sim, k)
     del sim  # the backward does not read it
-    a, inv_sqrt = _normalize(w)
+    a, inv_sqrt, w_scaled, shift = _normalize(w)
     powers = _powers(a, p)
     graph = SimilarityGraph(
         n=w.shape[-1],
@@ -289,7 +302,7 @@ def build_similarity_graph(
             term = g if left is None else left @ g
             g_a += term if right is None else term @ right
         # A = W * s s^T with s = (W 1)^-1/2, and ds/d(W 1) = -s^3 / 2
-        spare = g_a * w
+        spare = g_a * w_scaled
         g_s = (spare @ inv_sqrt[..., None])[..., 0] + (inv_sqrt[..., None, :] @ spare)[..., 0, :]
         g_w = g_a
         g_w *= np.einsum("...i,...j->...ij", inv_sqrt, inv_sqrt, out=spare)
@@ -297,6 +310,8 @@ def build_similarity_graph(
         # W is the cosine where W > 0, which holds exactly where the ReLU,
         # diagonal, class and top-k (of either endpoint) masks all pass it
         np.multiply(g_w, w > 0, out=g_w)
+        if shift is not None:  # the gradient with respect to the unscaled W
+            np.ldexp(g_w, shift, out=g_w)
         g_cos = np.add(g_w, _swap(g_w), out=spare)
         # cosine = U U^T with U = x / |x| row-wise, per tap
         grads = []

@@ -19,7 +19,7 @@ what the jobs and run directories before it wrote.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -28,6 +28,7 @@ import numpy as np
 from .analysis import concentration_report, consistency_curve, spectral_report
 from .config import ConfigError, DistillConfig, _check_seeds, config_digest
 from .datasets import (
+    Dataset,
     DataSplit,
     gen_gaussian_mixture,
     gen_two_arcs,
@@ -44,7 +45,7 @@ from .models import (
     load_checkpoint,
     save_checkpoint,
 )
-from .training import TrainResult, train
+from .training import EpochMetrics, TrainResult, train
 
 __all__ = [
     "ExperimentResult",
@@ -60,7 +61,7 @@ __all__ = [
     "SWEEPABLE_PARAMS",
 ]
 
-METRIC_COLUMNS = ("epoch", "lr", "train_error", "test_error", "task_loss", "kd_loss", "total_loss")
+METRIC_COLUMNS = tuple(f.name for f in fields(EpochMetrics))
 FINAL_METRICS = ("test_error", "train_error", "task_loss", "kd_loss", "total_loss")
 SWEEPABLE_PARAMS = ("k", "p", "mask_mode", "lambda_kd")
 
@@ -105,6 +106,17 @@ def build_net(config: DistillConfig, which: str, split: DataSplit, seed: int) ->
     return build_blocknet(
         arch.depths, arch.widths, split.train.dim, split.train.num_classes, seed=seed
     )
+
+
+def _fixed_sample(config: DistillConfig, sample_size: int, seed: int) -> Dataset:
+    """A fixed sample of the config's training split: ``min(sample_size, its
+    size)`` points, drawn without replacement by ``seed``."""
+    if int(sample_size) < 0:
+        raise ConfigError(f"--sample must be non-negative, got {sample_size}")
+    train = build_split(config).train
+    n = min(int(sample_size), len(train))
+    idx = np.random.default_rng(seed).choice(len(train), size=n, replace=False)
+    return replace(train, features=train.features[idx], labels=train.labels[idx])
 
 
 def _graph_at(config: DistillConfig, n: int) -> GraphParams:
@@ -340,14 +352,13 @@ def run_analyze(
     for loss_name in ("gkd", "rkdd"):
         report = concentration_report(teacher, student, split.train, loss_name, graph=graph,
                                       n_batches=n_batches, batch_size=batch_size, seed=seed)
-        conc_rows += [(loss_name, tap, pct) for tap, pct in report.per_tap.items()]
+        conc_rows += [(loss_name, tap, pct) for tap, pct in report.items()]
     # both reports are computed before either table is written, so a run
     # that fails in the probe fit leaves no lone concentration.csv
     curve = consistency_curve(teacher, student, split.train, split.test)
     _write_table(out_dir / "concentration.csv", ("loss", "tap", "median_concentration_pct"),
                  conc_rows)
-    _write_table(out_dir / "consistency.csv", ("tap", "consistency"),
-                 zip(curve.taps, curve.fractions))
+    _write_table(out_dir / "consistency.csv", ("tap", "consistency"), curve.items())
 
     _write_json(
         out_dir / "analysis_summary.json",
@@ -358,7 +369,7 @@ def run_analyze(
                 "teacher": checkpoint_digest(teacher_path),
                 "student": checkpoint_digest(student_path),
             },
-            "consistency": dict(zip(curve.taps, curve.fractions)),
+            "consistency": curve,
         },
     )
     return out_dir
@@ -380,25 +391,19 @@ def run_spectral(
     names = [name for name, _ in student_paths]
     if len(set(names)) != len(names):
         raise ConfigError(f"spectral: student names must be distinct, got {names}")
-    split = build_split(config)
+    sample = _fixed_sample(config, sample_size, seed)
     teacher = _require_checkpoint(teacher_path, "teacher")
     students = {
         name: _require_checkpoint(path, f"student {name!r}") for name, path in student_paths
     }
-    report = spectral_report(
-        teacher, students, split.train, sample_size=sample_size, k=k, seed=seed
-    )
-    rows, payload = [], {}
-    for student_name, curves in report.items():
-        payload[student_name] = {c.signal: dict(zip(c.taps, c.values)) for c in curves}
-        rows += [(student_name, c.signal, tap, value)
-                 for c in curves for tap, value in zip(c.taps, c.values)]
+    curves = spectral_report(teacher, students, sample, k=k)
+    rows = [(student_name, signal, tap, value) for student_name, signals in curves.items()
+            for signal, curve in signals.items() for tap, value in curve.items()]
     _write_table(out_dir / "smoothness.csv", ("student", "signal", "tap", "smoothness"), rows)
     _write_json(
         out_dir / "spectral_summary.json",
-        {"command": "spectral", "config_digest": config_digest(config), "curves": payload,
-         # the points actually used: spectral_report caps the sample at the split
-         "sample_size": min(int(sample_size), len(split.train))},
+        {"command": "spectral", "config_digest": config_digest(config), "curves": curves,
+         "sample_size": len(sample)},
     )
     return out_dir
 
@@ -414,22 +419,17 @@ def run_dump_graph(
     mask_mode: str | None = None,
     seed: int = 0,
 ) -> Path:
-    """Build one tap's similarity graph on a sample; write its upper-triangle
+    """Build one tap's similarity graph on a fixed sample; write its upper-triangle
     edges (i,j,weight, row-major, every nonzero weight, NaN included) to
     graph_edges.csv and its parameters to graph_params.json.  An explicit
     ``k``, ``p`` or ``mask_mode`` overrides ``_graph_at``'s graph as given:
     such a ``k`` is not capped, so one outside [1, n - 1] is rejected."""
     out_dir = Path(out_dir)
     _check_seeds((seed,), "--seed")
-    if int(sample_size) < 0:
-        raise ConfigError(f"--sample must be non-negative, got {sample_size}")
-    split = build_split(config)
+    sample = _fixed_sample(config, sample_size, seed)
     net = _require_checkpoint(checkpoint_path, "network")
-    n = min(int(sample_size), len(split.train))
-    idx = np.random.default_rng(seed).choice(len(split.train), size=n, replace=False)
-    xb, yb = split.train.features[idx], split.train.labels[idx]
 
-    base = _graph_at(config, n)
+    base = _graph_at(config, len(sample))
     params = GraphParams(
         k=base.k if k is None else int(k),
         p=base.p if p is None else int(p),
@@ -438,9 +438,9 @@ def run_dump_graph(
     tap_names = net.tap_names()
     if block not in tap_names:
         raise ConfigError(f"unknown tap {block!r}; available: {tap_names}")
-    reps = frozen_forward(net, xb)[tap_names.index(block)].data
+    reps = frozen_forward(net, sample.features)[tap_names.index(block)].data
     graph = build_similarity_graph(
-        reps, k=params.k, p=params.p, mask_mode=params.mask_mode, labels=yb
+        reps, k=params.k, p=params.p, mask_mode=params.mask_mode, labels=sample.labels
     )
     w = graph.weights
     rows, cols = np.nonzero(np.triu(w, 1))  # a NaN weight is nonzero, -0.0 is not

@@ -5,7 +5,8 @@ combined objective.  Teacher-side inputs are constants (arrays, or tensors
 whose values are read); only the student side contributes gradients.  IKD
 and RKD-D take the student's and the teacher's tap lists in the forward
 pass's order and pair them once, in ``_tap_pairs``, which checks that the
-two lists are one length and not empty.
+two lists are one length and not empty, and that every tap on either side has
+one row count.
 
 Conventions:
 
@@ -127,7 +128,8 @@ def _rkdd_tap(student: Tensor, teacher: np.ndarray) -> Tensor:
 
 
 def _tap_pairs(student_taps, teacher_taps, loss_name) -> list[tuple[Tensor, np.ndarray]]:
-    """Pair two tap lists of one length as (student tensor, teacher array), tap by tap."""
+    """Pair two tap lists of one length as (student tensor, teacher array), tap
+    by tap; each pair's two sides, and every tap, have tap 0's row count."""
     if len(student_taps) != len(teacher_taps):
         raise ValueError(
             f"{loss_name}: student has {len(student_taps)} taps but teacher has "
@@ -135,9 +137,19 @@ def _tap_pairs(student_taps, teacher_taps, loss_name) -> list[tuple[Tensor, np.n
         )
     if not student_taps:
         raise ValueError(f"{loss_name}: empty tap list")
-    return [(s if isinstance(s, Tensor) else Tensor(s),
-             t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64))
-            for s, t in zip(student_taps, teacher_taps)]
+    pairs = [(s if isinstance(s, Tensor) else Tensor(s),
+              t.data if isinstance(t, Tensor) else np.asarray(t, dtype=np.float64))
+             for s, t in zip(student_taps, teacher_taps)]
+    n = pairs[0][0].data.shape[0]
+    for idx, (s, t) in enumerate(pairs):
+        rows = s.data.shape[0]
+        if rows != t.shape[0]:
+            raise ValueError(
+                f"{loss_name}: tap {idx} has {rows} student rows and {t.shape[0]} teacher rows"
+            )
+        if rows != n:
+            raise ValueError(f"{loss_name}: tap {idx} has {rows} rows but tap 0 has {n}")
+    return pairs
 
 
 def ikd_loss(student_taps, teacher_taps) -> Tensor:
@@ -160,12 +172,6 @@ def ikd_loss(student_taps, teacher_taps) -> Tensor:
 def rkdd_loss(student_taps, teacher_taps) -> Tensor:
     """Distance-wise relational KD over ordered pairs, summed across taps."""
     pairs = _tap_pairs(student_taps, teacher_taps, "rkdd_loss")
-    for idx, (s, t) in enumerate(pairs):
-        if s.data.shape[0] != t.shape[0]:
-            raise ValueError(
-                f"rkdd_loss: tap {idx} has {s.data.shape[0]} student rows and "
-                f"{t.shape[0]} teacher rows"
-            )
     n = pairs[0][0].data.shape[0]
     if n < 2:
         raise ValueError(f"rkdd_loss: need at least 2 examples, got {n}")

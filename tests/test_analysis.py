@@ -1,6 +1,7 @@
 """Loss-concentration, probe-consistency, and spectral-smoothness analyses."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,9 +207,9 @@ class TestConsistency:
         for blocks in TAP_ORDER_BLOCKS:
             teacher, student = blocks_nets(blocks, 3, 2, widths=(8, 4))
             curve = consistency_curve(teacher, student, train, evald)
-            assert curve.taps == student.tap_names()
-            assert len(curve.fractions) == blocks + 1
-            assert all(0.0 <= f <= 1.0 for f in curve.fractions)
+            assert list(curve) == student.tap_names()
+            assert len(curve) == blocks + 1
+            assert all(0.0 <= f <= 1.0 for f in curve.values())
 
     def test_curve_equals_per_block_probes_and_output(self):
         train = gen_gaussian_mixture(n=120, classes=3, dim=3, separation=3.0, seed=0)
@@ -218,7 +219,8 @@ class TestConsistency:
         curve = consistency_curve(teacher, student, train, evald)
         parts = [consistency_probe(teacher, student, train, evald, block)
                  for block in (1, 2, 3, "output")]
-        assert curve.fractions == parts
+        assert curve == dict(zip(student.tap_names(), parts))
+        assert list(curve) == student.tap_names()
         assert 0.0 < parts[-1] < 1.0  # untrained nets often agree on no output at all
 
     def test_curve_rejects_student_deeper_than_teacher(self):
@@ -268,14 +270,14 @@ class TestSpectralReport:
         data = gen_gaussian_mixture(n=90, classes=3, dim=4, separation=5.0, seed=0)
         for blocks in TAP_ORDER_BLOCKS:
             teacher, a, b = blocks_nets(blocks, 4, 3)
-            report = spectral_report(teacher, {"a": a, "b": b}, data, sample_size=40, k=6, seed=0)
-            assert set(report) == {"a", "b"}
+            report = spectral_report(teacher, {"a": a, "b": b}, data, k=6)
+            assert list(report) == ["a", "b"]
             for curves in report.values():
-                assert [c.signal for c in curves] == ["label_indicator", "teacher_fiedler"]
-                for curve in curves:
-                    assert curve.taps == teacher.tap_names() == a.tap_names()
-                    assert len(curve.values) == blocks + 1
-                    assert all(v >= -1e-12 for v in curve.values)
+                assert list(curves) == ["label_indicator", "teacher_fiedler"]
+                for curve in curves.values():
+                    assert list(curve) == teacher.tap_names() == a.tap_names()
+                    assert len(curve) == blocks + 1
+                    assert all(v >= -1e-12 for v in curve.values())
 
     def test_intra_class_only_edges_zero_label_smoothness(self):
         """Orthogonal class clusters + identity tap: no cross-class edges, so
@@ -283,18 +285,19 @@ class TestSpectralReport:
         data = orthogonal_cluster_data(n_per=10, dim=4)
         net = identity_first_block_net(4)
         with pytest.warns(RuntimeWarning, match="disconnected"):
-            report = spectral_report(
-                teacher=net, students={"self": net}, data=data, sample_size=20, k=3, seed=0
-            )
-        label_curve = report["self"][0]
-        assert label_curve.signal == "label_indicator"
-        assert label_curve.values[0] == 0.0
+            report = spectral_report(teacher=net, students={"self": net}, data=data, k=3)
+        label_curve = report["self"]["label_indicator"]
+        assert list(label_curve) == net.tap_names()
+        assert label_curve["block1"] == 0.0
 
-    def test_sample_size_is_clamped_to_dataset(self):
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_points_rejected(self, n):
         data = gen_gaussian_mixture(n=30, classes=2, dim=3, separation=4.0, seed=0)
+        data = replace(data, features=data.features[:n], labels=data.labels[:n])
         net = build_blocknet((1,), (4,), 3, 2, seed=0)
-        report = spectral_report(net, {"s": net}, data, sample_size=1000, k=5, seed=0)
-        assert len(report["s"][0].values) == 2  # block1 + output
+        message = f"^spectral_report: need at least 2 examples, got {n}$"
+        with pytest.raises(ValueError, match=message):
+            spectral_report(net, {"s": net}, data)
 
 
 class TestConcentrationReport:
@@ -315,8 +318,8 @@ class TestConcentrationReport:
                 batch_size=16,
                 seed=0,
             )
-            assert list(report.per_tap) == student.tap_names()
-            for value in report.per_tap.values():
+            assert list(report) == student.tap_names()
+            for value in report.values():
                 assert value is None or 0.0 < value <= 100.0
 
     def test_unknown_loss_rejected(self):

@@ -354,6 +354,28 @@ class TestNormalize:
         assert a.tobytes() == broadcast_degree_normalize(w).tobytes()
         assert_array_equal(a, np.swapaxes(a, -1, -2))
 
+    def test_tiny_degrees_are_rescaled_not_overflowed(self):
+        # the cosine is 2e-310, so d^-1/2 ~ 7e154 squares past the largest
+        # double; A does not change when W is scaled.  pytest's config turns
+        # a RuntimeWarning into an error
+        x = Tensor(np.array([[1.0, 1e-310], [1e-310, 1.0]]), requires_grad=True)
+        graph = build_similarity_graph(x, k=1)
+        assert_allclose(graph.adjacency, [[0.0, 1.0], [1.0, 0.0]], rtol=0, atol=1e-15)
+        assert_array_equal(graph.weights, [[0.0, 2e-310], [2e-310, 0.0]])
+        backward(total(graph.adjacency_tensor))
+        assert np.isfinite(x.grad).all()
+
+    def test_rescaled_slice_leaves_its_stack_neighbours_bits(self):
+        rng = np.random.default_rng(5)
+        w = rng.uniform(size=(3, 6, 6))
+        w = np.maximum(w, np.swapaxes(w, -1, -2))
+        w[:, np.arange(6), np.arange(6)] = 0.0
+        w[1] *= 1e-310
+        a = _normalize(w)[0]
+        for tap in (0, 2):
+            assert a[tap].tobytes() == broadcast_degree_normalize(w[tap]).tobytes()
+        assert_allclose(a[1], broadcast_degree_normalize(w[1] * 1e300), rtol=1e-14)
+
     def test_spectrum_lies_in_unit_interval(self):
         rng = np.random.default_rng(8)
         for _ in range(5):

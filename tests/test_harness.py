@@ -884,16 +884,35 @@ class TestCliEndToEnd:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
-    def test_dump_graph_negative_sample_exits_two(self, tmp_path, capsys):
+    # both commands draw their sample by one rule, harness._fixed_sample
+    @pytest.mark.parametrize("command, argv", [
+        ("spectral", ["--teacher", "{ckpt}", "--student", "s={ckpt}", "--sample", "-3"]),
+        ("dump-graph", ["--checkpoint", "{ckpt}", "--sample", "-5"]),
+    ], ids=["spectral", "dump-graph"])
+    def test_negative_sample_exits_two(self, tmp_path, capsys, command, argv):
         config_path = write_config(tmp_path)
-        ckpt = tmp_path / "net.ckpt"
-        save_checkpoint(build_blocknet((1, 1), (4, 4), input_dim=3, classes=2, seed=1), ckpt)
+        ckpt = write_net(tmp_path, "net.ckpt", (4, 4), seed=1)
         out = tmp_path / "out"
-        code = main(["dump-graph", "--config", str(config_path), "--out", str(out),
-                     "--checkpoint", str(ckpt), "--sample", "-5"])
+        code = main([command, "--config", str(config_path), "--out", str(out),
+                     *(arg.format(ckpt=ckpt) for arg in argv)])
         assert code == 2
-        assert capsys.readouterr().err == "error: --sample must be non-negative, got -5\n"
+        assert capsys.readouterr().err == f"error: --sample must be non-negative, got {argv[-1]}\n"
         assert not out.exists()
+
+    # the tiny config's dataset has 60 training points
+    @pytest.mark.filterwarnings("ignore:teacher graph.*disconnected:RuntimeWarning")
+    @pytest.mark.parametrize("sample", ["1000", "40"])
+    def test_spectral_and_dump_graph_use_one_sample_size(self, tmp_path, sample):
+        config_path = write_config(tmp_path)
+        ckpt = write_net(tmp_path, "net.ckpt", (4, 4), seed=1)
+        common = ["--config", str(config_path), "--sample", sample, "--seed", "5"]
+        assert main(["spectral", *common, "--out", str(tmp_path / "spectral"),
+                     "--teacher", str(ckpt), "--student", f"s={ckpt}"]) == 0
+        assert main(["dump-graph", *common, "--out", str(tmp_path / "graph"),
+                     "--checkpoint", str(ckpt)]) == 0
+        summary = json.loads((tmp_path / "spectral" / "spectral_summary.json").read_text())
+        params = json.loads((tmp_path / "graph" / "graph_params.json").read_text())
+        assert summary["sample_size"] == params["n"] == min(int(sample), 60)
 
     # a checkpoint header line, and a fragment of its one error line
     BAD_HEADERS = {
@@ -1046,6 +1065,22 @@ class TestDumpGraph:
         with pytest.raises(OSError, match="No space left"):
             self._dump(tmp_path, monkeypatch, sample_size=7, k=2)
         assert [f for f in tmp_path.rglob("*") if f.is_file()] == [tmp_path / "net.ckpt"]
+
+
+class TestFixedSample:
+    """``_fixed_sample`` is the one sample rule of spectral and dump-graph."""
+
+    def test_sample_size_is_clamped_to_dataset(self):
+        config = make_config()
+        train = harness.build_split(config).train
+        for size in (0, 1, 40, len(train), len(train) + 1, 1000):
+            sample = harness._fixed_sample(config, size, seed=3)
+            idx = np.random.default_rng(3).choice(len(train), size=min(size, len(train)),
+                                                  replace=False)
+            assert len(sample) == min(size, len(train))
+            assert sample.features.tobytes() == train.features[idx].tobytes()
+            assert sample.labels.tobytes() == train.labels[idx].tobytes()
+            assert (sample.num_classes, sample.split) == (train.num_classes, train.split)
 
 
 class TestSpectralSummary:

@@ -160,6 +160,34 @@ def test_no_stale_exports(path):
     assert stale_exports(path.read_text()) == []
 
 
+def unlisted_reexports(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each name that ``__init__.py`` imports from a
+    package module whose ``__all__`` does not list it."""
+    listed = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                listed[module] = set(ast.literal_eval(node.value))
+    return [f"{node.module}.py:{a.name}" for node in ast.parse(sources["__init__.py"]).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for a in node.names if a.name not in listed.get(f"{node.module}.py", ())]
+
+
+def test_check_flags_an_unlisted_reexport():
+    sources = {
+        "__init__.py": "import numpy\nfrom .a import listed, unlisted\nfrom .b import thing\n",
+        "a.py": "__all__ = ['listed']\ndef listed():\n    pass\ndef unlisted():\n    pass\n",
+        "b.py": "def thing():\n    pass\n",
+    }
+    assert unlisted_reexports(sources) == ["a.py:unlisted", "b.py:thing"]
+
+
+def test_package_exports_only_what_modules_list():
+    assert unlisted_reexports({p.name: p.read_text() for p in SOURCES}) == []
+
+
 def public_definitions_only_tests_call(
     sources: dict[str, str], readers: dict[str, str]
 ) -> list[str]:

@@ -391,6 +391,13 @@ TAP_LIST_ERRORS = {
                   "rkdd_loss: tap 1 has 3 student rows and 4 teacher rows"),
     "rkdd_one_row": (rkdd_loss, [(1, 2), (1, 3)], [(1, 4), (1, 3)],
                      "rkdd_loss: need at least 2 examples, got 1"),
+    # taps of one list with different row counts, matched on the other side
+    "ikd_rows_across_taps": (ikd_loss, [(3, 2), (5, 2)], [(3, 2), (5, 2)],
+                             "ikd_loss: tap 1 has 5 rows but tap 0 has 3"),
+    "rkdd_rows_across_taps": (rkdd_loss, [(3, 2), (5, 2)], [(3, 2), (5, 2)],
+                              "rkdd_loss: tap 1 has 5 rows but tap 0 has 3"),
+    "ikd_rows": (ikd_loss, [(3, 2)], [(4, 2)],
+                 "ikd_loss: tap 0 has 3 student rows and 4 teacher rows"),
 }
 
 
