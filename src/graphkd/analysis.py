@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 _CONNECTIVITY_EPS = 1e-10  # lambda_2 below this marks a disconnected graph
+_PROBE_ITERATIONS = 500  # full-batch gradient steps per probe
+_PROBE_STEP = 0.1  # their step size
 
 
 def loss_concentration(per_example, fraction: float = 0.9) -> float | None:
@@ -84,11 +86,11 @@ def concentration_report(
     graph: GraphParams | None = None,
     n_batches: int = 20,
     batch_size: int = 256,
-    fraction: float = 0.9,
     seed: int = 0,
 ) -> dict[str, float | None]:
     """Median loss concentration per tap over random batches, as ``{tap:
-    median}``; a tap whose loss was all zero in every batch gets None.
+    median}``: the share of a batch that carries 90% of its loss.  A tap
+    whose loss was all zero in every batch gets None.
 
     For "gkd" the per-example contributions are row sums of the squared
     adjacency mismatch; for "rkdd" each pair's Huber value is split half to
@@ -125,7 +127,7 @@ def concentration_report(
                 per_ex = per_example_gkd(sg, tg)
             else:
                 per_ex = per_example_rkdd(s_tap, t_tap)
-            pct = loss_concentration(per_ex, fraction)
+            pct = loss_concentration(per_ex)
             if pct is not None:
                 collected[name].append(pct)
     return {name: float(np.median(vals)) if vals else None for name, vals in collected.items()}
@@ -136,10 +138,7 @@ def concentration_report(
 
 
 def _fit_lockstep(probes: list, features: list, labels, num_classes: int) -> None:
-    """Fit ``probes[i]`` on ``features[i]``, all on ``labels``, one iteration at a time.
-
-    The probes share the first one's iteration count and step size.
-    """
+    """Fit ``probes[i]`` on ``features[i]``, all on ``labels``, one iteration at a time."""
     y = np.asarray(labels, dtype=np.int64)
     n, rows = len(y), np.arange(len(y))
     by_shape: dict[tuple, list[int]] = {}
@@ -157,8 +156,7 @@ def _fit_lockstep(probes: list, features: list, labels, num_classes: int) -> Non
     onehot = np.zeros((num_classes, n))
     onehot[y, rows] = 1.0
     z = np.empty((len(features), num_classes, n))
-    lr = probes[0].learning_rate
-    for iteration in range(probes[0].iterations):
+    for iteration in range(_PROBE_ITERATIONS):
         for _, at, x, w, b in groups:
             np.copyto(z[at], (x @ w).transpose(0, 2, 1))
             z[at] += b
@@ -173,13 +171,13 @@ def _fit_lockstep(probes: list, features: list, labels, num_classes: int) -> Non
         resid = np.ascontiguousarray(z.transpose(0, 2, 1))
         for _, at, x, w, b in groups:
             g = x.transpose(0, 2, 1) @ resid[at]
-            g *= lr
+            g *= _PROBE_STEP
             w -= g
             # a running sum over n adds in the order that an (n, C) residual's
             # sum over rows does; a reduce along z's contiguous n axis would
             # add pairwise and move the bias bits
             g = np.cumsum(z[at], axis=2)[..., -1:]
-            g *= lr
+            g *= _PROBE_STEP
             b -= g
     for members, _, _, w, b in groups:
         for i, w_i, b_i in zip(members, w, b):
@@ -202,12 +200,10 @@ def _raise_diverged(z: np.ndarray, y: np.ndarray, groups: list, iteration: int):
 class LogisticProbe:
     """Multinomial logistic regression fit by full-batch gradient descent.
 
-    Deterministic: zero initialization, fixed iteration count and step size.
+    Deterministic: zero initialization, then 500 steps of size 0.1.
     """
 
-    def __init__(self, iterations: int = 500, learning_rate: float = 0.1):
-        self.iterations = int(iterations)
-        self.learning_rate = float(learning_rate)
+    def __init__(self):
         self.weights: np.ndarray | None = None
         self.bias: np.ndarray | None = None
 

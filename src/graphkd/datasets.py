@@ -30,7 +30,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    split: str = "full"
     provenance: str = ""
 
     def __post_init__(self):
@@ -214,7 +213,6 @@ def split_dataset(ds: Dataset, test_fraction: float, seed: int) -> DataSplit:
             features=ds.features[idx],
             labels=ds.labels[idx],
             num_classes=ds.num_classes,
-            split=tag,
             provenance=f"{ds.provenance}|split(test_fraction={test_fraction},seed={seed},{tag})",
         )
 

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 _SIGN_EPS = 1e-12  # |component| above this counts as nonzero for sign fixing
-_MAX_INV_SQRT = float(np.sqrt(np.finfo(np.float64).max))  # squares to the largest double
+_MAX_INV_SQRT = float(np.cbrt(np.finfo(np.float64).max))  # cubes to the largest double
 
 
 @dataclass
@@ -54,7 +54,6 @@ class GraphSignal:
     """A real-valued signal on graph nodes."""
 
     s: np.ndarray
-    name: str = "signal"
 
 
 @dataclass
@@ -68,10 +67,8 @@ class SimilarityGraph:
     from tensors, and is None when it was built from arrays.
     """
 
-    n: int
     weights: np.ndarray
     adjacency: np.ndarray
-    params: GraphParams
     adjacency_tensor: Tensor | None = field(repr=False, default=None)
 
 
@@ -224,9 +221,10 @@ def _normalize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     known to be symmetric and non-negative.
 
     A is the same for any scaling of W, so a slice whose largest d^-1/2 would
-    overflow when squared is normalized as W 2^shift, its largest degree in
-    [0.5, 1); its d^-1/2 and W are returned scaled, and a gradient for W is
-    2^shift times one for the scaled W.  ``shift`` is None when no slice is.
+    overflow when cubed, as the backward cubes it, is normalized as W 2^shift,
+    its largest degree in [0.5, 1); its d^-1/2 and W are returned scaled, and
+    a gradient for W is 2^shift times one for the scaled W.  ``shift`` is None
+    when no slice is.
     """
     deg = np.sum(w, axis=-1)
     inv_sqrt, shift = _inv_sqrt(deg), None
@@ -238,6 +236,9 @@ def _normalize(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     # scaling by the outer product, not by rows then columns, keeps A exactly
     # symmetric; einsum builds it with the broadcast multiply's bits, faster
     a = np.einsum("...i,...j->...ij", inv_sqrt, inv_sqrt)
+    # W's diagonal is +0, so this changes no finite A; a d^-1/2 whose square
+    # overflows (a subnormal degree beside normal ones) would make it inf * 0
+    _set_diagonal(a, 0.0)
     a *= w
     return a, inv_sqrt, w, shift
 
@@ -282,10 +283,8 @@ def build_similarity_graph(
     a, inv_sqrt, w_scaled, shift = _normalize(w)
     powers = _powers(a, p)
     graph = SimilarityGraph(
-        n=w.shape[-1],
         weights=w if stacked else w[0],
         adjacency=powers[-1] if stacked else powers[-1][0],
-        params=GraphParams(k=int(k), p=int(p), mask_mode=mask_mode),
     )
     if not taped:
         return graph
@@ -294,25 +293,28 @@ def build_similarity_graph(
     def backward(g: np.ndarray) -> list[np.ndarray]:
         g = g.reshape(w.shape)  # one batch is the stack of one
         # the (taps, n, n) temporaries are updated in place, so that few are
-        # alive at once: each is 128 KiB a tap at batch 128
+        # alive at once (each is 128 KiB a tap at batch 128); g is never written
         # A^p: A is symmetric, so dA = sum over i of A^i G A^(p-1-i)
         lefts = [None, *powers[:-1]]  # A^0 (None) .. A^(p-1)
-        g_a = np.zeros_like(g)
+        g_a = None
         for left, right in zip(lefts, reversed(lefts)):
             term = g if left is None else left @ g
-            g_a += term if right is None else term @ right
+            term = term if right is None else term @ right
+            # the first term is g itself only at p = 1, which has no second
+            g_a = term if g_a is None else np.add(g_a, term, out=g_a)
         # A = W * s s^T with s = (W 1)^-1/2, and ds/d(W 1) = -s^3 / 2
         spare = g_a * w_scaled
         g_s = (spare @ inv_sqrt[..., None])[..., 0] + (inv_sqrt[..., None, :] @ spare)[..., 0, :]
-        g_w = g_a
-        g_w *= np.einsum("...i,...j->...ij", inv_sqrt, inv_sqrt, out=spare)
+        g_w = np.einsum("...i,...j->...ij", inv_sqrt, inv_sqrt, out=spare)
+        g_w *= g_a
+        del g_a  # at p > 1, a temporary no longer needed
         g_w += (-0.5 * inv_sqrt * inv_sqrt * inv_sqrt * g_s)[..., None]
         # W is the cosine where W > 0, which holds exactly where the ReLU,
         # diagonal, class and top-k (of either endpoint) masks all pass it
         np.multiply(g_w, w > 0, out=g_w)
         if shift is not None:  # the gradient with respect to the unscaled W
             np.ldexp(g_w, shift, out=g_w)
-        g_cos = np.add(g_w, _swap(g_w), out=spare)
+        g_cos = g_w + _swap(g_w)
         # cosine = U U^T with U = x / |x| row-wise, per tap
         grads = []
         for g_tap, unit, inv_norm in zip(g_cos, units, inv_norms):
@@ -392,4 +394,4 @@ def fiedler_vector(lap) -> GraphSignal:
             if component < 0:
                 vec = -vec
             break
-    return GraphSignal(s=vec, name="fiedler")
+    return GraphSignal(s=vec)

@@ -446,5 +446,5 @@ def run_dump_graph(
     rows, cols = np.nonzero(np.triu(w, 1))  # a NaN weight is nonzero, -0.0 is not
     _write_table(out_dir / "graph_edges.csv", ("i", "j", "weight"),
                  zip(rows.tolist(), cols.tolist(), w[rows, cols].tolist()))
-    _write_json(out_dir / "graph_params.json", {"n": graph.n, **asdict(graph.params)})
+    _write_json(out_dir / "graph_params.json", {"n": len(sample), **asdict(params)})
     return out_dir

@@ -258,7 +258,7 @@ def orthogonal_cluster_data(n_per: int, dim: int):
     features = np.vstack([a, b])
     labels = np.array([0] * n_per + [1] * n_per, dtype=np.int64)
     return Dataset(
-        features=features, labels=labels, num_classes=2, split="train", provenance="synthetic"
+        features=features, labels=labels, num_classes=2, provenance="synthetic"
     )
 
 

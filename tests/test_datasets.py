@@ -219,8 +219,8 @@ class TestSplit:
     def test_split_names_carry_through(self):
         ds = gen_two_arcs(20, noise=0.1, seed=0)
         split = split_dataset(ds, 0.5, seed=0)
-        assert split.train.split == "train"
-        assert split.test.split == "test"
+        assert split.train.provenance.endswith(",train)")
+        assert split.test.provenance.endswith(",test)")
 
 
 class TestMinibatches:
@@ -249,7 +249,6 @@ class TestDatasetValidation:
                 features=np.zeros((2, 2)),
                 labels=np.array([0, 2]),
                 num_classes=2,
-                split="train",
                 provenance="test",
             )
 
@@ -259,7 +258,6 @@ class TestDatasetValidation:
                 features=np.zeros((3, 2)),
                 labels=np.zeros(2, dtype=np.int64),
                 num_classes=2,
-                split="train",
                 provenance="test",
             )
 
@@ -271,6 +269,5 @@ class TestDatasetValidation:
                 features=feats,
                 labels=np.zeros(2, dtype=np.int64),
                 num_classes=2,
-                split="train",
                 provenance="test",
             )

@@ -6,11 +6,13 @@ batches.  Its stages are private helpers of ``build_similarity_graph``;
 the stage tests call them on one (n, n) matrix through the wrappers below.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from graphkd.autodiff import Tensor, backward
+from graphkd.autodiff import Tensor, backward, record
 from graphkd.graphs import (
     GraphParams,
     _cosine,
@@ -25,6 +27,7 @@ from graphkd.graphs import (
     smoothness,
     symmetric_eig,
 )
+from graphkd.losses import gkd_loss
 
 from _oracles import (
     broadcast_degree_normalize,
@@ -365,6 +368,28 @@ class TestNormalize:
         backward(total(graph.adjacency_tensor))
         assert np.isfinite(x.grad).all()
 
+    @pytest.mark.parametrize("s", [1e-210, 1e-250])
+    def test_degrees_whose_cubed_inverse_root_overflows_are_rescaled(self, s):
+        # d^-1/2 ~ 7e104 and 7e124 square to a finite double, but the backward
+        # cubes it past the largest one; a gkd loss reaches that backward
+        x = Tensor(np.array([[1.0, s], [s, 1.0]]), requires_grad=True)
+        graph = build_similarity_graph(x, k=1)
+        assert_array_equal(graph.weights, [[0.0, 2 * s], [2 * s, 0.0]])
+        assert_allclose(graph.adjacency, [[0.0, 1.0], [1.0, 0.0]], rtol=0, atol=1e-15)
+        teacher = build_similarity_graph(np.array([[1.0, 0.5], [0.5, 1.0]]), k=1)
+        backward(gkd_loss([graph], [teacher]))
+        assert np.isfinite(x.grad).all()
+
+    def test_subnormal_degree_beside_normal_ones_gives_a_finite_adjacency(self):
+        # node 2's degree is subnormal, so its d^-1/2 ~ 7e154 squares to inf;
+        # the largest degree is about 1, so rescaling W cannot help, but the
+        # squared term only ever meets W's zero diagonal
+        graph = build_similarity_graph(
+            np.array([[1.0, 0.0, 0.0], [1.0, 0.1, 0.0], [1e-310, 0.0, 1.0]]), k=2
+        )
+        assert np.isfinite(graph.adjacency).all()
+        assert graph.adjacency[2, 2] == 0.0
+
     def test_rescaled_slice_leaves_its_stack_neighbours_bits(self):
         rng = np.random.default_rng(5)
         w = rng.uniform(size=(3, 6, 6))
@@ -456,6 +481,58 @@ class TestPipeline:
         backward(total(mul(g.adjacency_tensor, g.adjacency_tensor)))
         assert np.any(reps.grad != 0.0)
         assert np.all(np.isfinite(reps.grad))
+
+
+class TestBackwardBytes:
+    """The graph node's input gradients under a fixed upstream gradient, pinned
+    by sha256 digest, so that a rewrite of its backward must reproduce them
+    bit for bit.  The upstream gradient reaches the node read-only: the
+    backward may not write it (``record``'s contract).  The digests are those
+    of this numpy and BLAS build; one that rounds matmuls differently needs
+    them recomputed from the code they were first taken on."""
+
+    N = 12
+    LABELS = np.arange(12) % 3
+    DIGESTS = {
+        "dense": "9bdbfd07778503b9a22f683add4416fd869eb9910d5f54c61812f373e1ce9809",
+        "sparse_inter_class": "246b917d921727c3874c4d68f8c25ce1647c693e68c458e9c06a5eab2ca306c9",
+        "three_tap_stack": "7d4278d2dc112e2077c5f4fdf073d5346e715c672f04c1209ce27f360e28950e",
+    }
+
+    @staticmethod
+    def input_gradients(taps, upstream, **graph):
+        """The gradients of ``taps``' tensors when ``upstream`` is the graph
+        node's upstream gradient."""
+        leaves = [Tensor(t, requires_grad=True) for t in taps]
+        adj = build_similarity_graph(leaves if len(leaves) > 1 else leaves[0], **graph)
+        frozen = upstream.reshape(adj.adjacency_tensor.data.shape).copy()
+        frozen.flags.writeable = False
+        backward(record(np.sum(adj.adjacency * frozen), (adj.adjacency_tensor,),
+                        lambda g: (frozen,)))
+        return [x.grad for x in leaves]
+
+    def case(self, name):
+        rng = np.random.default_rng(91)
+        n = self.N
+        relu = np.maximum(rng.normal(size=(n, 6)), 0.0)
+        relu[5] = 0.0  # a dead row
+        if name == "dense":
+            taps, graph = [rng.normal(size=(n, 4))], dict(k=n - 1, p=1)
+        elif name == "sparse_inter_class":
+            taps = [relu]
+            graph = dict(k=3, p=2, mask_mode="inter_class", labels=self.LABELS)
+        else:
+            taps = [rng.normal(size=(n, 3)), relu, rng.normal(size=(n, 8))]
+            graph = dict(k=5, p=3)
+        upstream = rng.normal(size=(len(taps), n, n))  # not symmetric
+        return self.input_gradients(taps, upstream, **graph)
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_gradient_bytes_are_pinned(self, name):
+        grads = self.case(name)
+        assert all(np.isfinite(g).all() and np.any(g != 0.0) for g in grads)
+        digest = hashlib.sha256(b"".join(g.tobytes() for g in grads)).hexdigest()
+        assert digest == self.DIGESTS[name]
 
 
 def clustered_reps(rng, n, size):

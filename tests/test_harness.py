@@ -1080,7 +1080,7 @@ class TestFixedSample:
             assert len(sample) == min(size, len(train))
             assert sample.features.tobytes() == train.features[idx].tobytes()
             assert sample.labels.tobytes() == train.labels[idx].tobytes()
-            assert (sample.num_classes, sample.split) == (train.num_classes, train.split)
+            assert (sample.num_classes, sample.provenance) == (train.num_classes, train.provenance)
 
 
 class TestSpectralSummary:

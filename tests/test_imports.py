@@ -1,8 +1,10 @@
 """Stand-ins for a linter's unused-import, dead-code and stale-export rules over the
-package's modules, checks that every public constant is read and every public
-function or class has a caller beyond the tests, and a check that perfbench's
-tracer still finds every function it wraps."""
+package's modules, checks that every public constant is read, every public
+function or class has a caller beyond the tests and every defaulted parameter
+is passed by some caller, and a check that perfbench's tracer still finds
+every function it wraps."""
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -219,6 +221,85 @@ def test_no_public_definition_that_only_tests_call():
     sources = {p.name: p.read_text() for p in SOURCES}
     readers = {ACCEPTANCE.name: ACCEPTANCE.read_text()}
     assert public_definitions_only_tests_call(sources, readers) == []
+
+
+def unpassed_defaults(
+    sources: dict[str, str], readers: dict[str, str], options: set, exempt: set
+) -> list[str]:
+    """``module:name(param)`` for each defaulted parameter of a public
+    module-level function, or of a public class's ``__init__``, in ``sources``
+    that no call in ``sources`` (``__init__.py`` aside) or ``readers`` passes,
+    by keyword or by position, and that is not in ``options`` (the
+    ``(runner, dest)`` pairs of the command line) or ``exempt`` (``(name,
+    param)`` pairs): a setting that nothing sets."""
+    modules = {name: ast.parse(source) for name, source in sources.items() if name != "__init__.py"}
+    callees = {}  # name -> (module, positional parameters, defaulted parameters)
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                inits = [n for n in node.body
+                         if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+                fn, skip = (inits[0], 1) if inits else (None, 0)  # skip self
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                fn, skip = node, 0
+            else:
+                continue
+            if fn is None or node.name.startswith("_"):
+                continue
+            args = fn.args
+            positional = [a.arg for a in args.posonlyargs + args.args][skip:]
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            callees[node.name] = (module, positional, defaulted)
+    passed = set(options) | set(exempt)
+    for tree in [*modules.values(), *(ast.parse(source) for source in readers.values())]:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in callees:
+                continue
+            count = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                         len(call.args))
+            passed |= {(name, param) for param in callees[name][1][:count]}
+            passed |= {(name, kw.arg) for kw in call.keywords if kw.arg is not None}
+    return [f"{module}:{name}({param})" for name, (module, _, defaulted) in callees.items()
+            for param in defaulted if (name, param) not in passed]
+
+
+def test_check_flags_a_default_nothing_passes():
+    sources = {
+        "__init__.py": "from .a import f\n",
+        "a.py": "def f(x, by_position=1, by_keyword=2, *, unset=3, option=4):\n    pass\n"
+                "class K:\n    def __init__(self, size=1, spare=2):\n        pass\n"
+                "class Plain:\n    pass\n"
+                "def run(seed=0, exempt=None, splat=5):\n    pass\n"
+                "def _private(unset=1):\n    pass\n",
+        "b.py": "from .a import K, f\nf(0, 1, by_keyword=2)\nK(4)\nrun(*[1, 2])\n",
+    }
+    readers = {"test_acceptance.py": "from graphkd.a import f\nf(0, unset=3)\n"}
+    options = {("f", "option"), ("run", "seed")}
+    exempt = {("run", "exempt")}
+    assert unpassed_defaults(sources, readers, options, exempt) == [
+        "a.py:K(spare)", "a.py:run(splat)"]
+
+
+def command_line_options() -> set:
+    """``(runner, dest)`` for each option of each subcommand of ``cli.build_parser()``."""
+    cli = importlib.import_module("graphkd.cli")
+    [action] = [a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    return {(parser.get_default("run").__name__, option.dest)
+            for parser in action.choices.values() for option in parser._actions}
+
+
+def test_every_default_is_passed_somewhere():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    readers = {ACCEPTANCE.name: ACCEPTANCE.read_text()}
+    # main's argv is for callers outside the package: the console script passes none
+    exempt = {("main", "argv")}
+    assert unpassed_defaults(sources, readers, command_line_options(), exempt) == []
 
 
 # file I/O lives in models (atomic_open, checkpoints), harness (artefacts),
