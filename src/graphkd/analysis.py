@@ -82,22 +82,20 @@ def concentration_report(
     teacher: BlockNet,
     student: BlockNet,
     data: Dataset,
-    loss: str,
-    graph: GraphParams | None = None,
+    graph: GraphParams,
     n_batches: int = 20,
     batch_size: int = 256,
     seed: int = 0,
-) -> dict[str, float | None]:
-    """Median loss concentration per tap over random batches, as ``{tap:
-    median}``: the share of a batch that carries 90% of its loss.  A tap
-    whose loss was all zero in every batch gets None.
+) -> dict[str, dict[str, float | None]]:
+    """Median loss concentration per tap over random batches, as ``{"gkd":
+    {tap: median}, "rkdd": {tap: median}}``: the share of a batch that
+    carries 90% of its loss.  A tap whose loss was all zero in every batch
+    gets None.  Both losses read the same batches and forwards.
 
     For "gkd" the per-example contributions are row sums of the squared
-    adjacency mismatch; for "rkdd" each pair's Huber value is split half to
-    each endpoint.
+    adjacency mismatch between the two nets' ``graph`` graphs; for "rkdd"
+    each pair's Huber value is split half to each endpoint.
     """
-    if loss not in ("gkd", "rkdd"):
-        raise ValueError(f"concentration_report: loss must be 'gkd' or 'rkdd', got {loss!r}")
     if n_batches < 1 or batch_size < 2:
         raise ValueError(f"concentration_report: need n_batches >= 1 and batch_size >= 2, "
                          f"got {n_batches} and {batch_size}")
@@ -106,31 +104,26 @@ def concentration_report(
             f"concentration_report: dataset of {len(data)} examples is smaller than "
             f"batch_size {batch_size}"
         )
-    if loss == "gkd" and graph is None:
-        graph = GraphParams(k=batch_size - 1)
     rng = np.random.default_rng(seed)
     names = student.tap_names()
-    collected: dict[str, list[float]] = {name: [] for name in names}
+    collected = {loss: {name: [] for name in names} for loss in ("gkd", "rkdd")}
     for _ in range(n_batches):
         idx = rng.choice(len(data), size=batch_size, replace=False)
         xb, yb = data.features[idx], data.labels[idx]
         s_taps = frozen_forward(student, xb)
         t_taps = frozen_forward(teacher, xb)
         for name, s_tap, t_tap in zip(names, s_taps, t_taps):
-            if loss == "gkd":
-                sg = build_similarity_graph(
-                    s_tap.data, k=graph.k, p=graph.p, mask_mode=graph.mask_mode, labels=yb
-                )
-                tg = build_similarity_graph(
-                    t_tap.data, k=graph.k, p=graph.p, mask_mode=graph.mask_mode, labels=yb
-                )
-                per_ex = per_example_gkd(sg, tg)
-            else:
-                per_ex = per_example_rkdd(s_tap, t_tap)
-            pct = loss_concentration(per_ex)
-            if pct is not None:
-                collected[name].append(pct)
-    return {name: float(np.median(vals)) if vals else None for name, vals in collected.items()}
+            # the gkd term first, so that its two graphs are freed before the rkdd term
+            gkd = per_example_gkd(*(
+                build_similarity_graph(tap.data, k=graph.k, p=graph.p,
+                                       mask_mode=graph.mask_mode, labels=yb)
+                for tap in (s_tap, t_tap)))
+            for loss, per_ex in (("gkd", gkd), ("rkdd", per_example_rkdd(s_tap, t_tap))):
+                pct = loss_concentration(per_ex)
+                if pct is not None:
+                    collected[loss][name].append(pct)
+    return {loss: {name: float(np.median(vals)) if vals else None
+                   for name, vals in table.items()} for loss, table in collected.items()}
 
 
 # ---------------------------------------------------------------------------

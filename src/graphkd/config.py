@@ -45,7 +45,6 @@ def _is(value, types) -> bool:
 # integer or number), and how the value is stored: None keeps it as written,
 # and a _FLOAT key is stored as a float so that 1 and 1.0 digest alike.
 _INT = ("an integer", lambda v: _is(v, int), None)
-_NUMBER = ("a number", lambda v: _is(v, (int, float)), None)
 _FLOAT = ("a number", lambda v: _is(v, (int, float)), float)
 _STR = ("a string", lambda v: isinstance(v, str), None)
 _INTS = ("a list of integers",
@@ -79,11 +78,11 @@ _SCHEDULE = {
 }
 _GRAPH = {"k": (_INT, None), "p": (_INT, 1), "mask_mode": (_STR, "all")}  # k: batch_size - 1
 # every dataset's keys: its name and the split's; then each dataset's own
-_DATASET = {"name": (_STR, _REQUIRED), "seed": (_INT, 0), "test_fraction": (_NUMBER, 0.25)}
+_DATASET = {"name": (_STR, _REQUIRED), "seed": (_INT, 0), "test_fraction": (_FLOAT, 0.25)}
 _DATASETS = {
-    "two_arcs": {"n": (_INT, _REQUIRED), "noise": (_NUMBER, 0.0)},
+    "two_arcs": {"n": (_INT, _REQUIRED), "noise": (_FLOAT, 0.0)},
     "gaussian_mixture": {"n": (_INT, _REQUIRED), "classes": (_INT, _REQUIRED),
-                         "dim": (_INT, _REQUIRED), "separation": (_NUMBER, _REQUIRED)},
+                         "dim": (_INT, _REQUIRED), "separation": (_FLOAT, _REQUIRED)},
     "idx": {"images": (_STR, _REQUIRED), "labels": (_STR, _REQUIRED),
             "limit": (_INT_OR_NULL, None)},
 }

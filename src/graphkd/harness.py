@@ -250,20 +250,14 @@ def run_train_teacher(config: DistillConfig, out_dir, seed: int | None = None) -
     return _run_plan([([job], finish)], split)[0]
 
 
-def _load_teacher(config: DistillConfig, teacher_path, split: DataSplit) -> BlockNet | None:
+def _load_teacher(config: DistillConfig, teacher_path) -> BlockNet | None:
     if config.loss == "vanilla":
         if teacher_path is not None:
             raise ConfigError("a teacher checkpoint was given but loss is 'vanilla'")
         return None
     if teacher_path is None:
         raise ConfigError(f"loss {config.loss!r} requires --teacher")
-    teacher = _require_checkpoint(teacher_path, "teacher")
-    if teacher.input_dim != split.train.dim:
-        raise ConfigError(
-            f"teacher checkpoint input_dim {teacher.input_dim} does not match "
-            f"dataset dim {split.train.dim}"
-        )
-    return teacher
+    return _require_checkpoint(teacher_path, "teacher")
 
 
 def run_distill(config: DistillConfig, out_dir, teacher_path=None, seeds=None) -> ExperimentResult:
@@ -271,7 +265,7 @@ def run_distill(config: DistillConfig, out_dir, teacher_path=None, seeds=None) -
     seeds = tuple(int(s) for s in (seeds if seeds is not None else config.seeds))
     _check_seeds(seeds, "--seeds")  # an override keeps the manifest's config as it is
     split = build_split(config)
-    teacher = _load_teacher(config, teacher_path, split)
+    teacher = _load_teacher(config, teacher_path)
     return _run_plan([_distill_run(config, Path(out_dir), seeds, split)], split, teacher)[0]
 
 
@@ -310,7 +304,7 @@ def run_sweep(config: DistillConfig, out_dir, param: str, values, teacher_path=N
     out_dir = Path(out_dir)
     # a swept parameter changes neither the dataset nor the loss
     split = build_split(config)
-    teacher = _load_teacher(config, teacher_path, split)
+    teacher = _load_teacher(config, teacher_path)
     plan = [
         _distill_run(sub, out_dir / f"{param}_{value}", sub.seeds, split)
         for value, sub in zip(swept, sub_configs)
@@ -347,17 +341,13 @@ def run_analyze(
     teacher = _require_checkpoint(teacher_path, "teacher")
     student = _require_checkpoint(student_path, "student")
 
-    graph = _graph_at(config, batch_size)
-    conc_rows = []
-    for loss_name in ("gkd", "rkdd"):
-        report = concentration_report(teacher, student, split.train, loss_name, graph=graph,
-                                      n_batches=n_batches, batch_size=batch_size, seed=seed)
-        conc_rows += [(loss_name, tap, pct) for tap, pct in report.items()]
+    report = concentration_report(teacher, student, split.train, _graph_at(config, batch_size),
+                                  n_batches=n_batches, batch_size=batch_size, seed=seed)
     # both reports are computed before either table is written, so a run
     # that fails in the probe fit leaves no lone concentration.csv
     curve = consistency_curve(teacher, student, split.train, split.test)
-    _write_table(out_dir / "concentration.csv", ("loss", "tap", "median_concentration_pct"),
-                 conc_rows)
+    rows = [(loss, tap, pct) for loss, table in report.items() for tap, pct in table.items()]
+    _write_table(out_dir / "concentration.csv", ("loss", "tap", "median_concentration_pct"), rows)
     _write_table(out_dir / "consistency.csv", ("tap", "consistency"), curve.items())
 
     _write_json(

@@ -215,10 +215,9 @@ def train(
                 kd_t = _kd_loss(config, s_taps, forward_with_taps(teacher, xb), yb)
                 total_t = _total_loss(task_t, kd_t, config.lambda_kd)
                 kd = float(kd_t.data)
-                total = task + config.lambda_kd * kd
             else:
-                total_t = task_t
-                kd, total = 0.0, task
+                total_t, kd = task_t, 0.0
+            total = float(total_t.data)
             for term, value in (("task", task), ("kd", kd)):
                 if not math.isfinite(value):
                     raise RuntimeError(

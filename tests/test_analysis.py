@@ -1,6 +1,5 @@
 """Loss-concentration, probe-consistency, and spectral-smoothness analyses."""
 
-import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -306,40 +305,39 @@ class TestConcentrationReport:
         from graphkd.harness import build_split
 
         split = build_split(config)
-        for blocks, loss in itertools.product(TAP_ORDER_BLOCKS, ("gkd", "rkdd")):
+        for blocks in TAP_ORDER_BLOCKS:
             teacher, student = blocks_nets(blocks, 3, 2, widths=(8, 4))
-            report = concentration_report(
-                teacher,
-                student,
-                split.train,
-                loss,
-                graph=GraphParams(k=15) if loss == "gkd" else None,
-                n_batches=3,
-                batch_size=16,
-                seed=0,
-            )
-            assert list(report) == student.tap_names()
-            for value in report.values():
-                assert value is None or 0.0 < value <= 100.0
+            report = concentration_report(teacher, student, split.train, GraphParams(k=15),
+                                          n_batches=3, batch_size=16, seed=0)
+            assert list(report) == ["gkd", "rkdd"]
+            for table in report.values():
+                assert list(table) == student.tap_names()
+                for value in table.values():
+                    assert value is None or 0.0 < value <= 100.0
 
-    def test_unknown_loss_rejected(self):
-        net = build_blocknet((1,), (4,), 3, 2, seed=0)
-        data = gen_gaussian_mixture(n=40, classes=2, dim=3, separation=4.0, seed=0)
-        with pytest.raises(ValueError):
-            concentration_report(net, net, data, "ikd", batch_size=8)
+    def test_values_are_pinned(self):
+        # the medians of one concentration_report call per loss, each drawing
+        # and forwarding its own batches; one call for both must read the same
+        from graphkd.harness import build_split
+
+        teacher, student = blocks_nets(2, 3, 2, widths=(8, 4))
+        report = concentration_report(teacher, student, build_split(make_config()).train,
+                                      GraphParams(k=15), n_batches=3, batch_size=16, seed=0)
+        assert report == {
+            "gkd": {"block1": 68.75, "block2": 81.25, "output": 87.5},
+            "rkdd": {"block1": 81.25, "block2": 81.25, "output": 75.0},
+        }
 
     @pytest.mark.parametrize("n_batches, batch_size", [(0, 8), (-1, 8), (2, 1), (2, 0)])
     def test_empty_batches_rejected(self, n_batches, batch_size):
         net = build_blocknet((1,), (4,), 3, 2, seed=0)
         data = gen_gaussian_mixture(n=40, classes=2, dim=3, separation=4.0, seed=0)
-        for loss in ("gkd", "rkdd"):
-            with pytest.raises(ValueError, match="^concentration_report: need n_batches"):
-                concentration_report(
-                    net, net, data, loss, n_batches=n_batches, batch_size=batch_size
-                )
+        with pytest.raises(ValueError, match="^concentration_report: need n_batches"):
+            concentration_report(net, net, data, GraphParams(k=1), n_batches=n_batches,
+                                 batch_size=batch_size)
 
     def test_batch_larger_than_dataset_rejected(self):
         net = build_blocknet((1,), (4,), 3, 2, seed=0)
         data = gen_gaussian_mixture(n=40, classes=2, dim=3, separation=4.0, seed=0)
         with pytest.raises(ValueError):
-            concentration_report(net, net, data, "rkdd", batch_size=64)
+            concentration_report(net, net, data, GraphParams(k=63), batch_size=64)

@@ -167,7 +167,7 @@ class TestConfigDigests:
             {"version": 1, **ARCHS, "loss": "rkdd",
              "dataset": {"name": "gaussian_mixture", "n": 80, "classes": 3, "dim": 2,
                          "separation": 5}},
-            "948d64128d2b5ac32b1c7787fd126998362668a1ed8e96c7b2d3323b411a64e5",
+            "29404c6bd1bd9954fd6d0fb1ab4705da970e118d2202fb703e64a10d7aa15dfe",
         ),
         "idx_without_limit": (
             {"version": 1, **ARCHS, "loss": "ikd", "lambda_kd": 2, "batch_size": 64,
@@ -189,6 +189,19 @@ class TestConfigDigests:
     def test_digest_value_is_pinned(self, case):
         obj, digest = self.PINNED[case]
         assert config_digest(parse_config(obj)) == digest
+
+    # a dataset number written as an integer digests, and names its data, as
+    # it does written as a float
+    @pytest.mark.parametrize("dataset, key", [
+        ({"name": "two_arcs", "n": 40, "noise": 0}, "noise"),
+        ({"name": "gaussian_mixture", "n": 40, "classes": 2, "dim": 3, "separation": 8},
+         "separation"),
+    ], ids=["noise", "separation"])
+    def test_integer_dataset_number_is_stored_as_float(self, dataset, key):
+        configs = [parse_config(tiny_config_dict(dataset=d))
+                   for d in (dataset, {**dataset, key: float(dataset[key])})]
+        assert len({config_digest(c) for c in configs}) == 1
+        assert len({harness.build_split(c).train.provenance for c in configs}) == 1
 
 
 class TestNonFiniteNumbers:
@@ -731,6 +744,25 @@ class TestCliEndToEnd:
         err = capsys.readouterr().err
         assert err.startswith("error:") and fragment in err
         assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    # training checks the teacher against the student before its first step
+    @pytest.mark.parametrize("command, argv", [
+        ("distill", []),
+        ("sweep", ["--param", "lambda_kd", "--values", "1,2"]),
+    ], ids=["distill", "sweep"])
+    def test_teacher_of_another_input_dim_leaves_no_out_dir(self, tmp_path, capsys, command,
+                                                            argv):
+        config_path = write_config(tmp_path, loss="gkd", lambda_kd=1.0, seeds=[1])
+        ckpt = tmp_path / "teacher.ckpt"
+        save_checkpoint(build_blocknet((1, 1), (4, 4), input_dim=5, classes=2, seed=1), ckpt)
+        out = tmp_path / "out"
+        code = main([command, "--config", str(config_path), "--out", str(out),
+                     "--teacher", str(ckpt), *argv])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: teacher (5 -> 2) and student (3 -> 2) disagree on input/classes\n"
+        )
         assert not out.exists()
 
     def test_spectral_repeated_student_name_exits_two(self, tmp_path, capsys):
