@@ -1,9 +1,10 @@
 """Post-hoc analyses: loss concentration, probe consistency, graph smoothness.
 
-These all operate on frozen networks; nothing here touches the gradient tape.
-Each forwards a net through ``models.frozen_forward`` and uses its tap list as
-it comes.  Every report is a ``{tap: value}`` table keyed by ``tap_names()``,
-in that order, or a dict of such tables: the tables that ``harness`` writes.
+These read networks and never update them: each forwards a net through
+``models.forward_with_taps`` and reads its taps as arrays.  The concentration
+and spectral reports need a teacher and students with the same taps.  Every
+report is a ``{tap: value}`` table keyed by ``tap_names()``, in that order,
+or a dict of such tables: the tables that ``harness`` writes.
 ``spectral_report`` uses every point it is given; ``harness`` draws the
 fixed sample.
 
@@ -36,7 +37,7 @@ from .graphs import (
     smoothness,
 )
 from .losses import per_example_gkd, per_example_rkdd
-from .models import OUTPUT_TAP, BlockNet, frozen_forward
+from .models import OUTPUT_TAP, BlockNet, forward_with_taps
 
 __all__ = [
     "loss_concentration",
@@ -78,6 +79,13 @@ def loss_concentration(per_example, fraction: float = 0.9) -> float | None:
     return 100.0 * count / v.size
 
 
+def _check_same_taps(teacher: BlockNet, student: BlockNet) -> None:
+    """Reject a net pair whose taps a report could not pair one to one."""
+    t_names, s_names = teacher.tap_names(), student.tap_names()
+    if t_names != s_names:
+        raise ValueError(f"teacher taps {t_names} and student taps {s_names} differ")
+
+
 def concentration_report(
     teacher: BlockNet,
     student: BlockNet,
@@ -104,14 +112,15 @@ def concentration_report(
             f"concentration_report: dataset of {len(data)} examples is smaller than "
             f"batch_size {batch_size}"
         )
+    _check_same_taps(teacher, student)
     rng = np.random.default_rng(seed)
     names = student.tap_names()
     collected = {loss: {name: [] for name in names} for loss in ("gkd", "rkdd")}
     for _ in range(n_batches):
         idx = rng.choice(len(data), size=batch_size, replace=False)
         xb, yb = data.features[idx], data.labels[idx]
-        s_taps = frozen_forward(student, xb)
-        t_taps = frozen_forward(teacher, xb)
+        s_taps = forward_with_taps(student, xb)
+        t_taps = forward_with_taps(teacher, xb)
         for name, s_tap, t_tap in zip(names, s_taps, t_taps):
             # the gkd term first, so that its two graphs are freed before the rkdd term
             gkd = per_example_gkd(*(
@@ -237,10 +246,11 @@ def _agreements(
     for block in blocks:
         if not 1 <= block <= teacher.num_blocks or not 1 <= block <= student.num_blocks:
             raise ValueError(f"consistency_probe: block {block!r} out of range")
-    t_eval, s_eval = (frozen_forward(net, eval_data.features) for net in (teacher, student))
+    t_eval, s_eval = (forward_with_taps(net, eval_data.features) for net in (teacher, student))
     fractions = []
     if blocks:
-        t_train, s_train = (frozen_forward(net, train_data.features) for net in (teacher, student))
+        t_train, s_train = (forward_with_taps(net, train_data.features)
+                            for net in (teacher, student))
         reps = [taps[block - 1].data for block in blocks for taps in (t_train, s_train)]
         probes = [LogisticProbe() for _ in reps]
         _fit_lockstep(probes, reps, train_data.labels, train_data.num_classes)
@@ -299,8 +309,10 @@ def spectral_report(
     if k is None:
         k = n - 1
     names = teacher.tap_names()
+    for student in students.values():
+        _check_same_taps(teacher, student)
 
-    teacher_taps = frozen_forward(teacher, data.features)
+    teacher_taps = forward_with_taps(teacher, data.features)
     indicator_signals = [
         (data.labels == c).astype(np.float64) for c in range(data.num_classes)
     ]
@@ -321,7 +333,7 @@ def spectral_report(
     report = {}
     for student_name, student in students.items():
         label_vals, fiedler_vals = {}, {}
-        for name, tap, fied in zip(names, frozen_forward(student, data.features), fiedlers):
+        for name, tap, fied in zip(names, forward_with_taps(student, data.features), fiedlers):
             lap_s = laplacian(build_similarity_graph(tap.data, k=k).weights)
             label_vals[name] = sum(smoothness(lap_s, sig) for sig in indicator_signals)
             fiedler_vals[name] = smoothness(lap_s, fied)

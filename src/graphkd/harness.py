@@ -41,7 +41,7 @@ from .models import (
     atomic_open,
     build_blocknet,
     checkpoint_digest,
-    frozen_forward,
+    forward_with_taps,
     load_checkpoint,
     save_checkpoint,
 )
@@ -250,22 +250,13 @@ def run_train_teacher(config: DistillConfig, out_dir, seed: int | None = None) -
     return _run_plan([([job], finish)], split)[0]
 
 
-def _load_teacher(config: DistillConfig, teacher_path) -> BlockNet | None:
-    if config.loss == "vanilla":
-        if teacher_path is not None:
-            raise ConfigError("a teacher checkpoint was given but loss is 'vanilla'")
-        return None
-    if teacher_path is None:
-        raise ConfigError(f"loss {config.loss!r} requires --teacher")
-    return _require_checkpoint(teacher_path, "teacher")
-
-
 def run_distill(config: DistillConfig, out_dir, teacher_path=None, seeds=None) -> ExperimentResult:
     """Train one student per seed under the configured loss; aggregate medians."""
     seeds = tuple(int(s) for s in (seeds if seeds is not None else config.seeds))
     _check_seeds(seeds, "--seeds")  # an override keeps the manifest's config as it is
     split = build_split(config)
-    teacher = _load_teacher(config, teacher_path)
+    # training checks the teacher against the loss and the student before its first step
+    teacher = None if teacher_path is None else _require_checkpoint(teacher_path, "teacher")
     return _run_plan([_distill_run(config, Path(out_dir), seeds, split)], split, teacher)[0]
 
 
@@ -283,7 +274,7 @@ def _sweep_value(param: str, raw: str):
 def _apply_sweep(config: DistillConfig, param: str, value) -> DistillConfig:
     if param == "lambda_kd":
         return replace(config, lambda_kd=float(value))
-    if config.loss != "gkd" or config.graph is None:
+    if config.loss != "gkd":
         raise ConfigError(f"sweeping {param!r} requires loss='gkd' with graph parameters")
     return replace(config, graph=replace(config.graph, **{param: value}))
 
@@ -304,7 +295,7 @@ def run_sweep(config: DistillConfig, out_dir, param: str, values, teacher_path=N
     out_dir = Path(out_dir)
     # a swept parameter changes neither the dataset nor the loss
     split = build_split(config)
-    teacher = _load_teacher(config, teacher_path)
+    teacher = None if teacher_path is None else _require_checkpoint(teacher_path, "teacher")
     plan = [
         _distill_run(sub, out_dir / f"{param}_{value}", sub.seeds, split)
         for value, sub in zip(swept, sub_configs)
@@ -428,7 +419,7 @@ def run_dump_graph(
     tap_names = net.tap_names()
     if block not in tap_names:
         raise ConfigError(f"unknown tap {block!r}; available: {tap_names}")
-    reps = frozen_forward(net, sample.features)[tap_names.index(block)].data
+    reps = forward_with_taps(net, sample.features)[tap_names.index(block)].data
     graph = build_similarity_graph(
         reps, k=params.k, p=params.p, mask_mode=params.mask_mode, labels=sample.labels
     )

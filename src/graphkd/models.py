@@ -26,7 +26,6 @@ __all__ = [
     "BlockNet",
     "build_blocknet",
     "forward_with_taps",
-    "frozen_forward",
     "save_checkpoint",
     "load_checkpoint",
     "checkpoint_digest",
@@ -162,17 +161,6 @@ def _layer(h: Tensor, w: Tensor, b: Tensor, relu: bool) -> Tensor:
         )
 
     return record(z, (h, w, b), backward)
-
-
-def frozen_forward(net: BlockNet, batch) -> list[Tensor]:
-    """``forward_with_taps`` with the parameters kept off the tape; their flags are restored."""
-    flags = [p.requires_grad for p in net.parameters()]
-    net.set_requires_grad(False)
-    try:
-        return forward_with_taps(net, batch)
-    finally:
-        for p, f in zip(net.parameters(), flags):
-            p.requires_grad = f
 
 
 @contextmanager

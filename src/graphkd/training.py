@@ -2,7 +2,8 @@
 
 One backward pass per step covers task + lambda * KD, recorded as one tape
 node; it replaces the parameters' gradients, so nothing zeroes them between
-steps.  The teacher is forwarded without gradients and never updated.  All
+steps.  The KD losses read the teacher's taps as arrays, so the teacher gets
+no gradient, is never updated and keeps its parameters' flags as given.  All
 randomness (shuffling) derives from (seed, epoch), so a run is
 bit-reproducible from its config and seed.
 """
@@ -19,7 +20,7 @@ from .config import DistillConfig, Schedule
 from .datasets import DataSplit, minibatch_indices
 from .losses import gkd_loss, ikd_loss, rkdd_loss, task_loss
 from .graphs import build_similarity_graph
-from .models import BlockNet, forward_with_taps, frozen_forward
+from .models import BlockNet, forward_with_taps
 
 __all__ = [
     "OptimizerState",
@@ -101,8 +102,8 @@ class TrainResult:
 
 
 def evaluate_error(net: BlockNet, dataset) -> float:
-    """Top-1 error rate on a dataset, computed without touching the tape."""
-    logits = frozen_forward(net, dataset.features)[-1].data
+    """Top-1 error rate on a dataset; the forward is never differentiated."""
+    logits = forward_with_taps(net, dataset.features)[-1].data
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred != dataset.labels))
 
@@ -188,12 +189,9 @@ def train(
     """
     _validate_setup(net, data, config, teacher)
     schedule = config.schedule
-    kd_active = config.loss != "vanilla" and config.lambda_kd > 0
 
     params = net.parameters()
     net.set_requires_grad(True)
-    if teacher is not None:
-        teacher.set_requires_grad(False)
     state = init_optimizer(params, lr_at(schedule, 0), config.momentum)
 
     features, labels = data.train.features, data.train.labels
@@ -211,7 +209,7 @@ def train(
             s_taps = forward_with_taps(net, xb)
             task_t = task_loss(s_taps[-1], yb)
             task = float(task_t.data)
-            if kd_active:
+            if config.lambda_kd > 0:  # never under vanilla, which forces lambda_kd = 0
                 kd_t = _kd_loss(config, s_taps, forward_with_taps(teacher, xb), yb)
                 total_t = _total_loss(task_t, kd_t, config.lambda_kd)
                 kd = float(kd_t.data)

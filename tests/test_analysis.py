@@ -298,6 +298,15 @@ class TestSpectralReport:
         with pytest.raises(ValueError, match=message):
             spectral_report(net, {"s": net}, data)
 
+    def test_student_with_other_taps_rejected(self):
+        data = gen_gaussian_mixture(n=30, classes=2, dim=3, separation=4.0, seed=0)
+        teacher = build_blocknet((1, 1, 1), (8, 8, 8), 3, 2, seed=0)
+        student = build_blocknet((1, 1), (4, 4), 3, 2, seed=1)
+        message = (r"^teacher taps \['block1', 'block2', 'block3', 'output'\] and student "
+                   r"taps \['block1', 'block2', 'output'\] differ$")
+        with pytest.raises(ValueError, match=message):
+            spectral_report(teacher, {"same": teacher, "other": student}, data, k=3)
+
 
 class TestConcentrationReport:
     def test_gkd_and_rkdd_report_all_taps(self):
@@ -335,6 +344,15 @@ class TestConcentrationReport:
         with pytest.raises(ValueError, match="^concentration_report: need n_batches"):
             concentration_report(net, net, data, GraphParams(k=1), n_batches=n_batches,
                                  batch_size=batch_size)
+
+    def test_student_with_other_taps_rejected(self):
+        data = gen_gaussian_mixture(n=40, classes=2, dim=3, separation=4.0, seed=0)
+        teacher = build_blocknet((1, 1, 1), (8, 8, 8), 3, 2, seed=0)
+        student = build_blocknet((1, 1), (4, 4), 3, 2, seed=1)
+        message = r"^teacher taps \[.*\] and student taps \[.*\] differ$"
+        with pytest.raises(ValueError, match=message):
+            concentration_report(teacher, student, data, GraphParams(k=7), n_batches=2,
+                                 batch_size=8)
 
     def test_batch_larger_than_dataset_rejected(self):
         net = build_blocknet((1,), (4,), 3, 2, seed=0)

@@ -765,6 +765,63 @@ class TestCliEndToEnd:
         )
         assert not out.exists()
 
+    # training's teacher rule, for a vanilla config given a teacher and a gkd
+    # config given none; a vanilla sweep may only sweep lambda_kd to 0
+    @pytest.mark.parametrize("command, loss, argv, message", [
+        ("distill", "vanilla", ["--teacher", "{ckpt}"],
+         "vanilla training does not take a teacher"),
+        ("distill", "gkd", [], "loss 'gkd' requires a teacher network"),
+        ("sweep", "vanilla", ["--teacher", "{ckpt}", "--param", "lambda_kd", "--values", "0"],
+         "vanilla training does not take a teacher"),
+        ("sweep", "gkd", ["--param", "lambda_kd", "--values", "1,2"],
+         "loss 'gkd' requires a teacher network"),
+    ], ids=["distill-vanilla", "distill-gkd", "sweep-vanilla", "sweep-gkd"])
+    def test_teacher_rule_leaves_no_out_dir(self, tmp_path, capsys, command, loss, argv,
+                                            message):
+        overrides = {"loss": "gkd", "lambda_kd": 1.0} if loss == "gkd" else {}
+        config_path = write_config(tmp_path, seeds=[1], **overrides)
+        ckpt = write_net(tmp_path, "teacher.ckpt", (12, 12), seed=1)
+        out = tmp_path / "out"
+        code = main([command, "--config", str(config_path), "--out", str(out),
+                     *(arg.format(ckpt=ckpt) for arg in argv)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_sweeping_a_graph_parameter_needs_gkd(self, tmp_path, capsys):
+        config_path = write_config(tmp_path, loss="rkdd", lambda_kd=1.0, seeds=[1])
+        ckpt = write_net(tmp_path, "teacher.ckpt", (12, 12), seed=1)
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(config_path), "--out", str(out),
+                     "--teacher", str(ckpt), "--param", "k", "--values", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: sweeping 'k' requires loss='gkd' with graph parameters\n"
+        )
+        assert not out.exists()
+
+    # analyze and spectral pair the teacher's taps with the student's, so a
+    # three-block teacher and a two-block student are rejected before any write
+    @pytest.mark.parametrize("command, argv", [
+        ("analyze", ["--student", "{student}", "--batches", "2", "--batch-size", "16"]),
+        ("spectral", ["--student", "small={student}", "--sample", "32"]),
+    ], ids=["analyze", "spectral"])
+    def test_nets_with_other_taps_leave_no_out_dir(self, tmp_path, capsys, command, argv):
+        config_path = write_config(
+            tmp_path, dataset={"name": "two_arcs", "n": 80, "seed": 0, "test_fraction": 0.25})
+        teacher, student = tmp_path / "teacher.ckpt", tmp_path / "student.ckpt"
+        save_checkpoint(build_blocknet((1, 1, 1), (16, 16, 16), 2, 2, seed=1), teacher)
+        save_checkpoint(build_blocknet((1, 1), (4, 4), 2, 2, seed=2), student)
+        out = tmp_path / "out"
+        code = main([command, "--config", str(config_path), "--out", str(out),
+                     "--teacher", str(teacher), *(arg.format(student=student) for arg in argv)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: teacher taps ['block1', 'block2', 'block3', 'output'] and student taps "
+            "['block1', 'block2', 'output'] differ\n"
+        )
+        assert not out.exists()
+
     def test_spectral_repeated_student_name_exits_two(self, tmp_path, capsys):
         config_path = write_config(tmp_path)
         ckpt = tmp_path / "net.ckpt"

@@ -230,6 +230,31 @@ class TestTrainLoop:
         for p, before in zip(teacher.parameters(), frozen):
             assert_array_equal(p.data, before)
 
+    @pytest.mark.parametrize("loss", ["gkd", "rkdd", "ikd"])
+    def test_trainable_teacher_keeps_its_flags_grads_and_weights(self, loss):
+        # the KD losses read the teacher's taps as arrays, so a teacher whose
+        # parameters require gradients trains the student exactly as a flag-off one
+        graph = {"graph": {"k": 7}} if loss == "gkd" else {}
+        config = make_config(loss=loss, lambda_kd=1.0, **graph)
+        split = build_split(config)
+        widths = (4, 4) if loss == "ikd" else (16, 16)
+        teacher = build_blocknet((1, 1), widths, 3, 2, seed=9)
+        teacher.set_requires_grad(True)
+        before = [(p.data.copy(), p.grad.copy()) for p in teacher.parameters()]
+        student = build_blocknet((1, 1), (4, 4), 3, 2, seed=4)
+        train(student, split, config, seed=2, teacher=teacher)
+        for p, (data, grad) in zip(teacher.parameters(), before):
+            assert p.requires_grad
+            assert_array_equal(p.data, data)
+            assert_array_equal(p.grad, grad)
+
+        flag_off = build_blocknet((1, 1), widths, 3, 2, seed=9)
+        reference = build_blocknet((1, 1), (4, 4), 3, 2, seed=4)
+        train(reference, split, config, seed=2, teacher=flag_off)
+        assert not any(p.requires_grad for p in flag_off.parameters())
+        for p, q in zip(student.parameters(), reference.parameters()):
+            assert_array_equal(p.data, q.data)
+
     def test_gkd_reports_nonzero_kd_loss(self):
         config = make_config(loss="gkd", graph={"k": 7})
         split = build_split(config)
