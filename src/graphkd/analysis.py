@@ -91,9 +91,9 @@ def concentration_report(
     student: BlockNet,
     data: Dataset,
     graph: GraphParams,
-    n_batches: int = 20,
-    batch_size: int = 256,
-    seed: int = 0,
+    n_batches: int,
+    batch_size: int,
+    seed: int,
 ) -> dict[str, dict[str, float | None]]:
     """Median loss concentration per tap over random batches, as ``{"gkd":
     {tap: median}, "rkdd": {tap: median}}``: the share of a batch that
@@ -290,24 +290,22 @@ def consistency_curve(
 
 
 def spectral_report(
-    teacher: BlockNet, students: dict[str, BlockNet], data: Dataset, k: int | None = None
+    teacher: BlockNet, students: dict[str, BlockNet], data: Dataset, k: int
 ) -> dict[str, dict[str, dict[str, float]]]:
     """Smoothness of label indicators and teacher Fiedler vectors on student graphs,
     as ``{student: {signal: {tap: value}}}``, the signals "label_indicator" and
     "teacher_fiedler" in that order.
 
     For each tap, a similarity graph is built per network on every point of
-    ``data``, with k = n - 1 by default.  The label signal is the sum over
-    classes of one-vs-rest indicator smoothness; the teacher signal is the
-    Fiedler vector of the teacher's graph evaluated on each student's
-    Laplacian.  A disconnected teacher graph makes the Fiedler vector
+    ``data``, with ``k`` neighbours, p = 1 and no class mask.  The label
+    signal is the sum over classes of one-vs-rest indicator smoothness; the
+    teacher signal is the Fiedler vector of the teacher's graph evaluated on
+    each student's Laplacian.  A disconnected teacher graph makes the Fiedler vector
     degenerate, which is reported as a warning rather than a failure.
     """
     n = len(data)
     if n < 2:
         raise ValueError(f"spectral_report: need at least 2 examples, got {n}")
-    if k is None:
-        k = n - 1
     names = teacher.tap_names()
     for student in students.values():
         _check_same_taps(teacher, student)
@@ -319,7 +317,7 @@ def spectral_report(
     fiedlers = []
     for name, tap in zip(names, teacher_taps):
         lap_t = laplacian(build_similarity_graph(tap.data, k=k).weights)
-        fied = fiedler_vector(lap_t)
+        fied = fiedler_vector(lap_t).s
         # the Rayleigh quotient of the unit Fiedler vector is lambda_2;
         # a degenerate (near-zero) lambda_2 means a disconnected graph
         if smoothness(lap_t, fied) < _CONNECTIVITY_EPS:
@@ -328,7 +326,7 @@ def spectral_report(
                 RuntimeWarning,
                 stacklevel=2,
             )
-        fiedlers.append(fied.s)
+        fiedlers.append(fied)
 
     report = {}
     for student_name, student in students.items():

@@ -172,7 +172,7 @@ def _read_idx(
     return data, dims, hashlib.sha256(raw).hexdigest()[:16]
 
 
-def load_idx(images_path, labels_path, limit: int | None = None) -> Dataset:
+def load_idx(images_path, labels_path, limit: int | None) -> Dataset:
     """Load an IDX image/label pair, scaled to [0, 1] and flattened row-major."""
     pixels, image_dims, digest_i = _read_idx(Path(images_path), IDX_IMAGE_MAGIC, "images")
     label_bytes, label_dims, digest_l = _read_idx(Path(labels_path), IDX_LABEL_MAGIC, "labels")

@@ -351,13 +351,13 @@ def laplacian(weights) -> np.ndarray:
 
 
 def smoothness(lap, signal) -> float:
-    """Quadratic form s^T L s, evaluated as the edge sum sum_{i<j} W_ij (s_i - s_j)^2.
+    """Quadratic form s^T L s of an array s, as the edge sum sum_{i<j} W_ij (s_i - s_j)^2.
 
     The edge-sum form is algebraically identical for a combinatorial
     Laplacian and returns exactly 0.0 for constant signals.
     """
     lap = _square(lap, "smoothness")
-    s = signal.s if isinstance(signal, GraphSignal) else np.asarray(signal, dtype=np.float64)
+    s = np.asarray(signal, dtype=np.float64)
     n = lap.shape[0]
     if s.shape != (n,):
         raise ValueError(f"smoothness: signal shape {s.shape} does not match graph size {n}")

@@ -377,7 +377,8 @@ def run_spectral(
     students = {
         name: _require_checkpoint(path, f"student {name!r}") for name, path in student_paths
     }
-    curves = spectral_report(teacher, students, sample, k=k)
+    # the dense graph unless --k is given; the config's graph is not used
+    curves = spectral_report(teacher, students, sample, k=len(sample) - 1 if k is None else k)
     rows = [(student_name, signal, tap, value) for student_name, signals in curves.items()
             for signal, curve in signals.items() for tap, value in curve.items()]
     _write_table(out_dir / "smoothness.csv", ("student", "signal", "tap", "smoothness"), rows)

@@ -1,12 +1,12 @@
 """Task and distillation losses.
 
 All losses return scalar tensors so a single backward pass covers the
-combined objective.  Teacher-side inputs are constants (arrays, or tensors
-whose values are read); only the student side contributes gradients.  IKD
-and RKD-D take the student's and the teacher's tap lists in the forward
-pass's order and pair them once, in ``_tap_pairs``, which checks that the
-two lists are one length and not empty, and that every tap on either side has
-one row count.
+combined objective.  Teacher-side inputs are constants (arrays, tensors
+whose values are read, or a graph's ``.adjacency``); only the student side
+contributes gradients.  IKD and RKD-D take the student's and the teacher's
+tap lists in the forward pass's order and pair them once, in ``_tap_pairs``,
+which checks that the two lists are one length and not empty, and that every
+tap on either side has one row count.
 
 Conventions:
 
@@ -20,8 +20,9 @@ Conventions:
   difference to [-1, 1] gives both the Huber penalty and its slope.
 * GKD is the raw squared Frobenius distance between degree-normalized
   adjacencies, summed over taps (no normalization; lambda absorbs scale).
-  A stacked graph carries every tap, so the sum over taps is one term, and
-  each graph pair's term is one tape node on the student adjacency.
+  Both sides are ``SimilarityGraph``s.  A stacked graph carries every tap,
+  so the sum over taps is one term, and each graph pair's term is one tape
+  node on the student's ``adjacency_tensor``.
 * The sum over taps, with the IKD or RKD-D scale, is one tape node over the
   per-tap terms.
 """
@@ -193,8 +194,8 @@ def gkd_loss(student_graphs, teacher_graphs) -> Tensor:
         raise ValueError("gkd_loss: empty graph list")
     terms = []
     for idx, (sg, tg) in enumerate(zip(student_graphs, teacher_graphs)):
-        a_s = _adjacency_tensor(sg)
-        a_t = _adjacency_array(tg)
+        a_s = sg.adjacency_tensor if sg.adjacency_tensor is not None else Tensor(sg.adjacency)
+        a_t = tg.adjacency
         if a_s.data.shape != a_t.shape:
             raise ValueError(
                 f"gkd_loss: graph {idx} has student adjacency shape {a_s.data.shape} "
@@ -225,26 +226,13 @@ def _squared_distance(student: Tensor, teacher: np.ndarray) -> Tensor:
     return record(np.sum(diff * diff), (student,), lambda g: ((2.0 * g) * diff,))
 
 
-def _adjacency_tensor(g) -> Tensor:
-    if isinstance(g, SimilarityGraph):
-        return g.adjacency_tensor if g.adjacency_tensor is not None else Tensor(g.adjacency)
-    return g if isinstance(g, Tensor) else Tensor(np.asarray(g, dtype=np.float64))
-
-
-def _adjacency_array(g) -> np.ndarray:
-    if isinstance(g, SimilarityGraph):
-        return g.adjacency
-    return g.data if isinstance(g, Tensor) else np.asarray(g, dtype=np.float64)
-
-
 # ---------------------------------------------------------------------------
 # per-example attribution (plain arrays; used for loss-concentration analysis)
 
 
-def per_example_gkd(adj_student, adj_teacher) -> np.ndarray:
-    """Row-wise squared adjacency mismatch; sums to the per-tap GKD loss."""
-    a_s = _adjacency_array(adj_student)
-    a_t = _adjacency_array(adj_teacher)
+def per_example_gkd(student: SimilarityGraph, teacher: SimilarityGraph) -> np.ndarray:
+    """Row-wise squared adjacency mismatch of two graphs; sums to the per-tap GKD loss."""
+    a_s, a_t = student.adjacency, teacher.adjacency
     if a_s.shape != a_t.shape:
         raise ValueError(
             f"per_example_gkd: adjacency shapes differ: {a_s.shape} vs {a_t.shape}"

@@ -23,7 +23,6 @@ from .graphs import build_similarity_graph
 from .models import BlockNet, forward_with_taps
 
 __all__ = [
-    "OptimizerState",
     "EpochMetrics",
     "TrainResult",
     "lr_at",
@@ -42,42 +41,26 @@ def lr_at(schedule: Schedule, epoch: int) -> float:
     return schedule.base_lr * schedule.decay_factor**passed
 
 
-@dataclass
-class OptimizerState:
-    learning_rate: float
-    momentum: float
-    velocities: list[np.ndarray]
-
-
-def init_optimizer(params, learning_rate: float, momentum: float) -> OptimizerState:
-    return OptimizerState(
-        learning_rate=float(learning_rate),
-        momentum=float(momentum),
-        velocities=[np.zeros_like(p.data) for p in params],
-    )
-
-
-def sgd_momentum_step(params, grads, state: OptimizerState) -> None:
+def sgd_momentum_step(params, grads, velocities, learning_rate: float, momentum: float) -> None:
     """Heavy-ball update: v <- momentum*v + g; w <- w - lr*v.
 
-    Both updates are in place, on the state's velocities and on each
+    Both updates are in place, on the caller's velocity arrays and on each
     parameter's array.
     """
-    if len(params) != len(grads) or len(params) != len(state.velocities):
+    if len(params) != len(grads) or len(params) != len(velocities):
         raise ValueError(
             f"sgd_momentum_step: got {len(params)} params, {len(grads)} grads, "
-            f"{len(state.velocities)} velocities"
+            f"{len(velocities)} velocities"
         )
-    for i, (p, g) in enumerate(zip(params, grads)):
+    for i, (p, g, v) in enumerate(zip(params, grads, velocities)):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.data.shape:
             raise ValueError(
                 f"sgd_momentum_step: grad {i} has shape {g.shape}, expected {p.data.shape}"
             )
-        v = state.velocities[i]
-        v *= state.momentum
+        v *= momentum
         v += g
-        p.data -= state.learning_rate * v
+        p.data -= learning_rate * v
 
 
 @dataclass
@@ -192,12 +175,12 @@ def train(
 
     params = net.parameters()
     net.set_requires_grad(True)
-    state = init_optimizer(params, lr_at(schedule, 0), config.momentum)
+    velocities = [np.zeros_like(p.data) for p in params]
 
     features, labels = data.train.features, data.train.labels
     metrics: list[EpochMetrics] = []
     for epoch in range(schedule.total_epochs):
-        state.learning_rate = lr_at(schedule, epoch)
+        lr = lr_at(schedule, epoch)
         rng = np.random.default_rng([int(seed), epoch])
         batch_sums = np.zeros(3)  # task, kd, total
         hits = 0
@@ -216,14 +199,14 @@ def train(
             else:
                 total_t, kd = task_t, 0.0
             total = float(total_t.data)
-            for term, value in (("task", task), ("kd", kd)):
+            for term, value in (("task", task), ("kd", kd), ("total", total)):
                 if not math.isfinite(value):
                     raise RuntimeError(
                         f"training diverged at epoch {epoch}, step {step}: {term} loss is {value}"
                     )
 
             backward(total_t)
-            sgd_momentum_step(params, [p.grad for p in params], state)
+            sgd_momentum_step(params, [p.grad for p in params], velocities, lr, config.momentum)
 
             batch_sums += (task, kd, total)
             hits += int(np.sum(np.argmax(s_taps[-1].data, axis=1) == yb))
@@ -235,7 +218,7 @@ def train(
         metrics.append(
             EpochMetrics(
                 epoch=epoch,
-                lr=float(state.learning_rate),
+                lr=lr,
                 train_error=float(1.0 - hits / seen),
                 test_error=evaluate_error(net, data.test),
                 task_loss=float(batch_sums[0] / n_batches),

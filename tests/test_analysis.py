@@ -296,7 +296,7 @@ class TestSpectralReport:
         net = build_blocknet((1,), (4,), 3, 2, seed=0)
         message = f"^spectral_report: need at least 2 examples, got {n}$"
         with pytest.raises(ValueError, match=message):
-            spectral_report(net, {"s": net}, data)
+            spectral_report(net, {"s": net}, data, k=1)
 
     def test_student_with_other_taps_rejected(self):
         data = gen_gaussian_mixture(n=30, classes=2, dim=3, separation=4.0, seed=0)
@@ -343,7 +343,7 @@ class TestConcentrationReport:
         data = gen_gaussian_mixture(n=40, classes=2, dim=3, separation=4.0, seed=0)
         with pytest.raises(ValueError, match="^concentration_report: need n_batches"):
             concentration_report(net, net, data, GraphParams(k=1), n_batches=n_batches,
-                                 batch_size=batch_size)
+                                 batch_size=batch_size, seed=0)
 
     def test_student_with_other_taps_rejected(self):
         data = gen_gaussian_mixture(n=40, classes=2, dim=3, separation=4.0, seed=0)
@@ -352,10 +352,11 @@ class TestConcentrationReport:
         message = r"^teacher taps \[.*\] and student taps \[.*\] differ$"
         with pytest.raises(ValueError, match=message):
             concentration_report(teacher, student, data, GraphParams(k=7), n_batches=2,
-                                 batch_size=8)
+                                 batch_size=8, seed=0)
 
     def test_batch_larger_than_dataset_rejected(self):
         net = build_blocknet((1,), (4,), 3, 2, seed=0)
         data = gen_gaussian_mixture(n=40, classes=2, dim=3, separation=4.0, seed=0)
         with pytest.raises(ValueError):
-            concentration_report(net, net, data, GraphParams(k=63), batch_size=64)
+            concentration_report(net, net, data, GraphParams(k=63), n_batches=20,
+                                 batch_size=64, seed=0)

@@ -118,7 +118,7 @@ class TestIdx:
         images = rng.integers(0, 256, size=(10, 4, 3), dtype=np.uint8)
         labels = rng.integers(0, 10, size=10, dtype=np.uint8)
         img, lbl = write_idx_pair(tmp_path, images, labels)
-        ds = load_idx(img, lbl)
+        ds = load_idx(img, lbl, None)
         assert ds.features.shape == (10, 12)
         assert_allclose(ds.features, images.reshape(10, 12) / 255.0, atol=1e-15)
         assert_array_equal(ds.labels, labels)
@@ -127,7 +127,7 @@ class TestIdx:
     def test_values_land_in_unit_interval(self, tmp_path):
         images = np.full((2, 2, 2), 255, dtype=np.uint8)
         img, lbl = write_idx_pair(tmp_path, images, np.zeros(2, dtype=np.uint8))
-        ds = load_idx(img, lbl)
+        ds = load_idx(img, lbl, None)
         assert ds.features.max() == 1.0
 
     def test_limit_truncates(self, tmp_path):
@@ -146,7 +146,7 @@ class TestIdx:
             tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), np.zeros(2, dtype=np.uint8)
         )
         with pytest.raises(ValueError, match="magic"):
-            load_idx(lbl, lbl)
+            load_idx(lbl, lbl, None)
 
     def test_truncated_payload_reports_byte_counts(self, tmp_path):
         img, lbl = write_idx_pair(
@@ -156,7 +156,7 @@ class TestIdx:
         img.write_bytes(raw[:-5])
         # 16 header bytes + 4*3*3 pixels = 52 expected; 5 were cut off
         with pytest.raises(ValueError, match=r"expected 52 bytes, got 47"):
-            load_idx(img, lbl)
+            load_idx(img, lbl, None)
 
     def test_count_mismatch_rejected(self, tmp_path):
         img, _ = write_idx_pair(
@@ -165,20 +165,20 @@ class TestIdx:
         lbl = tmp_path / "short.idx"
         lbl.write_bytes(struct.pack(">II", 0x801, 2) + b"\x00\x00")
         with pytest.raises(ValueError, match="3.*2"):
-            load_idx(img, lbl)
+            load_idx(img, lbl, None)
 
     def test_provenance_is_a_content_digest(self, tmp_path):
         img, lbl = write_idx_pair(
             tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), np.zeros(2, dtype=np.uint8)
         )
-        a = load_idx(img, lbl).provenance
-        b = load_idx(img, lbl).provenance
+        a = load_idx(img, lbl, None).provenance
+        b = load_idx(img, lbl, None).provenance
         assert a == b and "sha256" in a
         # flipping one pixel must change the recorded digest
         raw = bytearray(img.read_bytes())
         raw[-1] ^= 0xFF
         img.write_bytes(bytes(raw))
-        assert load_idx(img, lbl).provenance != a
+        assert load_idx(img, lbl, None).provenance != a
 
 
 class TestSplit:

@@ -1185,6 +1185,20 @@ class TestSpectralSummary:
         summary = json.loads((out / "spectral_summary.json").read_text())
         assert summary["sample_size"] == used
 
+    @pytest.mark.filterwarnings("ignore:teacher graph.*disconnected:RuntimeWarning")
+    def test_default_k_is_the_dense_graph_on_the_sample(self, tmp_path):
+        # the config's graph (k = 10) is not used: no --k means k = n - 1
+        config = write_config(tmp_path, loss="gkd", lambda_kd=1.0, graph={"k": 10})
+        teacher = write_net(tmp_path, "teacher.ckpt", (12, 12), seed=1)
+        student = write_net(tmp_path, "student.ckpt", (4, 4), seed=2)
+        common = ["spectral", "--config", str(config), "--teacher", str(teacher),
+                  "--student", f"s={student}", "--sample", "40", "--seed", "3"]
+        assert main([*common, "--out", str(tmp_path / "default")]) == 0
+        assert main([*common, "--out", str(tmp_path / "dense"), "--k", "39"]) == 0
+        for name in ("smoothness.csv", "spectral_summary.json"):
+            assert (tmp_path / "default" / name).read_bytes() == \
+                (tmp_path / "dense" / name).read_bytes()
+
 
 # every CSV a command writes, and the header it starts with
 CSV_HEADERS = {

@@ -1,8 +1,8 @@
 """Stand-ins for a linter's unused-import, dead-code and stale-export rules over the
 package's modules, checks that every public constant is read, every public
 function or class has a caller beyond the tests and every defaulted parameter
-is passed by some caller, and a check that perfbench's tracer still finds
-every function it wraps."""
+is passed by some caller but not by every one, and a check that perfbench's
+tracer still finds every function it wraps."""
 
 import argparse
 import ast
@@ -223,17 +223,11 @@ def test_no_public_definition_that_only_tests_call():
     assert public_definitions_only_tests_call(sources, readers) == []
 
 
-def unpassed_defaults(
-    sources: dict[str, str], readers: dict[str, str], options: set, exempt: set
-) -> list[str]:
-    """``module:name(param)`` for each defaulted parameter of a public
-    module-level function, or of a public class's ``__init__``, in ``sources``
-    that no call in ``sources`` (``__init__.py`` aside) or ``readers`` passes,
-    by keyword or by position, and that is not in ``options`` (the
-    ``(runner, dest)`` pairs of the command line) or ``exempt`` (``(name,
-    param)`` pairs): a setting that nothing sets."""
-    modules = {name: ast.parse(source) for name, source in sources.items() if name != "__init__.py"}
-    callees = {}  # name -> (module, positional parameters, defaulted parameters)
+def public_callees(modules: dict[str, ast.Module]) -> dict[str, tuple]:
+    """``name -> (module, positional parameters, defaulted parameters)`` for each
+    public module-level function, and each public class's ``__init__``, of
+    ``modules``."""
+    callees = {}
     for module, tree in modules.items():
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
@@ -251,19 +245,40 @@ def unpassed_defaults(
             defaulted = positional[len(positional) - len(args.defaults):] + [
                 a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
             callees[node.name] = (module, positional, defaulted)
+    return callees
+
+
+def calls_by_name(tree: ast.AST, callees: dict[str, tuple]):
+    """``(name, parameters passed)`` for each call in ``tree`` of a name in
+    ``callees``, by keyword or by position up to the first ``*`` argument."""
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in callees:
+            continue
+        count = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                     len(call.args))
+        yield name, {*callees[name][1][:count],
+                     *(kw.arg for kw in call.keywords if kw.arg is not None)}
+
+
+def unpassed_defaults(
+    sources: dict[str, str], readers: dict[str, str], options: set, exempt: set
+) -> list[str]:
+    """``module:name(param)`` for each defaulted parameter of a public
+    module-level function, or of a public class's ``__init__``, in ``sources``
+    that no call in ``sources`` (``__init__.py`` aside) or ``readers`` passes,
+    by keyword or by position, and that is not in ``options`` (the
+    ``(runner, dest)`` pairs of the command line) or ``exempt`` (``(name,
+    param)`` pairs): a setting that nothing sets."""
+    modules = {name: ast.parse(source) for name, source in sources.items() if name != "__init__.py"}
+    callees = public_callees(modules)
     passed = set(options) | set(exempt)
     for tree in [*modules.values(), *(ast.parse(source) for source in readers.values())]:
-        for call in ast.walk(tree):
-            if not isinstance(call, ast.Call):
-                continue
-            func = call.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name not in callees:
-                continue
-            count = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
-                         len(call.args))
-            passed |= {(name, param) for param in callees[name][1][:count]}
-            passed |= {(name, kw.arg) for kw in call.keywords if kw.arg is not None}
+        passed |= {(name, param) for name, params in calls_by_name(tree, callees)
+                   for param in params}
     return [f"{module}:{name}({param})" for name, (module, _, defaulted) in callees.items()
             for param in defaulted if (name, param) not in passed]
 
@@ -300,6 +315,44 @@ def test_every_default_is_passed_somewhere():
     # main's argv is for callers outside the package: the console script passes none
     exempt = {("main", "argv")}
     assert unpassed_defaults(sources, readers, command_line_options(), exempt) == []
+
+
+def restated_defaults(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """``module:name(param)`` for each defaulted parameter of a public
+    module-level function, or of a public class's ``__init__``, in ``sources``
+    that the package calls by name (``__init__.py`` aside) and that every such
+    call and every call in ``readers`` passes: a default no caller uses."""
+    modules = {name: ast.parse(source) for name, source in sources.items() if name != "__init__.py"}
+    callees = public_callees(modules)
+    package_calls = {name for tree in modules.values() for name, _ in calls_by_name(tree, callees)}
+    always = {}  # name -> parameters that every call so far passes
+    for tree in [*modules.values(), *(ast.parse(source) for source in readers.values())]:
+        for name, params in calls_by_name(tree, callees):
+            always[name] = always.get(name, params) & params
+    return [f"{module}:{name}({param})" for name, (module, _, defaulted) in callees.items()
+            if name in package_calls for param in defaulted if param in always[name]]
+
+
+def test_check_flags_a_restated_default():
+    sources = {
+        "__init__.py": "from .a import f\nf(0, 1, 2)\n",
+        "a.py": "def f(x, always=1, sometimes=2, *, kw=3):\n    pass\n"
+                "class K:\n    def __init__(self, size=1):\n        pass\n"
+                "def only_tests(seed=0):\n    pass\n"
+                "def splat(a=1, b=2):\n    pass\n",
+        "b.py": "from .a import K, f, splat\nf(0, 1, kw=3)\nf(0, always=2, sometimes=3, kw=4)\n"
+                "K(4)\nsplat(1, *[2])\n",
+    }
+    readers = {"test_acceptance.py": "from graphkd.a import f, only_tests\nf(0, 5, kw=1)\n"
+                                     "only_tests(seed=1)\n"}
+    assert restated_defaults(sources, readers) == [
+        "a.py:f(always)", "a.py:f(kw)", "a.py:K(size)", "a.py:splat(a)"]
+
+
+def test_no_restated_default():
+    sources = {p.name: p.read_text() for p in SOURCES}
+    readers = {ACCEPTANCE.name: ACCEPTANCE.read_text()}
+    assert restated_defaults(sources, readers) == []
 
 
 # file I/O lives in models (atomic_open, checkpoints), harness (artefacts),

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from graphkd.autodiff import Tensor, backward
-from graphkd.graphs import _cosine, build_similarity_graph
+from graphkd.graphs import SimilarityGraph, _cosine, build_similarity_graph
 from graphkd.losses import (
     _distances,
     _huber,
@@ -414,8 +414,8 @@ def test_tap_list_errors(case):
 class TestGkd:
     def test_two_node_example(self):
         # adjacencies differ by 0.1 in both off-diagonal slots -> 2 * 0.01
-        g_s = Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        g_t = Tensor(np.array([[0.0, 0.9], [0.9, 0.0]]))
+        g_s, g_t = (SimilarityGraph(weights=a, adjacency=a) for a in (
+            np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[0.0, 0.9], [0.9, 0.0]])))
         assert_allclose(gkd_loss([g_s], [g_t]).data, 0.02, atol=1e-15)
 
     def test_identical_graphs_give_zero(self):
@@ -483,7 +483,7 @@ class TestGkd:
         rng = np.random.default_rng(13)
         g_s = build_similarity_graph(rng.normal(size=(7, 3)), k=3)
         g_t = build_similarity_graph(rng.normal(size=(7, 3)), k=3)
-        per = per_example_gkd(g_s.adjacency, g_t.adjacency)
+        per = per_example_gkd(g_s, g_t)
         assert per.shape == (7,)
         assert_allclose(per.sum(), gkd_loss([g_s], [g_t]).data, rtol=1e-12)
 
@@ -575,8 +575,8 @@ class TestSumNode:
 
     def terms(self, loss, xs, teacher):
         if loss == "gkd":
-            return [_squared_distance(build_similarity_graph(x, k=3, p=2).adjacency_tensor, t)
-                    for x, t in zip(xs, teacher)]
+            return [_squared_distance(build_similarity_graph(x, k=3, p=2).adjacency_tensor,
+                                      t.adjacency) for x, t in zip(xs, teacher)]
         tap_term = _squared_distance if loss == "ikd" else _rkdd_tap
         return [tap_term(x, t) for x, t in zip(xs, teacher)]
 
@@ -589,7 +589,7 @@ class TestSumNode:
         t = [rng.normal(size=(n, d if loss == "ikd" else 6)) for d in widths]
         xs = [leaf(a) for a in s]
         if loss == "gkd":
-            teacher = [build_similarity_graph(x, k=3, p=2).adjacency for x in t]
+            teacher = [build_similarity_graph(x, k=3, p=2) for x in t]
             got = gkd_loss([build_similarity_graph(x, k=3, p=2) for x in xs], teacher)
             scale = None
         elif loss == "ikd":

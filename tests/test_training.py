@@ -13,9 +13,7 @@ from graphkd.graphs import build_similarity_graph
 from graphkd.losses import task_loss
 from graphkd.models import build_blocknet, forward_with_taps
 from graphkd.training import (
-    OptimizerState,
     evaluate_error,
-    init_optimizer,
     lr_at,
     sgd_momentum_step,
     train,
@@ -59,48 +57,46 @@ class TestSgdMomentum:
         w0 = np.array([[1.0, 2.0]])
         g = np.array([[0.5, -0.25]])
         p = Tensor(w0.copy(), requires_grad=True)
-        state = init_optimizer([p], learning_rate=0.1, momentum=0.9)
-        sgd_momentum_step([p], [g], state)
+        velocities = [np.zeros_like(p.data)]
+        sgd_momentum_step([p], [g], velocities, learning_rate=0.1, momentum=0.9)
         assert_allclose(p.data, w0 - 0.1 * g, atol=1e-15)
-        sgd_momentum_step([p], [g], state)
+        sgd_momentum_step([p], [g], velocities, learning_rate=0.1, momentum=0.9)
         assert_allclose(p.data, w0 - 0.1 * g - 0.1 * 1.9 * g, atol=1e-15)
 
     def test_zero_momentum_is_plain_sgd(self):
         p = Tensor(np.zeros((2, 2)), requires_grad=True)
         g = np.ones((2, 2))
-        state = init_optimizer([p], learning_rate=0.5, momentum=0.0)
-        sgd_momentum_step([p], [g], state)
-        sgd_momentum_step([p], [g], state)
+        velocities = [np.zeros_like(p.data)]
+        sgd_momentum_step([p], [g], velocities, learning_rate=0.5, momentum=0.0)
+        sgd_momentum_step([p], [g], velocities, learning_rate=0.5, momentum=0.0)
         assert_allclose(p.data, -1.0 * np.ones((2, 2)), atol=1e-15)
 
     def test_step_is_in_place_and_equals_the_out_of_place_formula(self):
         rng = np.random.default_rng(3)
         params = [Tensor(rng.normal(size=(3, 4)), requires_grad=True),
                   Tensor(rng.normal(size=(1, 4)), requires_grad=True)]
-        state = init_optimizer(params, learning_rate=0.037, momentum=0.9)
-        state.velocities = [rng.normal(size=p.data.shape) for p in params]
+        learning_rate, momentum = 0.037, 0.9
+        velocities = [rng.normal(size=p.data.shape) for p in params]
         grads = [rng.normal(size=p.data.shape) for p in params]
         arrays = [p.data for p in params]
-        velocities = list(state.velocities)
-        expected_v = [state.momentum * v + g for v, g in zip(velocities, grads)]
-        expected_p = [p.data - state.learning_rate * v for p, v in zip(params, expected_v)]
-        sgd_momentum_step(params, grads, state)
+        buffers = list(velocities)
+        expected_v = [momentum * v + g for v, g in zip(buffers, grads)]
+        expected_p = [p.data - learning_rate * v for p, v in zip(params, expected_v)]
+        sgd_momentum_step(params, grads, velocities, learning_rate, momentum)
         for i, p in enumerate(params):
-            assert p.data is arrays[i] and state.velocities[i] is velocities[i]
+            assert p.data is arrays[i] and velocities[i] is buffers[i]
             assert p.data.tobytes() == expected_p[i].tobytes()
-            assert state.velocities[i].tobytes() == expected_v[i].tobytes()
+            assert velocities[i].tobytes() == expected_v[i].tobytes()
 
     def test_shape_mismatch_rejected(self):
         p = Tensor(np.zeros((2, 2)), requires_grad=True)
-        state = init_optimizer([p], 0.1, 0.9)
         with pytest.raises(ValueError):
-            sgd_momentum_step([p], [np.zeros((2, 3))], state)
+            sgd_momentum_step([p], [np.zeros((2, 3))], [np.zeros_like(p.data)], 0.1, 0.9)
 
     def test_gradient_count_mismatch_rejected(self):
         p = Tensor(np.zeros(2), requires_grad=True)
-        state = init_optimizer([p], 0.1, 0.9)
         with pytest.raises(ValueError):
-            sgd_momentum_step([p], [], state)
+            sgd_momentum_step([p], [], [np.zeros_like(p.data)], 0.1, 0.9)
 
 
 class TestTrainLoop:
@@ -266,6 +262,19 @@ class TestTrainLoop:
         assert_allclose(
             final.total_loss, final.task_loss + config.lambda_kd * final.kd_loss, rtol=1e-9
         )
+
+    def test_overflowing_total_loss_stops_before_the_step(self):
+        # task and kd are finite at step 0, but lambda_kd * kd overflows to inf
+        config = make_config(loss="gkd", lambda_kd=1e308, graph={"k": 7})
+        split = build_split(config)
+        teacher = build_blocknet((1, 1), (16, 16), 3, 2, seed=9)
+        student = build_blocknet((1, 1), (4, 4), 3, 2, seed=4)
+        start = [p.data.copy() for p in student.parameters()]
+        message = r"^training diverged at epoch 0, step 0: total loss is inf$"
+        with pytest.raises(RuntimeError, match=message):
+            train(student, split, config, seed=2, teacher=teacher)
+        for p, before in zip(student.parameters(), start):
+            assert_array_equal(p.data, before)
 
     def test_teacher_side_stays_off_the_tape(self, monkeypatch):
         built = []
