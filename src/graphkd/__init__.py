@@ -6,6 +6,8 @@ graph construction over batch representations, distillation losses
 experiment CLI.
 """
 
+import numpy
+
 from .autodiff import Tensor, backward
 from .config import ConfigError, DistillConfig, Schedule, load_config, parse_config
 from .datasets import (
@@ -50,5 +52,14 @@ from .analysis import (
     loss_concentration,
     spectral_report,
 )
+
+# One heap policy for every caller: the CLI, library calls and the tests.  When
+# glibc frees an mmapped block of at most 32 MiB, it raises its mmap threshold
+# to that block's size and its trim threshold to twice that (mallopt(3)), here
+# 24 and 48 MiB.  A training step's batch x batch temporaries then stay on the
+# heap, and its freed heap is kept for the next step rather than trimmed and
+# faulted back in.  np.empty touches no page of the block, other allocators
+# ignore it, and thresholds fixed by MALLOC_* variables or mallopt still hold.
+numpy.empty(24 << 20, dtype=numpy.uint8)
 
 __version__ = "0.1.0"

@@ -11,41 +11,12 @@ is one ``warning: ...`` line on stderr.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import sys
 import warnings
 
 from .config import MASK_MODES, ConfigError, load_config
 from .harness import (SWEEPABLE_PARAMS, run_analyze, run_distill, run_dump_graph,
                       run_spectral, run_sweep, run_train_teacher)
-
-
-# glibc mallopt parameter numbers (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_heap() -> None:
-    """Stop glibc from handing freed heap back to the OS between training steps.
-
-    A gkd or rkdd step allocates and frees dozens of batch x batch float64
-    temporaries (128 KiB each at batch 128).  Under glibc's adaptive defaults
-    the freed top of the heap is trimmed and faulted back in on the next
-    step: about half the time of a dense gkd distill, and more or less of it
-    depending on heap layout alone.  Fixed thresholds keep arrays under
-    4 MiB on the heap and up to 64 MiB of freed heap for reuse.  Without
-    glibc's ``mallopt`` this does nothing.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except AttributeError:
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _str_list(raw: str) -> list[str]:
@@ -151,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _keep_freed_heap()
     # a warning that is shown is one line, without its source location; the
     # filters, and whatever records warnings instead, are left as they are
     format_warning = warnings.formatwarning

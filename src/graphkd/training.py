@@ -167,8 +167,9 @@ def train(
 
     With ``lambda_kd == 0`` the KD branch short-circuits, so such a run is
     bit-identical to plain task training with the same seed.  A non-finite
-    loss term, or non-finite parameters at the end of an epoch, raise
-    ``RuntimeError`` instead of training on.
+    loss term, a non-finite global gradient norm (checked after ``backward``,
+    before SGD touches a parameter or velocity), or non-finite parameters at
+    the end of an epoch, raise ``RuntimeError`` instead of training on.
     """
     _validate_setup(net, data, config, teacher)
     schedule = config.schedule
@@ -206,7 +207,13 @@ def train(
                     )
 
             backward(total_t)
-            sgd_momentum_step(params, [p.grad for p in params], velocities, lr, config.momentum)
+            grads = [p.grad for p in params]
+            grad_norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads))
+            if not math.isfinite(grad_norm):
+                raise RuntimeError(
+                    f"training diverged at epoch {epoch}, step {step}: gradient norm is {grad_norm}"
+                )
+            sgd_momentum_step(params, grads, velocities, lr, config.momentum)
 
             batch_sums += (task, kd, total)
             hits += int(np.sum(np.argmax(s_taps[-1].data, axis=1) == yb))

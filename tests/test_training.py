@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from graphkd.autodiff import Tensor, backward
 from graphkd.config import Schedule
-from graphkd.datasets import minibatch_indices
+from graphkd.datasets import DataSplit, Dataset, minibatch_indices
 from graphkd.harness import build_split
 from graphkd import training
 from graphkd.graphs import build_similarity_graph
@@ -273,6 +273,23 @@ class TestTrainLoop:
         message = r"^training diverged at epoch 0, step 0: total loss is inf$"
         with pytest.raises(RuntimeError, match=message):
             train(student, split, config, seed=2, teacher=teacher)
+        for p, before in zip(student.parameters(), start):
+            assert_array_equal(p.data, before)
+
+    def test_non_finite_gradient_stops_before_the_step(self):
+        # with block 1 the identity, the student's first tap is these rows; the
+        # subnormal degree gives a finite gkd loss and an all-NaN gradient
+        rows = Dataset([[1.0, 0.0, 0.0], [1.0, 0.1, 0.0], [1e-310, 0.0, 1.0]], [0, 1, 0], 2)
+        config = make_config(loss="gkd", lambda_kd=0.5, batch_size=3, graph={"k": 2, "p": 1})
+        teacher = build_blocknet([1], [4], 3, 2, seed=2)
+        student = build_blocknet([1], [3], 3, 2, seed=1)
+        w, b = student.blocks[0][0]
+        w.data[...] = np.eye(3)
+        b.data[...] = 0.0
+        start = [p.data.copy() for p in student.parameters()]
+        message = r"^training diverged at epoch 0, step 0: gradient norm is nan$"
+        with pytest.raises(RuntimeError, match=message):
+            train(student, DataSplit(rows, rows), config, seed=0, teacher=teacher)
         for p, before in zip(student.parameters(), start):
             assert_array_equal(p.data, before)
 
