@@ -3,10 +3,10 @@
 All losses return scalar tensors so a single backward pass covers the
 combined objective.  Teacher-side inputs are constants (arrays, tensors
 whose values are read, or a graph's ``.adjacency``); only the student side
-contributes gradients.  IKD and RKD-D take the student's and the teacher's
-tap lists in the forward pass's order and pair them once, in ``_tap_pairs``,
-which checks that the two lists are one length and not empty, and that every
-tap on either side has one row count.
+contributes gradients.  IKD, RKD-D and the training step's GKD take the
+student's and the teacher's tap lists in the forward pass's order and pair
+them once, in ``_tap_pairs``, which checks that the two lists are one length
+and not empty, and that every tap on either side has one row count.
 
 Conventions:
 
@@ -20,11 +20,23 @@ Conventions:
   difference to [-1, 1] gives both the Huber penalty and its slope.
 * GKD is the raw squared Frobenius distance between degree-normalized
   adjacencies, summed over taps (no normalization; lambda absorbs scale).
-  Both sides are ``SimilarityGraph``s.  A stacked graph carries every tap,
-  so the sum over taps is one term, and each graph pair's term is one tape
-  node on the student's ``adjacency_tensor``.
+  ``gkd_loss`` takes ``SimilarityGraph``s.  A stacked graph carries every
+  tap, so the sum over taps is one term, and each graph pair's term is one
+  tape node on the student's ``adjacency_tensor``.
+* ``gkd_tap_loss`` is GKD from tap lists, as training uses it.  Under the
+  dense graph (k = n - 1, p = 1, mask ``all``) a pair whose taps are finite
+  and non-negative (ReLU block outputs) has no negative cosine for the clamp
+  to remove, so A = V V^T - diag(|v_i|^2) with V = diag(d^-1/2) U: a rank-d
+  matrix plus a diagonal.  Such a pair's term then follows from the (n, d)
+  taps in O(n d^2) work, and all such pairs are one tape node.  A pair takes
+  it only when both widths are below n (so it is cheaper) and every nonzero
+  degree is at least 1 (so each diagonal entry 1/deg is at most 1, and the
+  subtraction loses only about log2 n bits).  Every other pair (the logits,
+  and any sparse, p > 1 or class-masked graph) goes through one stacked
+  ``build_similarity_graph`` per side and ``gkd_loss``, bit for bit as
+  before.
 * The sum over taps, with the IKD or RKD-D scale, is one tape node over the
-  per-tap terms.
+  per-tap terms; so is GKD's sum of its factored and graph terms.
 """
 
 from __future__ import annotations
@@ -32,13 +44,14 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor, record
-from .graphs import SimilarityGraph
+from .graphs import SimilarityGraph, _inv_sqrt, build_similarity_graph
 
 __all__ = [
     "task_loss",
     "ikd_loss",
     "rkdd_loss",
     "gkd_loss",
+    "gkd_tap_loss",
     "per_example_gkd",
     "per_example_rkdd",
 ]
@@ -203,6 +216,106 @@ def gkd_loss(student_graphs, teacher_graphs) -> Tensor:
             )
         terms.append(_squared_distance(a_s, a_t))
     return terms[0] if len(terms) == 1 else _sum_node(terms)
+
+
+def gkd_tap_loss(student_taps, teacher_taps, graph, labels) -> Tensor:
+    """GKD between two tap lists under ``graph`` (its k, p and mask_mode).
+
+    A pair of taps goes to the factored node when the module docstring's
+    conditions hold; the other pairs form one stacked graph per side, whose
+    term is ``gkd_loss``'s.  With both kinds the two terms are summed in one
+    node, factored term first.
+    """
+    pairs = _tap_pairs(student_taps, teacher_taps, "gkd_tap_loss")
+    n = pairs[0][0].data.shape[0]
+    terms, taken = [], []
+    if graph.k == n - 1 and graph.p == 1 and graph.mask_mode == "all":
+        fit = [i for i, (s, t) in enumerate(pairs) if _clamp_free(s.data, n) and _clamp_free(t, n)]
+        if fit:
+            s_side = _unit_stack([pairs[i][0].data for i in fit], n)
+            t_side = _unit_stack([pairs[i][1] for i in fit], n)
+            ok = _degrees_fit(s_side[3]) & _degrees_fit(t_side[3])
+            if not ok.all():
+                s_side, t_side = (tuple(a[ok] for a in side) for side in (s_side, t_side))
+            taken = [i for i, keep in zip(fit, ok) if keep]
+            if taken:
+                terms.append(_factored_gkd([pairs[i][0] for i in taken], s_side, t_side))
+    rest = [pair for i, pair in enumerate(pairs) if i not in taken]
+    if rest:
+        s_graph, t_graph = (
+            build_similarity_graph(list(taps), k=graph.k, p=graph.p, mask_mode=graph.mask_mode,
+                                   labels=labels)
+            for taps in zip(*rest)
+        )
+        terms.append(gkd_loss([s_graph], [t_graph]))
+    return terms[0] if len(terms) == 1 else _sum_node(terms)
+
+
+def _clamp_free(x: np.ndarray, n: int) -> bool:
+    """Whether an (n, d) tap has d < n and only finite, non-negative entries
+    (a NaN fails both comparisons)."""
+    return x.ndim == 2 and x.shape[1] < n and x.min() >= 0.0 and x.max() < np.inf
+
+
+def _degrees_fit(deg: np.ndarray) -> np.ndarray:
+    """Per tap of a (taps, n) degree stack: is every nonzero degree at least 1?"""
+    return np.all((deg == 0.0) | (deg >= 1.0), axis=-1)
+
+
+def _unit_stack(taps, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(U, 1/|x|, c, degrees) of non-negative (n, d_i) taps, zero-padded to one
+    width: U = x / |x| row-wise (0 for a zero row), c = U^T 1 as a (taps, 1, d)
+    stack, and deg = u . (c - u), the row sums of the cosine graph without its
+    diagonal.  Each entry of c is a sum of non-negative terms, so c - u >= 0,
+    and it is exactly 0 where a row orthogonal to all others is nonzero: such a
+    row's degree is exactly 0.
+    """
+    x = np.zeros((len(taps), n, max(t.shape[1] for t in taps)))
+    for out, tap in zip(x, taps):
+        out[:, : tap.shape[1]] = tap
+    inv_norm = _inv_sqrt(_row_dots(x, x))
+    unit = x * inv_norm[..., None]
+    c = np.einsum("tnd->td", unit)[:, None, :]
+    return unit, inv_norm, c, _row_dots(unit, c - unit)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (taps, n, d) stacks, as a (taps, n) stack."""
+    return np.einsum("tnd,tnd->tn", a, b)
+
+
+def _factored_gkd(students: list[Tensor], s_side, t_side) -> Tensor:
+    """Sum over taps of ||A_s - A_t||_F^2 on dense graphs of non-negative taps,
+    as one node on the student taps; ``s_side`` and ``t_side`` are
+    ``_unit_stack``'s.
+
+    With V = diag(s) U, s = deg^-1/2, and f = |v_s|^2 - |v_t|^2 row-wise, the
+    term is ||V_s^T V_s||^2 - 2 ||V_t^T V_s||^2 + ||V_t^T V_t||^2 - ||f||^2,
+    and its gradient for V_s is 4 (V_s V_s^T V_s - V_t V_t^T V_s - f * V_s).
+    Where a cosine is exactly 0 the graph's W > 0 mask gives slope 0 and this
+    node the unclamped one; that differs only on tap entries equal to 0, which
+    the ReLU that made the tap passes no gradient.
+    """
+    unit, inv_norm, c, deg = s_side
+    s = _inv_sqrt(deg)
+    v = unit * s[..., None]
+    v_t = t_side[0] * _inv_sqrt(t_side[3])[..., None]
+    vt_t = np.swapaxes(v_t, 1, 2)
+    g_ss, g_ts, g_tt = np.swapaxes(v, 1, 2) @ v, vt_t @ v, vt_t @ v_t
+    f = _row_dots(v, v) - _row_dots(v_t, v_t)
+    value = np.vdot(g_ss, g_ss) - 2.0 * np.vdot(g_ts, g_ts) + np.vdot(g_tt, g_tt) - np.vdot(f, f)
+
+    def backward(g: np.ndarray) -> list[np.ndarray]:
+        g_v = (4.0 * g) * (v @ g_ss - v_t @ g_ts - f[..., None] * v)
+        # V = s U, with s = deg^-1/2 (ds/d deg = -s^3 / 2; 0 at deg 0) and
+        # deg_i = u_i . c - |u_i|^2 for c = U^T 1
+        h = -0.5 * s * s * s * _row_dots(g_v, unit)
+        g_u = g_v * s[..., None] + h[..., None] * (c - 2.0 * unit) + h[:, None, :] @ unit
+        # U = x / |x| row-wise
+        g_x = inv_norm[..., None] * (g_u - unit * _row_dots(g_u, unit)[..., None])
+        return [g_x[i, :, : x.data.shape[1]] for i, x in enumerate(students)]
+
+    return record(value, students, backward)
 
 
 def _sum_node(terms: list[Tensor], scale: float | None = None) -> Tensor:

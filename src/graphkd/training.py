@@ -18,8 +18,7 @@ import numpy as np
 from .autodiff import Tensor, backward, record
 from .config import DistillConfig, Schedule
 from .datasets import DataSplit, minibatch_indices
-from .losses import gkd_loss, ikd_loss, rkdd_loss, task_loss
-from .graphs import build_similarity_graph
+from .losses import gkd_tap_loss, ikd_loss, rkdd_loss, task_loss
 from .models import BlockNet, forward_with_taps
 
 __all__ = [
@@ -135,13 +134,7 @@ def _kd_loss(config: DistillConfig, s_taps, t_taps, labels) -> Tensor:
     """
     t_taps = [tap.data for tap in t_taps]
     if config.loss == "gkd":
-        g = config.graph
-        # one (taps, n, n) stack per side
-        s_graph, t_graph = (
-            build_similarity_graph(taps, k=g.k, p=g.p, mask_mode=g.mask_mode, labels=labels)
-            for taps in (s_taps, t_taps)
-        )
-        return gkd_loss([s_graph], [t_graph])
+        return gkd_tap_loss(s_taps, t_taps, config.graph, labels)
     if config.loss == "rkdd":
         return rkdd_loss(s_taps, t_taps)
     return ikd_loss(s_taps, t_taps)

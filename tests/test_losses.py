@@ -8,13 +8,16 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from graphkd.autodiff import Tensor, backward
+from graphkd.config import GraphParams
 from graphkd.graphs import SimilarityGraph, _cosine, build_similarity_graph
 from graphkd.losses import (
     _distances,
     _huber,
     _rkdd_tap,
     _squared_distance,
+    _unit_stack,
     gkd_loss,
+    gkd_tap_loss,
     ikd_loss,
     per_example_gkd,
     per_example_rkdd,
@@ -564,6 +567,142 @@ class TestGkd:
             assert_allclose(x.grad[rows], numeric, rtol=1e-4, atol=1e-7, err_msg=f"tap {i}")
             assert np.abs(numeric).max() > 1e-3
             assert_array_equal(np.delete(x.grad, rows, axis=0), 0.0)
+
+
+def graph_gkd(s, t, labels=None, **graph):
+    """(value, input gradients) of ``gkd_loss`` over one stacked graph per side."""
+    xs = [leaf(a) for a in s]
+    loss = gkd_loss([build_similarity_graph(xs, labels=labels, **graph)],
+                    [build_similarity_graph(list(t), labels=labels, **graph)])
+    backward(loss)
+    return loss, [x.grad for x in xs]
+
+
+def tap_gkd(s, t, labels=None, **graph):
+    """(value, input gradients, whether the factored node took every pair) of
+    ``gkd_tap_loss`` on the same taps."""
+    xs = [leaf(a) for a in s]
+    loss = gkd_tap_loss(xs, list(t), GraphParams(**graph), labels)
+    factored = loss._parents == tuple(xs)  # read before backward consumes the tape
+    backward(loss)
+    return loss, [x.grad for x in xs], factored
+
+
+def relu_taps(rng, n, widths):
+    return [np.maximum(rng.normal(size=(n, d)), 0.0) for d in widths]
+
+
+class TestFactoredGkd:
+    """Dense GKD on non-negative taps as one node, against the graph pair."""
+
+    def check(self, s, t):
+        n = s[0].shape[0]
+        got, got_grads, factored = tap_gkd(s, t, k=n - 1)
+        assert factored
+        ref, ref_grads = graph_gkd(s, t, k=n - 1)
+        assert_allclose(got.data, ref.data, rtol=1e-12)
+        for tap, g, g_ref in zip(s, got_grads, ref_grads):
+            assert g.shape == tap.shape
+            # off the support the graph's W > 0 mask gives slope 0 at an exactly
+            # zero cosine; a ReLU passes no gradient there
+            on = tap > 0
+            assert np.abs(g - g_ref)[on].max(initial=0.0) <= 1e-12 * np.abs(g_ref).max()
+        return got
+
+    def test_unequal_widths_on_one_side(self):
+        rng = np.random.default_rng(60)
+        self.check(relu_taps(rng, 16, (3, 5, 2)), relu_taps(rng, 16, (6, 6, 6)))
+        self.check(relu_taps(rng, 16, (4, 4)), relu_taps(rng, 16, (9, 3)))
+
+    def test_dead_row(self):
+        rng = np.random.default_rng(61)
+        s, t = relu_taps(rng, 16, (4, 5)), relu_taps(rng, 16, (6, 6))
+        s[1][3] = 0.0
+        t[0][7] = 0.0
+        self.check(s, t)
+
+    def test_row_orthogonal_to_all_others(self):
+        rng = np.random.default_rng(62)
+        s, t = relu_taps(rng, 10, (4,)), relu_taps(rng, 10, (5,))
+        s[0][1:, 0] = 0.0
+        s[0][0] = [2.0, 0.0, 0.0, 0.0]
+        assert _unit_stack(s, 10)[3][0, 0] == 0.0  # exactly, not by roundoff
+        self.check(s, t)
+
+    def test_two_nodes(self):
+        # A is [[0, 1], [1, 0]], or 0 with a dead row: constant on the support
+        got = self.check([np.array([[1.0], [2.0]])], [np.array([[0.0], [3.0]])])
+        assert got.data == 2.0
+
+    def test_gradient_matches_fd(self):
+        # strictly positive taps: no cosine sits at the clamp
+        rng = np.random.default_rng(63)
+        s0 = [rng.uniform(0.1, 1.0, size=(7, d)) for d in (3, 4)]
+        t = [rng.uniform(0.1, 1.0, size=(7, 5)) for _ in s0]
+        _, grads, factored = tap_gkd(s0, t, k=6)
+        assert factored
+        for i in range(len(s0)):
+
+            def value(arr, i=i):
+                taps = [arr if j == i else a for j, a in enumerate(s0)]
+                return gkd_tap_loss([Tensor(a) for a in taps], t, GraphParams(k=6), None).data.item()
+
+            numeric = fd_gradient(value, s0[i])
+            assert_allclose(grads[i], numeric, rtol=1e-4, atol=1e-7, err_msg=f"tap {i}")
+            assert np.abs(numeric).max() > 1e-3
+
+
+class TestGkdTapRouting:
+    """A pair the factored node cannot take exactly, or a graph it does not
+    cover, gives the stacked graph pair's term bit for bit."""
+
+    N = 8
+    LABELS = np.array([0, 1, 0, 1, 1, 0, 0, 1])
+
+    def pair(self, case):
+        rng = np.random.default_rng(70)
+        s, t = relu_taps(rng, self.N, (3,)), relu_taps(rng, self.N, (5,))
+        graph = {"k": self.N - 1}
+        if case == "negative":
+            s[0][2, 1] = -0.25
+        elif case == "nan":
+            t[0][4, 0] = np.nan
+        elif case == "inf":
+            s[0][1, 2] = np.inf
+        elif case == "degree_below_one":
+            # row 0 all but orthogonal to the others: its degree is about 0.05
+            t[0][:, 0] = 0.0
+            t[0][0] = [1.0, 0.01, 0.0, 0.0, 0.0]
+            t[0][1:, 1:] += 0.5
+        elif case == "width_n":
+            s = relu_taps(rng, self.N, (self.N,))
+        elif case == "sparse":
+            graph = {"k": 3}
+        elif case == "p2":
+            graph = {"k": self.N - 1, "p": 2}
+        elif case in ("inter_class", "intra_class"):
+            graph = {"k": self.N - 1, "mask_mode": case}
+        return s, t, graph
+
+    @pytest.mark.parametrize("case", ["negative", "nan", "inf", "degree_below_one", "width_n",
+                                      "sparse", "p2", "inter_class", "intra_class"])
+    def test_term_is_the_graph_pair_bit_for_bit(self, case):
+        s, t, graph = self.pair(case)
+        if case == "degree_below_one":
+            deg = _unit_stack(t, self.N)[3]
+            assert 0.0 < deg.min() < 1.0
+        with np.errstate(all="ignore"):  # NaN and inf flow through the graph pipeline
+            got, got_grads, factored = tap_gkd(s, t, labels=self.LABELS, **graph)
+            ref, ref_grads = graph_gkd(s, t, labels=self.LABELS, **graph)
+        assert not factored
+        assert got.data.tobytes() == ref.data.tobytes()
+        for g, g_ref in zip(got_grads, ref_grads):
+            assert g.tobytes() == g_ref.tobytes()
+
+    def test_unaltered_pair_takes_the_factored_node(self):
+        # the control for the cases above
+        s, t, graph = self.pair("unaltered")
+        assert tap_gkd(s, t, **graph)[2]
 
 
 class TestSumNode:

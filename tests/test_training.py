@@ -8,9 +8,9 @@ from graphkd.autodiff import Tensor, backward
 from graphkd.config import Schedule
 from graphkd.datasets import DataSplit, Dataset, minibatch_indices
 from graphkd.harness import build_split
-from graphkd import training
+from graphkd import losses, training
 from graphkd.graphs import build_similarity_graph
-from graphkd.losses import task_loss
+from graphkd.losses import gkd_loss, task_loss
 from graphkd.models import build_blocknet, forward_with_taps
 from graphkd.training import (
     evaluate_error,
@@ -301,7 +301,7 @@ class TestTrainLoop:
             built.append((reps, graph))
             return graph
 
-        monkeypatch.setattr(training, "build_similarity_graph", spy)
+        monkeypatch.setattr(losses, "build_similarity_graph", spy)
         split = build_split(make_config())
         xb, yb = split.train.features[:24], split.train.labels[:24]
         teacher = build_blocknet((1, 1), (16, 16), 3, 2, seed=9)
@@ -334,9 +334,9 @@ class TestTrainLoop:
         logits = forward_with_taps(student, Tensor(split.train.features[:24]))[-1]
         assert len(tape(task_loss(logits, split.train.labels[:24]))) == 14
 
-    def step_losses(self, loss, **overrides):
-        """(config, student, task, kd) of one batch's step under ``loss``, with
-        four-tap nets (ikd's teacher has the student's widths)."""
+    def step_taps(self, loss, **overrides):
+        """(config, student, student taps, teacher taps, labels) of one batch
+        under ``loss``, with four-tap nets (ikd's teacher has the student's widths)."""
         config = make_config(loss=loss, lambda_kd=1.5, **overrides)
         split = build_split(config)
         xb, yb = split.train.features[:24], split.train.labels[:24]
@@ -345,16 +345,39 @@ class TestTrainLoop:
         student = build_blocknet((1, 1, 1), (4, 4, 4), 3, 2, seed=4)
         student.set_requires_grad(True)
         teacher.set_requires_grad(False)
-        s_taps, t_taps = forward_with_taps(student, xb), forward_with_taps(teacher, xb)
+        return config, student, forward_with_taps(student, xb), forward_with_taps(teacher, xb), yb
+
+    def step_losses(self, loss, **overrides):
+        """(config, student, task, kd) of one batch's step under ``loss``."""
+        config, student, s_taps, t_taps, yb = self.step_taps(loss, **overrides)
         task = task_loss(s_taps[-1], yb)
         return config, student, task, training._kd_loss(config, s_taps, t_taps, yb)
 
-    def test_dense_gkd_step_adds_three_tape_nodes(self):
-        # the stacked graph node, the GKD term node and the total node
+    def test_dense_gkd_step_adds_five_tape_nodes(self):
+        # the factored node of the three block taps, the logits' graph node
+        # and its GKD term node, the node summing the two terms, and the total
         config, student, task, kd = self.step_losses("gkd", graph={"k": 23})
         total = training._total_loss(task, kd, config.lambda_kd)
         assert len(student.tap_names()) == 4
-        assert len(tape(total)) - len(tape(task)) == 3
+        assert len(tape(total)) - len(tape(task)) == 5
+
+    def test_dense_gkd_step_gradients_match_the_graph_path(self):
+        # the factored node on the block taps against one stacked graph pair of
+        # all four taps; where the two differ (tap entries equal to 0) the
+        # ReLU passes no gradient to the parameters
+        grads = []
+        for path in ("taps", "graphs"):
+            config, student, s_taps, t_taps, yb = self.step_taps("gkd", graph={"k": 23})
+            if path == "taps":
+                kd = training._kd_loss(config, s_taps, t_taps, yb)
+                assert kd._parents[0]._parents == tuple(s_taps[:3])  # the factored node
+            else:
+                kd = gkd_loss(*([build_similarity_graph(taps, k=23)]
+                                for taps in (s_taps, [tap.data for tap in t_taps])))
+            backward(training._total_loss(task_loss(s_taps[-1], yb), kd, config.lambda_kd))
+            grads.append([p.grad for p in student.parameters()])
+        for got, ref in zip(*grads):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     # tape nodes of a whole step: vanilla's 14, then the KD nodes (gkd: the
     # graph and term nodes; rkdd, ikd: four tap terms and their sum node) and
