@@ -31,6 +31,7 @@ from .graphs import (
 )
 from .losses import (
     gkd_loss,
+    gkd_tap_loss,
     ikd_loss,
     per_example_gkd,
     rkdd_loss,

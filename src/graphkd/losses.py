@@ -33,8 +33,7 @@ Conventions:
   degree is at least 1 (so each diagonal entry 1/deg is at most 1, and the
   subtraction loses only about log2 n bits).  Every other pair (the logits,
   and any sparse, p > 1 or class-masked graph) goes through one stacked
-  ``build_similarity_graph`` per side and ``gkd_loss``, bit for bit as
-  before.
+  ``build_similarity_graph`` per side and ``gkd_loss``.
 * The sum over taps, with the IKD or RKD-D scale, is one tape node over the
   per-tap terms; so is GKD's sum of its factored and graph terms.
 """
@@ -293,8 +292,8 @@ def _factored_gkd(students: list[Tensor], s_side, t_side) -> Tensor:
     term is ||V_s^T V_s||^2 - 2 ||V_t^T V_s||^2 + ||V_t^T V_t||^2 - ||f||^2,
     and its gradient for V_s is 4 (V_s V_s^T V_s - V_t V_t^T V_s - f * V_s).
     Where a cosine is exactly 0 the graph's W > 0 mask gives slope 0 and this
-    node the unclamped one; that differs only on tap entries equal to 0, which
-    the ReLU that made the tap passes no gradient.
+    node the unclamped one; the two differ only on tap entries equal to 0,
+    through which the ReLU that made the tap passes no gradient.
     """
     unit, inv_norm, c, deg = s_side
     s = _inv_sqrt(deg)

@@ -3,7 +3,12 @@
 One backward pass per step covers task + lambda * KD, recorded as one tape
 node; it replaces the parameters' gradients, so nothing zeroes them between
 steps.  The KD losses read the teacher's taps as arrays, so the teacher gets
-no gradient, is never updated and keeps its parameters' flags as given.  All
+no gradient, is never updated and keeps its parameters' flags as given.  GKD
+goes through ``losses.gkd_tap_loss``: under the dense graph its factored node
+takes the ReLU block taps (finite, non-negative, narrower than the batch, every
+nonzero degree at least 1), where no cosine is negative and the term follows
+exactly from the taps; the logits, and every tap of a sparse, p > 1 or
+class-masked graph, go through one stacked graph pair per side.  All
 randomness (shuffling) derives from (seed, epoch), so a run is
 bit-reproducible from its config and seed.
 """
