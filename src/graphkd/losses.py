@@ -231,8 +231,8 @@ def gkd_tap_loss(student_taps, teacher_taps, graph, labels) -> Tensor:
     if graph.k == n - 1 and graph.p == 1 and graph.mask_mode == "all":
         fit = [i for i, (s, t) in enumerate(pairs) if _clamp_free(s.data, n) and _clamp_free(t, n)]
         if fit:
-            s_side = _unit_stack([pairs[i][0].data for i in fit], n)
-            t_side = _unit_stack([pairs[i][1] for i in fit], n)
+            s_side = _unit_stack([pairs[i][0].data for i in fit])
+            t_side = _unit_stack([pairs[i][1] for i in fit])
             ok = _degrees_fit(s_side[3]) & _degrees_fit(t_side[3])
             if not ok.all():
                 s_side, t_side = (tuple(a[ok] for a in side) for side in (s_side, t_side))
@@ -261,7 +261,7 @@ def _degrees_fit(deg: np.ndarray) -> np.ndarray:
     return np.all((deg == 0.0) | (deg >= 1.0), axis=-1)
 
 
-def _unit_stack(taps, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _unit_stack(taps) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(U, 1/|x|, c, degrees) of non-negative (n, d_i) taps, zero-padded to one
     width: U = x / |x| row-wise (0 for a zero row), c = U^T 1 as a (taps, 1, d)
     stack, and deg = u . (c - u), the row sums of the cosine graph without its
@@ -269,7 +269,7 @@ def _unit_stack(taps, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
     and it is exactly 0 where a row orthogonal to all others is nonzero: such a
     row's degree is exactly 0.
     """
-    x = np.zeros((len(taps), n, max(t.shape[1] for t in taps)))
+    x = np.zeros((len(taps), taps[0].shape[0], max(t.shape[1] for t in taps)))
     for out, tap in zip(x, taps):
         out[:, : tap.shape[1]] = tap
     inv_norm = _inv_sqrt(_row_dots(x, x))

@@ -626,7 +626,7 @@ class TestFactoredGkd:
         s, t = relu_taps(rng, 10, (4,)), relu_taps(rng, 10, (5,))
         s[0][1:, 0] = 0.0
         s[0][0] = [2.0, 0.0, 0.0, 0.0]
-        assert _unit_stack(s, 10)[3][0, 0] == 0.0  # exactly, not by roundoff
+        assert _unit_stack(s)[3][0, 0] == 0.0  # exactly, not by roundoff
         self.check(s, t)
 
     def test_two_nodes(self):
@@ -645,7 +645,8 @@ class TestFactoredGkd:
 
             def value(arr, i=i):
                 taps = [arr if j == i else a for j, a in enumerate(s0)]
-                return gkd_tap_loss([Tensor(a) for a in taps], t, GraphParams(k=6), None).data.item()
+                loss = gkd_tap_loss([Tensor(a) for a in taps], t, GraphParams(k=6), None)
+                return loss.data.item()
 
             numeric = fd_gradient(value, s0[i])
             assert_allclose(grads[i], numeric, rtol=1e-4, atol=1e-7, err_msg=f"tap {i}")
@@ -689,7 +690,7 @@ class TestGkdTapRouting:
     def test_term_is_the_graph_pair_bit_for_bit(self, case):
         s, t, graph = self.pair(case)
         if case == "degree_below_one":
-            deg = _unit_stack(t, self.N)[3]
+            deg = _unit_stack(t)[3]
             assert 0.0 < deg.min() < 1.0
         with np.errstate(all="ignore"):  # NaN and inf flow through the graph pipeline
             got, got_grads, factored = tap_gkd(s, t, labels=self.LABELS, **graph)
