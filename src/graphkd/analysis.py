@@ -28,26 +28,11 @@ import warnings
 
 import numpy as np
 
+from .config import GraphParams
 from .datasets import Dataset
-from .graphs import (
-    GraphParams,
-    build_similarity_graph,
-    fiedler_vector,
-    laplacian,
-    smoothness,
-)
+from .graphs import build_similarity_graph, fiedler_vector, laplacian, smoothness
 from .losses import per_example_gkd, per_example_rkdd
 from .models import OUTPUT_TAP, BlockNet, forward_with_taps
-
-__all__ = [
-    "loss_concentration",
-    "concentration_report",
-    "LogisticProbe",
-    "probe_agreement",
-    "consistency_probe",
-    "consistency_curve",
-    "spectral_report",
-]
 
 _CONNECTIVITY_EPS = 1e-10  # lambda_2 below this marks a disconnected graph
 _PROBE_ITERATIONS = 500  # full-batch gradient steps per probe

@@ -25,8 +25,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "record", "backward"]
-
 
 class Tensor:
     """A float64 array plus an optional slot on the gradient tape.

@@ -17,21 +17,6 @@ import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-__all__ = [
-    "ConfigError",
-    "ArchSpec",
-    "DatasetSpec",
-    "DistillConfig",
-    "GraphParams",
-    "MASK_MODES",
-    "Schedule",
-    "parse_config",
-    "load_config",
-    "config_digest",
-    "CONFIG_VERSION",
-    "LOSSES",
-]
-
 CONFIG_VERSION = 1
 LOSSES = ("vanilla", "ikd", "rkdd", "gkd")
 MASK_MODES = ("all", "inter_class", "intra_class")

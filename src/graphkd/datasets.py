@@ -9,16 +9,6 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "Dataset",
-    "DataSplit",
-    "gen_two_arcs",
-    "gen_gaussian_mixture",
-    "load_idx",
-    "split_dataset",
-    "minibatch_indices",
-]
-
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 

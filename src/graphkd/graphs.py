@@ -30,20 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor, record
-from .config import MASK_MODES, GraphParams
-
-__all__ = [
-    "GraphParams",
-    "GraphSignal",
-    "SimilarityGraph",
-    "MASK_MODES",
-    "class_mask",
-    "build_similarity_graph",
-    "laplacian",
-    "smoothness",
-    "symmetric_eig",
-    "fiedler_vector",
-]
+from .config import MASK_MODES
 
 _SIGN_EPS = 1e-12  # |component| above this counts as nonzero for sign fixing
 _MAX_INV_SQRT = float(np.cbrt(np.finfo(np.float64).max))  # cubes to the largest double

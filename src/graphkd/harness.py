@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import concentration_report, consistency_curve, spectral_report
-from .config import ConfigError, DistillConfig, _check_seeds, config_digest
+from .config import ConfigError, DistillConfig, GraphParams, _check_seeds, config_digest
 from .datasets import (
     Dataset,
     DataSplit,
@@ -35,7 +35,7 @@ from .datasets import (
     load_idx,
     split_dataset,
 )
-from .graphs import GraphParams, build_similarity_graph
+from .graphs import build_similarity_graph
 from .models import (
     BlockNet,
     atomic_open,
@@ -46,20 +46,6 @@ from .models import (
     save_checkpoint,
 )
 from .training import EpochMetrics, TrainResult, train
-
-__all__ = [
-    "ExperimentResult",
-    "aggregate_median",
-    "build_split",
-    "build_net",
-    "run_train_teacher",
-    "run_distill",
-    "run_sweep",
-    "run_analyze",
-    "run_spectral",
-    "run_dump_graph",
-    "SWEEPABLE_PARAMS",
-]
 
 METRIC_COLUMNS = tuple(f.name for f in fields(EpochMetrics))
 FINAL_METRICS = ("test_error", "train_error", "task_loss", "kd_loss", "total_loss")

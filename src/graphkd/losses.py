@@ -45,16 +45,6 @@ import numpy as np
 from .autodiff import Tensor, record
 from .graphs import SimilarityGraph, _inv_sqrt, build_similarity_graph
 
-__all__ = [
-    "task_loss",
-    "ikd_loss",
-    "rkdd_loss",
-    "gkd_loss",
-    "gkd_tap_loss",
-    "per_example_gkd",
-    "per_example_rkdd",
-]
-
 
 def task_loss(logits, labels) -> Tensor:
     """Mean softmax cross-entropy of integer labels, as one tape node.
@@ -214,7 +204,7 @@ def gkd_loss(student_graphs, teacher_graphs) -> Tensor:
                 f"and teacher adjacency shape {a_t.shape}"
             )
         terms.append(_squared_distance(a_s, a_t))
-    return terms[0] if len(terms) == 1 else _sum_node(terms)
+    return _sum_node(terms)
 
 
 def gkd_tap_loss(student_taps, teacher_taps, graph, labels) -> Tensor:
@@ -247,7 +237,7 @@ def gkd_tap_loss(student_taps, teacher_taps, graph, labels) -> Tensor:
             for taps in zip(*rest)
         )
         terms.append(gkd_loss([s_graph], [t_graph]))
-    return terms[0] if len(terms) == 1 else _sum_node(terms)
+    return _sum_node(terms)
 
 
 def _clamp_free(x: np.ndarray, n: int) -> bool:
@@ -322,8 +312,11 @@ def _sum_node(terms: list[Tensor], scale: float | None = None) -> Tensor:
 
     The values add left to right from the first term, and each term's
     gradient is ``g * scale`` (``g`` with no scale), so values and gradients
-    are bitwise equal to ``mul(add(add(t0, t1), ...), scale)``.
+    are bitwise equal to ``mul(add(add(t0, t1), ...), scale)``.  One term
+    with no scale is returned as it is.
     """
+    if scale is None and len(terms) == 1:
+        return terms[0]
     value = terms[0].data
     for term in terms[1:]:
         value = value + term.data

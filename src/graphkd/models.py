@@ -22,16 +22,6 @@ import numpy as np
 from .autodiff import Tensor, record
 from .config import _INT, _INTS, _REQUIRED, ArchSpec, _is, _section
 
-__all__ = [
-    "BlockNet",
-    "build_blocknet",
-    "forward_with_taps",
-    "save_checkpoint",
-    "load_checkpoint",
-    "checkpoint_digest",
-    "atomic_open",
-]
-
 CHECKPOINT_FORMAT_VERSION = 1
 OUTPUT_TAP = "output"
 # the checkpoint header's schema table: the keys save_checkpoint writes

@@ -4,13 +4,10 @@ One backward pass per step covers task + lambda * KD, recorded as one tape
 node; it replaces the parameters' gradients, so nothing zeroes them between
 steps.  The KD losses read the teacher's taps as arrays, so the teacher gets
 no gradient, is never updated and keeps its parameters' flags as given.  GKD
-goes through ``losses.gkd_tap_loss``: under the dense graph its factored node
-takes the ReLU block taps (finite, non-negative, narrower than the batch, every
-nonzero degree at least 1), where no cosine is negative and the term follows
-exactly from the taps; the logits, and every tap of a sparse, p > 1 or
-class-masked graph, go through one stacked graph pair per side.  All
-randomness (shuffling) derives from (seed, epoch), so a run is
-bit-reproducible from its config and seed.
+goes through ``losses.gkd_tap_loss``, which states which tap pairs take its
+factored node and which a stacked graph pair.  All randomness (shuffling)
+derives from (seed, epoch), so a run is bit-reproducible from its config and
+seed.
 """
 
 from __future__ import annotations
@@ -25,15 +22,6 @@ from .config import DistillConfig, Schedule
 from .datasets import DataSplit, minibatch_indices
 from .losses import gkd_tap_loss, ikd_loss, rkdd_loss, task_loss
 from .models import BlockNet, forward_with_taps
-
-__all__ = [
-    "EpochMetrics",
-    "TrainResult",
-    "lr_at",
-    "sgd_momentum_step",
-    "evaluate_error",
-    "train",
-]
 
 
 def lr_at(schedule: Schedule, epoch: int) -> float:
@@ -134,10 +122,9 @@ def _validate_setup(net, data: DataSplit, config: DistillConfig, teacher) -> Non
 def _kd_loss(config: DistillConfig, s_taps, t_taps, labels) -> Tensor:
     """Return the configured KD loss as a tensor on the student's tape.
 
-    Both tap lists are as the forward pass returns them.  The teacher's taps
-    go in as arrays, so nothing on the teacher side is taped.
+    Both tap lists are as the forward pass returns them; ``losses._tap_pairs``
+    reads the teacher's taps as arrays, so nothing on the teacher side is taped.
     """
-    t_taps = [tap.data for tap in t_taps]
     if config.loss == "gkd":
         return gkd_tap_loss(s_taps, t_taps, config.graph, labels)
     if config.loss == "rkdd":
@@ -183,7 +170,6 @@ def train(
         rng = np.random.default_rng([int(seed), epoch])
         batch_sums = np.zeros(3)  # task, kd, total
         hits = 0
-        seen = 0
         batches = minibatch_indices(len(data.train), config.batch_size, rng)
         for step, idx in enumerate(batches):
             xb = Tensor(features[idx])
@@ -215,7 +201,6 @@ def train(
 
             batch_sums += (task, kd, total)
             hits += int(np.sum(np.argmax(s_taps[-1].data, axis=1) == yb))
-            seen += len(yb)
 
         if not all(np.isfinite(p.data).all() for p in params):
             raise RuntimeError(f"training diverged at epoch {epoch}: parameters are not finite")
@@ -224,7 +209,7 @@ def train(
             EpochMetrics(
                 epoch=epoch,
                 lr=lr,
-                train_error=float(1.0 - hits / seen),
+                train_error=float(1.0 - hits / (n_batches * config.batch_size)),
                 test_error=evaluate_error(net, data.test),
                 task_loss=float(batch_sums[0] / n_batches),
                 kd_loss=float(batch_sums[1] / n_batches),

@@ -17,7 +17,7 @@ from graphkd.analysis import (
     spectral_report,
 )
 from graphkd.datasets import gen_gaussian_mixture
-from graphkd.graphs import GraphParams
+from graphkd.config import GraphParams
 from graphkd.models import build_blocknet
 
 from conftest import make_config

@@ -13,8 +13,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from graphkd.autodiff import Tensor, backward, record
+from graphkd.config import GraphParams
 from graphkd.graphs import (
-    GraphParams,
     _cosine,
     _knn,
     _normalize,

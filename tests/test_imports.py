@@ -1,8 +1,9 @@
-"""Stand-ins for a linter's unused-import, dead-code and stale-export rules over the
-package's modules, checks that every public constant is read, every public
-function or class has a caller beyond the tests and every defaulted parameter
-is passed by some caller but not by every one, and a check that perfbench's
-tracer still finds every function it wraps."""
+"""Stand-ins for a linter's unused-import and dead-code rules over the package's
+modules, a check that public is declared one way (no leading underscore, no
+``__all__``, no re-export from ``__init__.py``), checks that every public
+constant is read, every public function or class has a caller beyond the tests
+and every defaulted parameter is passed by some caller but not by every one,
+and a check that perfbench's tracer still finds every function it wraps."""
 
 import argparse
 import ast
@@ -20,27 +21,22 @@ ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names bound by module-level imports that the module neither uses nor
-    lists in ``__all__``."""
+    """Names bound by module-level imports that the module does not use."""
     tree = ast.parse(source)
     imported = []
-    exported: set[str] = set()
     for node in tree.body:
         if isinstance(node, ast.Import):
             imported += [(a.asname or a.name).split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names]
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported = set(ast.literal_eval(node.value))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return [name for name in imported if name not in used and name not in exported]
+    return [name for name in imported if name not in used]
 
 
 def test_check_flags_an_unused_import():
-    source = "import os\nfrom dataclasses import asdict, dataclass as dc\n__all__ = ['dc']\n"
-    assert unused_imports(source) == ["os", "asdict"]
+    source = ("import os\nfrom dataclasses import asdict, dataclass as dc, field\n"
+              "__all__ = ['dc']\nx = field()\n")
+    assert unused_imports(source) == ["os", "asdict", "dc"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -131,63 +127,48 @@ def test_no_dead_public_constants():
     assert dead_public_constants({p.name: p.read_text() for p in SOURCES}) == []
 
 
-def stale_exports(source: str) -> list[str]:
-    """Names in a module's ``__all__`` that the module does not bind at top level."""
-    tree = ast.parse(source)
-    bound, exported = set(), []
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound.add(node.name)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            bound.update((a.asname or a.name).split(".")[0] for a in node.names)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
-            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
-                exported = ast.literal_eval(node.value)
-    return [name for name in exported if name not in bound]
+def second_declarations(module: str, source: str) -> list[str]:
+    """``__all__`` if a module assigns it at top level, and each statement by
+    which ``__init__.py`` imports a package module: a name is public by having
+    no leading underscore, and is imported from its own module."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            found.append("__all__")
+        if module != "__init__.py":
+            continue
+        if isinstance(node, ast.ImportFrom):
+            package = node.level > 0 or node.module.split(".")[0] == "graphkd"
+        elif isinstance(node, ast.Import):
+            package = any(a.name.split(".")[0] == "graphkd" for a in node.names)
+        else:
+            package = False
+        if package:
+            found.append(ast.unparse(node))
+    return found
 
 
-def test_check_flags_a_stale_export():
-    source = (
-        "from os import path as p\nimport json\nA, B = 1, 2\nC: int = 3\n"
-        "def f():\n    pass\nclass K:\n    pass\n"
-        "__all__ = ['p', 'json', 'A', 'B', 'C', 'f', 'K', 'gone', 'path']\n"
-    )
-    assert stale_exports(source) == ["gone", "path"]
+def test_check_flags_a_second_declaration_of_public():
+    init = ("import numpy\nimport graphkd.c\nfrom .a import f\nfrom . import b\n"
+            "from graphkd.d import g\nfrom numpy import empty\n")
+    assert second_declarations("__init__.py", init) == [
+        "import graphkd.c", "from .a import f", "from . import b", "from graphkd.d import g"]
+    assert second_declarations("a.py", "__all__ = ['f']\ndef f():\n    __all__ = []\n") == [
+        "__all__"]
+    assert second_declarations("b.py", "from . import a\n__all__: list = []\n") == ["__all__"]
+    assert second_declarations("c.py", "x = 1\n__all__ += ['x']\n") == ["__all__"]
+    assert second_declarations("d.py", "ALL = ['g']\n") == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_stale_exports(path):
-    assert stale_exports(path.read_text()) == []
-
-
-def unlisted_reexports(sources: dict[str, str]) -> list[str]:
-    """``module:name`` for each name that ``__init__.py`` imports from a
-    package module whose ``__all__`` does not list it."""
-    listed = {}
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                listed[module] = set(ast.literal_eval(node.value))
-    return [f"{node.module}.py:{a.name}" for node in ast.parse(sources["__init__.py"]).body
-            if isinstance(node, ast.ImportFrom) and node.level == 1
-            for a in node.names if a.name not in listed.get(f"{node.module}.py", ())]
-
-
-def test_check_flags_an_unlisted_reexport():
-    sources = {
-        "__init__.py": "import numpy\nfrom .a import listed, unlisted\nfrom .b import thing\n",
-        "a.py": "__all__ = ['listed']\ndef listed():\n    pass\ndef unlisted():\n    pass\n",
-        "b.py": "def thing():\n    pass\n",
-    }
-    assert unlisted_reexports(sources) == ["a.py:unlisted", "b.py:thing"]
-
-
-def test_package_exports_only_what_modules_list():
-    assert unlisted_reexports({p.name: p.read_text() for p in SOURCES}) == []
+def test_no_second_declaration_of_public(path):
+    assert second_declarations(path.name, path.read_text()) == []
 
 
 def public_definitions_only_tests_call(

@@ -15,6 +15,7 @@ from graphkd.losses import (
     _huber,
     _rkdd_tap,
     _squared_distance,
+    _sum_node,
     _unit_stack,
     gkd_loss,
     gkd_tap_loss,
@@ -740,6 +741,8 @@ class TestSumNode:
             # one node whose parents are the per-tap terms, one node each
             assert len(got._parents) == taps
             assert all(len(term._parents) == 1 for term in got._parents)
+        else:  # one unscaled term is its own sum
+            assert _sum_node([got]) is got
         backward(mul(got, 0.7))
         ref_xs = [leaf(a) for a in s]
         terms = self.terms(loss, ref_xs, teacher)
