@@ -127,10 +127,10 @@ def test_no_dead_public_constants():
     assert dead_public_constants({p.name: p.read_text() for p in SOURCES}) == []
 
 
-def second_declarations(module: str, source: str) -> list[str]:
-    """``__all__`` if a module assigns it at top level, and each statement by
-    which ``__init__.py`` imports a package module: a name is public by having
-    no leading underscore, and is imported from its own module."""
+def stale_exports(source: str) -> list[str]:
+    """``__all__`` for each top-level statement that assigns it. A name is
+    public by having no leading underscore, so any ``__all__`` is a second,
+    stale declaration of what is public."""
     found = []
     for node in ast.parse(source).body:
         if isinstance(node, ast.Assign):
@@ -141,8 +141,27 @@ def second_declarations(module: str, source: str) -> list[str]:
             targets = []
         if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
             found.append("__all__")
-        if module != "__init__.py":
-            continue
+    return found
+
+
+def test_check_flags_a_stale_export():
+    assert stale_exports("__all__ = ['f']\ndef f():\n    __all__ = []\n") == ["__all__"]
+    assert stale_exports("from . import a\n__all__: list = []\n") == ["__all__"]
+    assert stale_exports("x = 1\n__all__ += ['x']\n") == ["__all__"]
+    assert stale_exports("ALL = ['g']\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_stale_exports(path):
+    assert stale_exports(path.read_text()) == []
+
+
+def unlisted_reexports(init_source: str) -> list[str]:
+    """Each statement by which ``__init__.py`` imports a package module. No
+    module lists its public names, so every such re-export is unlisted: a
+    public name is imported from its own module."""
+    found = []
+    for node in ast.parse(init_source).body:
         if isinstance(node, ast.ImportFrom):
             package = node.level > 0 or node.module.split(".")[0] == "graphkd"
         elif isinstance(node, ast.Import):
@@ -154,21 +173,15 @@ def second_declarations(module: str, source: str) -> list[str]:
     return found
 
 
-def test_check_flags_a_second_declaration_of_public():
+def test_check_flags_an_unlisted_reexport():
     init = ("import numpy\nimport graphkd.c\nfrom .a import f\nfrom . import b\n"
             "from graphkd.d import g\nfrom numpy import empty\n")
-    assert second_declarations("__init__.py", init) == [
+    assert unlisted_reexports(init) == [
         "import graphkd.c", "from .a import f", "from . import b", "from graphkd.d import g"]
-    assert second_declarations("a.py", "__all__ = ['f']\ndef f():\n    __all__ = []\n") == [
-        "__all__"]
-    assert second_declarations("b.py", "from . import a\n__all__: list = []\n") == ["__all__"]
-    assert second_declarations("c.py", "x = 1\n__all__ += ['x']\n") == ["__all__"]
-    assert second_declarations("d.py", "ALL = ['g']\n") == []
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_second_declaration_of_public(path):
-    assert second_declarations(path.name, path.read_text()) == []
+def test_package_exports_only_what_modules_list():
+    assert unlisted_reexports((PACKAGE / "__init__.py").read_text()) == []
 
 
 def public_definitions_only_tests_call(
