@@ -28,11 +28,12 @@ Conventions:
   and non-negative (ReLU block outputs) has no negative cosine for the clamp
   to remove, so A = V V^T - diag(|v_i|^2) with V = diag(d^-1/2) U: a rank-d
   matrix plus a diagonal.  Such a pair's term then follows from the (n, d)
-  taps in O(n d^2) work, and all such pairs are one tape node.  A pair takes
-  it only when both widths are below n (so it is cheaper) and every nonzero
-  degree is at least 1 (so each diagonal entry 1/deg is at most 1, and the
-  subtraction loses only about log2 n bits).  Every other pair (the logits,
-  and any sparse, p > 1 or class-masked graph) goes through one stacked
+  taps in O(n d^2) work, and all such pairs are one tape node.  The pairs
+  with both widths below n (so it is cheaper) take it together, and only
+  when every nonzero degree of their taps is at least 1 (so each diagonal
+  entry 1/deg is at most 1, and the subtraction loses only about log2 n
+  bits); else none does.  Every other pair (the logits, and any sparse,
+  p > 1 or class-masked graph) goes through one stacked
   ``build_similarity_graph`` per side and ``gkd_loss``.
 * The sum over taps, with the IKD or RKD-D scale, is one tape node over the
   per-tap terms; so is GKD's sum of its factored and graph terms.
@@ -210,26 +211,21 @@ def gkd_loss(student_graphs, teacher_graphs) -> Tensor:
 def gkd_tap_loss(student_taps, teacher_taps, graph, labels) -> Tensor:
     """GKD between two tap lists under ``graph`` (its k, p and mask_mode).
 
-    A pair of taps goes to the factored node when the module docstring's
-    conditions hold; the other pairs form one stacked graph per side, whose
-    term is ``gkd_loss``'s.  With both kinds the two terms are summed in one
-    node, factored term first.
+    The pairs that fit the factored node take it all or none of them; the
+    rest form one stacked graph per side, whose term is ``gkd_loss``'s.  With
+    both kinds the two terms are summed in one node, factored term first.
     """
     pairs = _tap_pairs(student_taps, teacher_taps, "gkd_tap_loss")
     n = pairs[0][0].data.shape[0]
-    terms, taken = [], []
+    terms, rest = [], pairs
     if graph.k == n - 1 and graph.p == 1 and graph.mask_mode == "all":
         fit = [i for i, (s, t) in enumerate(pairs) if _clamp_free(s.data, n) and _clamp_free(t, n)]
         if fit:
             s_side = _unit_stack([pairs[i][0].data for i in fit])
             t_side = _unit_stack([pairs[i][1] for i in fit])
-            ok = _degrees_fit(s_side[3]) & _degrees_fit(t_side[3])
-            if not ok.all():
-                s_side, t_side = (tuple(a[ok] for a in side) for side in (s_side, t_side))
-            taken = [i for i, keep in zip(fit, ok) if keep]
-            if taken:
-                terms.append(_factored_gkd([pairs[i][0] for i in taken], s_side, t_side))
-    rest = [pair for i, pair in enumerate(pairs) if i not in taken]
+            if _degrees_fit(s_side[3]) and _degrees_fit(t_side[3]):
+                terms.append(_factored_gkd([pairs[i][0] for i in fit], s_side, t_side))
+                rest = [pair for i, pair in enumerate(pairs) if i not in fit]
     if rest:
         s_graph, t_graph = (
             build_similarity_graph(list(taps), k=graph.k, p=graph.p, mask_mode=graph.mask_mode,
@@ -246,9 +242,9 @@ def _clamp_free(x: np.ndarray, n: int) -> bool:
     return x.ndim == 2 and x.shape[1] < n and x.min() >= 0.0 and x.max() < np.inf
 
 
-def _degrees_fit(deg: np.ndarray) -> np.ndarray:
-    """Per tap of a (taps, n) degree stack: is every nonzero degree at least 1?"""
-    return np.all((deg == 0.0) | (deg >= 1.0), axis=-1)
+def _degrees_fit(deg: np.ndarray) -> bool:
+    """Whether every nonzero degree of a (taps, n) degree stack is at least 1."""
+    return bool(np.all((deg == 0.0) | (deg >= 1.0)))
 
 
 def _unit_stack(taps) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -292,7 +288,8 @@ def _factored_gkd(students: list[Tensor], s_side, t_side) -> Tensor:
     vt_t = np.swapaxes(v_t, 1, 2)
     g_ss, g_ts, g_tt = np.swapaxes(v, 1, 2) @ v, vt_t @ v, vt_t @ v_t
     f = _row_dots(v, v) - _row_dots(v_t, v_t)
-    value = np.vdot(g_ss, g_ss) - 2.0 * np.vdot(g_ts, g_ts) + np.vdot(g_tt, g_tt) - np.vdot(f, f)
+    # numpy's sums, not vdot, whose bits depend on the BLAS thread count
+    value = np.sum(g_ss * g_ss) - 2.0 * np.sum(g_ts * g_ts) + np.sum(g_tt * g_tt) - np.sum(f * f)
 
     def backward(g: np.ndarray) -> list[np.ndarray]:
         g_v = (4.0 * g) * (v @ g_ss - v_t @ g_ts - f[..., None] * v)

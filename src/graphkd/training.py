@@ -5,9 +5,14 @@ node; it replaces the parameters' gradients, so nothing zeroes them between
 steps.  The KD losses read the teacher's taps as arrays, so the teacher gets
 no gradient, is never updated and keeps its parameters' flags as given.  GKD
 goes through ``losses.gkd_tap_loss``, which states which tap pairs take its
-factored node and which a stacked graph pair.  All randomness (shuffling)
-derives from (seed, epoch), so a run is bit-reproducible from its config and
-seed.
+factored node and which a stacked graph pair.  ``_validate_setup`` checks
+the setup rules that no later code states: the teacher against the loss,
+its input width and classes against the student's, and the student's
+classes against the data's.  Step 0 enforces the rest before ``backward``:
+``minibatch_indices`` the batch size, ``forward_with_taps`` the student's
+input width, and the KD losses (when ``lambda_kd > 0``) the tap counts and
+IKD's widths.  All randomness (shuffling) derives from (seed, epoch), so a
+run is bit-reproducible from its config and seed.
 """
 
 from __future__ import annotations
@@ -95,27 +100,9 @@ def _validate_setup(net, data: DataSplit, config: DistillConfig, teacher) -> Non
                 f"teacher ({teacher.input_dim} -> {teacher.classes}) and student "
                 f"({net.input_dim} -> {net.classes}) disagree on input/classes"
             )
-        t_count, s_count = len(teacher.tap_names()), len(net.tap_names())
-        if t_count != s_count:
-            raise ValueError(f"teacher exposes {t_count} taps but student exposes {s_count}; "
-                             "KD losses need matching tap counts")
-        if config.loss == "ikd" and teacher.widths != net.widths:
-            raise ValueError(
-                f"ikd requires identical tap widths, got teacher {teacher.widths} "
-                f"and student {net.widths}"
-            )
-    if net.input_dim != data.train.dim:
-        raise ValueError(
-            f"network input_dim {net.input_dim} does not match data dim {data.train.dim}"
-        )
     if net.classes < data.train.num_classes:
         raise ValueError(
             f"network has {net.classes} classes but data has {data.train.num_classes}"
-        )
-    if len(data.train) < config.batch_size:
-        raise ValueError(
-            f"training split of {len(data.train)} examples is smaller than "
-            f"batch_size {config.batch_size}"
         )
 
 

@@ -765,6 +765,40 @@ class TestCliEndToEnd:
         )
         assert not out.exists()
 
+    # rules that step 0 enforces where each is needed, before backward, SGD or
+    # any write: the KD losses pair the taps, IKD compares each tap's shape,
+    # minibatch_indices sizes the batch, and the epoch's end checks the
+    # parameters that one SGD step per epoch made overflow
+    @pytest.mark.parametrize("overrides, teacher, message", [
+        ({"loss": "gkd", "lambda_kd": 1.0}, ((1, 1, 1), (12, 12, 12)),
+         "gkd_tap_loss: student has 3 taps but teacher has 4"),
+        ({"loss": "rkdd", "lambda_kd": 1.0}, ((1, 1, 1), (12, 12, 12)),
+         "rkdd_loss: student has 3 taps but teacher has 4"),
+        ({"loss": "ikd", "lambda_kd": 1.0}, ((1, 1), (12, 12)),
+         "ikd_loss: tap 0 has student shape (20, 4) and teacher shape (20, 12); "
+         "IKD requires identical dimensions at every tap"),
+        ({"batch_size": 100}, None, "dataset of 60 examples is smaller than batch_size 100"),
+        ({"batch_size": 60, "dataset": {"name": "gaussian_mixture", "n": 80, "classes": 2,
+                                        "dim": 3, "separation": 50.0, "seed": 0,
+                                        "test_fraction": 0.25},
+          "schedule": {"base_lr": 1e308, "decay_factor": 0.2, "milestones": [],
+                       "total_epochs": 2}},
+         None, "training diverged at epoch 0: parameters are not finite"),
+    ], ids=["gkd-taps", "rkdd-taps", "ikd-widths", "batch-size", "overflowing-step"])
+    def test_step_zero_rule_leaves_no_out_dir(self, tmp_path, capsys, recwarn, overrides,
+                                              teacher, message):
+        config_path = write_config(tmp_path, seeds=[1], **overrides)
+        argv = []
+        if teacher is not None:
+            ckpt = tmp_path / "teacher.ckpt"
+            save_checkpoint(build_blocknet(*teacher, input_dim=3, classes=2, seed=1), ckpt)
+            argv = ["--teacher", str(ckpt)]
+        out = tmp_path / "out"
+        assert main(["distill", "--config", str(config_path), "--out", str(out), *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
     # training's teacher rule, for a vanilla config given a teacher and a gkd
     # config given none; a vanilla sweep may only sweep lambda_kd to 0
     @pytest.mark.parametrize("command, loss, argv, message", [

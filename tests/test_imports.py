@@ -94,11 +94,10 @@ def test_no_dead_private_definitions():
 
 def dead_public_constants(sources: dict[str, str]) -> list[str]:
     """``module:NAME`` for each public module-level UPPER_CASE constant of
-    ``sources`` that no module but ``__init__.py`` reads, imports or reaches as
-    an attribute: a re-export or an ``__all__`` entry is no use."""
-    modules = {name: ast.parse(source) for name, source in sources.items() if name != "__init__.py"}
+    ``sources`` that no module reads, imports or reaches as an attribute."""
     defined, referenced = [], set()
-    for module, tree in modules.items():
+    for module, source in sources.items():
+        tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, ast.Assign):
                 targets = node.targets
@@ -114,7 +113,6 @@ def dead_public_constants(sources: dict[str, str]) -> list[str]:
 
 def test_check_flags_a_dead_public_constant():
     sources = {
-        "__init__.py": "from .a import EXPORTED\n",
         "a.py": "LIMIT = 3\nDEAD = 4\nEXPORTED = 5\nTYPED: int = 6\nATTR = 7\n"
                 "_PRIVATE = 8\nMixed = 9\n__all__ = ['DEAD']\n"
                 "def f():\n    return LIMIT\n",
@@ -188,10 +186,10 @@ def public_definitions_only_tests_call(
     sources: dict[str, str], readers: dict[str, str]
 ) -> list[str]:
     """``module:name`` for each public module-level function or class of
-    ``sources`` that no module but ``__init__.py`` reads, and no module of
+    ``sources`` that no module of ``sources`` reads, and no module of
     ``readers`` (the acceptance tests) reads either: code that only unit tests
     call."""
-    modules = {name: ast.parse(source) for name, source in sources.items() if name != "__init__.py"}
+    modules = {name: ast.parse(source) for name, source in sources.items()}
     referenced = set()
     for tree in [*modules.values(), *(ast.parse(source) for source in readers.values())]:
         referenced |= read_names(tree)
@@ -202,7 +200,6 @@ def public_definitions_only_tests_call(
 
 def test_check_flags_a_public_definition_only_tests_call():
     sources = {
-        "__init__.py": "from .a import Spare, helper, stage, used\n",
         "a.py": "def stage():\n    return 1\ndef helper():\n    return stage()\n"
                 "def used():\n    pass\nclass Spare:\n    pass\ndef _private():\n    pass\n",
         "b.py": "from .a import helper\n",
@@ -263,11 +260,11 @@ def unpassed_defaults(
 ) -> list[str]:
     """``module:name(param)`` for each defaulted parameter of a public
     module-level function, or of a public class's ``__init__``, in ``sources``
-    that no call in ``sources`` (``__init__.py`` aside) or ``readers`` passes,
-    by keyword or by position, and that is not in ``options`` (the
-    ``(runner, dest)`` pairs of the command line) or ``exempt`` (``(name,
-    param)`` pairs): a setting that nothing sets."""
-    modules = {name: ast.parse(source) for name, source in sources.items() if name != "__init__.py"}
+    that no call in ``sources`` or ``readers`` passes, by keyword or by
+    position, and that is not in ``options`` (the ``(runner, dest)`` pairs of
+    the command line) or ``exempt`` (``(name, param)`` pairs): a setting that
+    nothing sets."""
+    modules = {name: ast.parse(source) for name, source in sources.items()}
     callees = public_callees(modules)
     passed = set(options) | set(exempt)
     for tree in [*modules.values(), *(ast.parse(source) for source in readers.values())]:
@@ -279,7 +276,6 @@ def unpassed_defaults(
 
 def test_check_flags_a_default_nothing_passes():
     sources = {
-        "__init__.py": "from .a import f\n",
         "a.py": "def f(x, by_position=1, by_keyword=2, *, unset=3, option=4):\n    pass\n"
                 "class K:\n    def __init__(self, size=1, spare=2):\n        pass\n"
                 "class Plain:\n    pass\n"
@@ -314,9 +310,9 @@ def test_every_default_is_passed_somewhere():
 def restated_defaults(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
     """``module:name(param)`` for each defaulted parameter of a public
     module-level function, or of a public class's ``__init__``, in ``sources``
-    that the package calls by name (``__init__.py`` aside) and that every such
-    call and every call in ``readers`` passes: a default no caller uses."""
-    modules = {name: ast.parse(source) for name, source in sources.items() if name != "__init__.py"}
+    that the package calls by name and that every such call and every call in
+    ``readers`` passes: a default no caller uses."""
+    modules = {name: ast.parse(source) for name, source in sources.items()}
     callees = public_callees(modules)
     package_calls = {name for tree in modules.values() for name, _ in calls_by_name(tree, callees)}
     always = {}  # name -> parameters that every call so far passes
@@ -329,7 +325,6 @@ def restated_defaults(sources: dict[str, str], readers: dict[str, str]) -> list[
 
 def test_check_flags_a_restated_default():
     sources = {
-        "__init__.py": "from .a import f\nf(0, 1, 2)\n",
         "a.py": "def f(x, always=1, sometimes=2, *, kw=3):\n    pass\n"
                 "class K:\n    def __init__(self, size=1):\n        pass\n"
                 "def only_tests(seed=0):\n    pass\n"

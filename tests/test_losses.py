@@ -1,12 +1,17 @@
 """Loss definitions: frozen hand-worked values, reference enumerations, FD grads."""
 
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import graphkd
 from graphkd.autodiff import Tensor, backward
 from graphkd.config import GraphParams
 from graphkd.graphs import SimilarityGraph, _cosine, build_similarity_graph
@@ -654,6 +659,33 @@ class TestFactoredGkd:
             assert np.abs(numeric).max() > 1e-3
 
 
+# one dense GKD value through the factored node, on the block taps of a
+# workload-sized step: the teacher's Gram stack has 3 x 64 x 64 = 12288
+# entries, past the length at which OpenBLAS splits a dot product over threads
+FACTORED_VALUE = """
+import numpy as np
+from graphkd.autodiff import Tensor
+from graphkd.config import GraphParams
+from graphkd.losses import gkd_tap_loss
+
+rng = np.random.default_rng(80)
+s = [Tensor(np.maximum(rng.normal(size=(128, 8)), 0.0), requires_grad=True) for _ in range(3)]
+t = [np.maximum(rng.normal(size=(128, 64)), 0.0) for _ in range(3)]
+loss = gkd_tap_loss(s, t, GraphParams(k=127), None)
+print(loss._parents == tuple(s), repr(loss.data.item()))
+"""
+
+
+def test_factored_value_does_not_depend_on_the_blas_thread_count():
+    env = dict(os.environ, PYTHONPATH=str(Path(graphkd.__file__).parents[1]))
+    lines = [subprocess.run([sys.executable, "-c", FACTORED_VALUE], capture_output=True,
+                            text=True, check=True,
+                            env=dict(env, OPENBLAS_NUM_THREADS=threads)).stdout
+             for threads in ("1", "2")]
+    assert lines[0].startswith("True ")  # the factored node took every pair
+    assert lines[0] == lines[1]
+
+
 class TestGkdTapRouting:
     """A pair the factored node cannot take exactly, or a graph it does not
     cover, gives the stacked graph pair's term bit for bit."""
@@ -705,6 +737,18 @@ class TestGkdTapRouting:
         # the control for the cases above
         s, t, graph = self.pair("unaltered")
         assert tap_gkd(s, t, **graph)[2]
+
+    def test_a_pair_beside_an_unfit_one_takes_the_graph_pair(self):
+        # the route is decided once per call: the unaltered pair beside the
+        # degree_below_one pair is not factored either
+        s, t, graph = self.pair("unaltered")
+        s2, t2, _ = self.pair("degree_below_one")
+        got, got_grads, factored = tap_gkd(s + s2, t + t2, **graph)
+        ref, ref_grads = graph_gkd(s + s2, t + t2, **graph)
+        assert not factored
+        assert got.data.tobytes() == ref.data.tobytes()
+        for g, g_ref in zip(got_grads, ref_grads):
+            assert g.tobytes() == g_ref.tobytes()
 
 
 class TestSumNode:

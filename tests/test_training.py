@@ -1,5 +1,7 @@
 """Optimizer, schedule, and the full training loop."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -435,8 +437,22 @@ class TestTrainLoop:
             train(wrong_dim, split, vanilla, seed=1)
 
         ikd = make_config(loss="ikd", lambda_kd=1.0)
-        with pytest.raises(ValueError, match="widths"):
+        with pytest.raises(ValueError, match="IKD requires identical dimensions"):
             train(student, split, ikd, seed=1, teacher=teacher)
+
+    def test_classes_rules(self):
+        student = build_blocknet((1, 1), (4, 4), 3, 2, seed=0)
+        three = make_config(dataset={"name": "gaussian_mixture", "n": 150, "classes": 3,
+                                     "dim": 3, "separation": 6.0, "seed": 0})
+        with pytest.raises(ValueError, match="^network has 2 classes but data has 3$"):
+            train(student, build_split(three), three, seed=1)
+        # GKD and RKD-D compare taps of any width, so only this rule pairs the
+        # teacher's classes with the student's
+        teacher = build_blocknet((1, 1), (16, 16), 3, 3, seed=0)
+        gkd = make_config(loss="gkd", lambda_kd=1.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "teacher (3 -> 3) and student (3 -> 2) disagree on input/classes")):
+            train(student, build_split(gkd), gkd, seed=1, teacher=teacher)
 
     def test_batch_size_larger_than_train_split_rejected(self):
         config = make_config(batch_size=150)
