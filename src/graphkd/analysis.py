@@ -31,7 +31,7 @@ import numpy as np
 from .config import GraphParams
 from .datasets import Dataset
 from .graphs import build_similarity_graph, fiedler_vector, laplacian, smoothness
-from .losses import per_example_gkd, per_example_rkdd
+from .losses import per_example_gkd_taps, per_example_rkdd
 from .models import OUTPUT_TAP, BlockNet, forward_with_taps
 
 _CONNECTIVITY_EPS = 1e-10  # lambda_2 below this marks a disconnected graph
@@ -86,8 +86,11 @@ def concentration_report(
     gets None.  Both losses read the same batches and forwards.
 
     For "gkd" the per-example contributions are row sums of the squared
-    adjacency mismatch between the two nets' ``graph`` graphs; for "rkdd"
-    each pair's Huber value is split half to each endpoint.
+    adjacency mismatch between the two nets' ``graph`` graphs, from one
+    ``per_example_gkd_taps`` call per batch: it routes the taps as training's
+    ``gkd_tap_loss`` does, so under the dense graph the block taps' rows come
+    from the factored O(n d^2) form and only the rest build graphs.  For
+    "rkdd" each pair's Huber value is split half to each endpoint.
     """
     if n_batches < 1 or batch_size < 2:
         raise ValueError(f"concentration_report: need n_batches >= 1 and batch_size >= 2, "
@@ -106,12 +109,8 @@ def concentration_report(
         xb, yb = data.features[idx], data.labels[idx]
         s_taps = forward_with_taps(student, xb)
         t_taps = forward_with_taps(teacher, xb)
-        for name, s_tap, t_tap in zip(names, s_taps, t_taps):
-            # the gkd term first, so that its two graphs are freed before the rkdd term
-            gkd = per_example_gkd(*(
-                build_similarity_graph(tap.data, k=graph.k, p=graph.p,
-                                       mask_mode=graph.mask_mode, labels=yb)
-                for tap in (s_tap, t_tap)))
+        gkd_rows = per_example_gkd_taps(s_taps, t_taps, graph, yb)
+        for name, s_tap, t_tap, gkd in zip(names, s_taps, t_taps, gkd_rows):
             for loss, per_ex in (("gkd", gkd), ("rkdd", per_example_rkdd(s_tap, t_tap))):
                 pct = loss_concentration(per_ex)
                 if pct is not None:
@@ -302,7 +301,7 @@ def spectral_report(
     fiedlers = []
     for name, tap in zip(names, teacher_taps):
         lap_t = laplacian(build_similarity_graph(tap.data, k=k).weights)
-        fied = fiedler_vector(lap_t).s
+        fied = fiedler_vector(lap_t)
         # the Rayleigh quotient of the unit Fiedler vector is lambda_2;
         # a degenerate (near-zero) lambda_2 means a disconnected graph
         if smoothness(lap_t, fied) < _CONNECTIVITY_EPS:

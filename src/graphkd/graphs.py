@@ -37,13 +37,6 @@ _MAX_INV_SQRT = float(np.cbrt(np.finfo(np.float64).max))  # cubes to the largest
 
 
 @dataclass
-class GraphSignal:
-    """A real-valued signal on graph nodes."""
-
-    s: np.ndarray
-
-
-@dataclass
 class SimilarityGraph:
     """A sparsified similarity graph and its degree-normalized adjacency.
 
@@ -363,7 +356,7 @@ def symmetric_eig(matrix) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(_square(matrix, "symmetric_eig", symmetric=True))
 
 
-def fiedler_vector(lap) -> GraphSignal:
+def fiedler_vector(lap) -> np.ndarray:
     """Unit eigenvector for the second-smallest Laplacian eigenvalue.
 
     The sign is fixed so the first component larger than 1e-12 in magnitude
@@ -381,4 +374,4 @@ def fiedler_vector(lap) -> GraphSignal:
             if component < 0:
                 vec = -vec
             break
-    return GraphSignal(s=vec)
+    return vec

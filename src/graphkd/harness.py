@@ -106,10 +106,12 @@ def _fixed_sample(config: DistillConfig, sample_size: int, seed: int) -> Dataset
 
 
 def _graph_at(config: DistillConfig, n: int) -> GraphParams:
-    """The config's graph at n points, k capped at n - 1; a config with no
-    graph gets the dense k = n - 1."""
-    graph = config.graph if config.graph is not None else GraphParams(k=n - 1)
-    return replace(graph, k=min(graph.k, n - 1))
+    """The config's graph at n points.  A k of ``batch_size - 1`` (the value an
+    omitted k takes) is the dense graph, so it is k = n - 1 at any n, as is
+    a config with no graph; a sparse k stays as given, capped at n - 1."""
+    dense_k = config.batch_size - 1
+    graph = config.graph if config.graph is not None else GraphParams(k=dense_k)
+    return replace(graph, k=n - 1 if graph.k == dense_k else min(graph.k, n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +320,8 @@ def run_analyze(
     teacher = _require_checkpoint(teacher_path, "teacher")
     student = _require_checkpoint(student_path, "student")
 
-    report = concentration_report(teacher, student, split.train, _graph_at(config, batch_size),
+    graph = _graph_at(config, batch_size)
+    report = concentration_report(teacher, student, split.train, graph,
                                   n_batches=n_batches, batch_size=batch_size, seed=seed)
     # both reports are computed before either table is written, so a run
     # that fails in the probe fit leaves no lone concentration.csv
@@ -337,6 +340,8 @@ def run_analyze(
                 "student": checkpoint_digest(student_path),
             },
             "consistency": curve,
+            # the batches and the graph that the gkd concentration read
+            "concentration": {"n_batches": n_batches, "batch_size": batch_size, **asdict(graph)},
         },
     )
     return out_dir

@@ -35,6 +35,11 @@ Conventions:
   bits); else none does.  Every other pair (the logits, and any sparse,
   p > 1 or class-masked graph) goes through one stacked
   ``build_similarity_graph`` per side and ``gkd_loss``.
+* ``per_example_gkd_taps`` splits each tap's GKD term into per-example rows
+  for the loss-concentration analysis.  One rule, ``_factored_route``, picks
+  the pairs that it and ``gkd_tap_loss`` factor: those get their rows from
+  the same V, Gram and f in O(n d^2), and every other pair gets
+  ``per_example_gkd`` on its two graphs, built one tap at a time.
 * The sum over taps, with the IKD or RKD-D scale, is one tape node over the
   per-tap terms; so is GKD's sum of its factored and graph terms.
 """
@@ -211,21 +216,14 @@ def gkd_loss(student_graphs, teacher_graphs) -> Tensor:
 def gkd_tap_loss(student_taps, teacher_taps, graph, labels) -> Tensor:
     """GKD between two tap lists under ``graph`` (its k, p and mask_mode).
 
-    The pairs that fit the factored node take it all or none of them; the
+    The pairs that ``_factored_route`` picks take the factored node; the
     rest form one stacked graph per side, whose term is ``gkd_loss``'s.  With
     both kinds the two terms are summed in one node, factored term first.
     """
     pairs = _tap_pairs(student_taps, teacher_taps, "gkd_tap_loss")
-    n = pairs[0][0].data.shape[0]
-    terms, rest = [], pairs
-    if graph.k == n - 1 and graph.p == 1 and graph.mask_mode == "all":
-        fit = [i for i, (s, t) in enumerate(pairs) if _clamp_free(s.data, n) and _clamp_free(t, n)]
-        if fit:
-            s_side = _unit_stack([pairs[i][0].data for i in fit])
-            t_side = _unit_stack([pairs[i][1] for i in fit])
-            if _degrees_fit(s_side[3]) and _degrees_fit(t_side[3]):
-                terms.append(_factored_gkd([pairs[i][0] for i in fit], s_side, t_side))
-                rest = [pair for i, pair in enumerate(pairs) if i not in fit]
+    fit, s_side, t_side = _factored_route(pairs, graph)
+    terms = [_factored_gkd([pairs[i][0] for i in fit], s_side, t_side)] if fit else []
+    rest = [pair for i, pair in enumerate(pairs) if i not in fit]
     if rest:
         s_graph, t_graph = (
             build_similarity_graph(list(taps), k=graph.k, p=graph.p, mask_mode=graph.mask_mode,
@@ -234,6 +232,44 @@ def gkd_tap_loss(student_taps, teacher_taps, graph, labels) -> Tensor:
         )
         terms.append(gkd_loss([s_graph], [t_graph]))
     return _sum_node(terms)
+
+
+def per_example_gkd_taps(student_taps, teacher_taps, graph, labels) -> np.ndarray:
+    """Each tap's per-example GKD under ``graph``, as a (taps, n) array: row i
+    of a tap is row i's share of that tap's ``gkd_tap_loss`` term.
+
+    The pairs that ``gkd_tap_loss`` factors get ``_factored_rows``; every
+    other pair gets ``per_example_gkd`` of its two graphs, built one tap at a
+    time.
+    """
+    pairs = _tap_pairs(student_taps, teacher_taps, "per_example_gkd_taps")
+    fit, s_side, t_side = _factored_route(pairs, graph)
+    rows = np.empty((len(pairs), pairs[0][0].data.shape[0]))
+    if fit:
+        rows[fit] = _factored_rows(s_side, t_side)
+    del s_side, t_side  # the factored stacks are not kept while the graphs are built
+    for i, (s, t) in enumerate(pairs):
+        if i not in fit:
+            rows[i] = per_example_gkd(*(
+                build_similarity_graph(x, k=graph.k, p=graph.p, mask_mode=graph.mask_mode,
+                                       labels=labels)
+                for x in (s.data, t)))
+    return rows
+
+
+def _factored_route(pairs, graph) -> tuple[list[int], tuple | None, tuple | None]:
+    """(the indices of the pairs that take the factored form, their student and
+    teacher ``_unit_stack`` sides), or ``([], None, None)``: under the dense
+    graph, the ``_clamp_free`` pairs, all of them or none by ``_degrees_fit``."""
+    n = pairs[0][0].data.shape[0]
+    if graph.k == n - 1 and graph.p == 1 and graph.mask_mode == "all":
+        fit = [i for i, (s, t) in enumerate(pairs) if _clamp_free(s.data, n) and _clamp_free(t, n)]
+        if fit:
+            s_side = _unit_stack([pairs[i][0].data for i in fit])
+            t_side = _unit_stack([pairs[i][1] for i in fit])
+            if _degrees_fit(s_side[3]) and _degrees_fit(t_side[3]):
+                return fit, s_side, t_side
+    return [], None, None
 
 
 def _clamp_free(x: np.ndarray, n: int) -> bool:
@@ -281,13 +317,8 @@ def _factored_gkd(students: list[Tensor], s_side, t_side) -> Tensor:
     node the unclamped one; the two differ only on tap entries equal to 0,
     through which the ReLU that made the tap passes no gradient.
     """
-    unit, inv_norm, c, deg = s_side
-    s = _inv_sqrt(deg)
-    v = unit * s[..., None]
-    v_t = t_side[0] * _inv_sqrt(t_side[3])[..., None]
-    vt_t = np.swapaxes(v_t, 1, 2)
-    g_ss, g_ts, g_tt = np.swapaxes(v, 1, 2) @ v, vt_t @ v, vt_t @ v_t
-    f = _row_dots(v, v) - _row_dots(v_t, v_t)
+    unit, inv_norm, c, _ = s_side
+    s, v, v_t, g_ss, g_ts, g_tt, f = _factored_parts(s_side, t_side)
     # numpy's sums, not vdot, whose bits depend on the BLAS thread count
     value = np.sum(g_ss * g_ss) - 2.0 * np.sum(g_ts * g_ts) + np.sum(g_tt * g_tt) - np.sum(f * f)
 
@@ -302,6 +333,34 @@ def _factored_gkd(students: list[Tensor], s_side, t_side) -> Tensor:
         return [g_x[i, :, : x.data.shape[1]] for i, x in enumerate(students)]
 
     return record(value, students, backward)
+
+
+def _factored_parts(s_side, t_side) -> tuple[np.ndarray, ...]:
+    """(s, V_s, V_t, G_ss, G_ts, G_tt, f) of two ``_unit_stack`` sides: s =
+    deg^-1/2 of the student side, V = diag(deg^-1/2) U per side, the Grams
+    G_ab = V_a^T V_b, and f = |v_s|^2 - |v_t|^2 row-wise."""
+    s = _inv_sqrt(s_side[3])
+    v = s_side[0] * s[..., None]
+    v_t = t_side[0] * _inv_sqrt(t_side[3])[..., None]
+    vt_t = np.swapaxes(v_t, 1, 2)
+    return (s, v, v_t, np.swapaxes(v, 1, 2) @ v, vt_t @ v, vt_t @ v_t,
+            _row_dots(v, v) - _row_dots(v_t, v_t))
+
+
+def _factored_rows(s_side, t_side) -> np.ndarray:
+    """The (taps, n) row sums of (A_s - A_t)^2 on dense graphs of non-negative
+    taps, from two ``_unit_stack`` sides.
+
+    Row i of A_s - A_t is V_s v_si - V_t v_ti less its diagonal entry f_i, so
+    its squared norm is v_si^T G_ss v_si - 2 v_si^T G_st v_ti +
+    v_ti^T G_tt v_ti - f_i^2.  Each term is good to a few ulps, so a row small
+    beside ss_i + tt_i (a student's graph near its teacher's) loses about
+    log2((ss_i + tt_i) / row_i) bits; roundoff below 0 is set to 0.
+    """
+    _, v, v_t, g_ss, g_ts, g_tt, f = _factored_parts(s_side, t_side)
+    rows = _row_dots(v @ g_ss, v) - 2.0 * _row_dots(v_t @ g_ts, v) + _row_dots(v_t @ g_tt, v_t)
+    rows -= f * f
+    return np.maximum(rows, 0.0, out=rows)
 
 
 def _sum_node(terms: list[Tensor], scale: float | None = None) -> Tensor:

@@ -406,7 +406,7 @@ def test_criterion_5_spectral_suite():
     eigvals, _ = symmetric_eig(lap)
     assert_allclose(eigvals, [0.0, 1.0, 3.0], atol=1e-8, rtol=0)
 
-    v = fiedler_vector(lap).s
+    v = fiedler_vector(lap)
     lam2 = eigvals[1]
     residual = float(np.linalg.norm(lap @ v - lam2 * v))
     assert residual < 1e-8

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from graphkd import analysis
 from graphkd.analysis import (
     LogisticProbe,
     _fit_lockstep,
@@ -336,6 +337,27 @@ class TestConcentrationReport:
             "gkd": {"block1": 68.75, "block2": 81.25, "output": 87.5},
             "rkdd": {"block1": 81.25, "block2": 81.25, "output": 75.0},
         }
+
+    def test_gkd_rows_come_from_one_call_per_batch(self, monkeypatch):
+        calls, rows = [], analysis.per_example_gkd_taps
+        monkeypatch.setattr(analysis, "per_example_gkd_taps",
+                            lambda *args: calls.append(args) or rows(*args))
+        from graphkd.harness import build_split
+
+        teacher, student = blocks_nets(2, 3, 2, widths=(8, 4))
+        concentration_report(teacher, student, build_split(make_config()).train,
+                             GraphParams(k=15), n_batches=3, batch_size=16, seed=0)
+        assert len(calls) == 3
+        assert [len(args[0]) for args in calls] == [3, 3, 3]  # every tap at once
+
+    def test_a_net_against_itself_has_no_gkd_concentration(self):
+        # every row is exactly 0, in the factored block taps and the logits alike
+        from graphkd.harness import build_split
+
+        net = blocks_nets(2, 3, 2, widths=(8,))[0]
+        report = concentration_report(net, net, build_split(make_config()).train,
+                                      GraphParams(k=15), n_batches=3, batch_size=16, seed=0)
+        assert report["gkd"] == {"block1": None, "block2": None, "output": None}
 
     @pytest.mark.parametrize("n_batches, batch_size", [(0, 8), (-1, 8), (2, 1), (2, 0)])
     def test_empty_batches_rejected(self, n_batches, batch_size):

@@ -651,7 +651,7 @@ class TestSpectral:
         assert_allclose(vals, [0.0, 1.0, 3.0], atol=1e-10)
 
     def test_path_fiedler_vector(self):
-        vec = fiedler_vector(PATH_L).s
+        vec = fiedler_vector(PATH_L)
         assert_allclose(vec, np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0), atol=1e-8)
 
     def test_path_smoothness(self):
@@ -716,7 +716,7 @@ class TestSpectral:
             self.SPECTRAL[name](np.zeros(shape))
 
     def test_fiedler_sign_convention(self):
-        vec = fiedler_vector(PATH_L).s
+        vec = fiedler_vector(PATH_L)
         for component in vec:
             if abs(component) > 1e-12:
                 assert component > 0
@@ -729,7 +729,7 @@ class TestSpectral:
         w[0, 1] = w[1, 0] = 1.0
         w[2, 3] = w[3, 2] = 1.0
         lap = laplacian(w)
-        vec = fiedler_vector(lap).s
+        vec = fiedler_vector(lap)
         assert_allclose(np.linalg.norm(vec), 1.0, atol=1e-12)
         assert_allclose(lap @ vec, np.zeros(4), atol=1e-8)
 

@@ -13,6 +13,7 @@ from graphkd import harness
 from graphkd.cli import main
 from graphkd.config import (
     ConfigError,
+    GraphParams,
     config_digest,
     load_config,
     parse_config,
@@ -1188,6 +1189,48 @@ class TestDumpGraph:
         with pytest.raises(OSError, match="No space left"):
             self._dump(tmp_path, monkeypatch, sample_size=7, k=2)
         assert [f for f in tmp_path.rglob("*") if f.is_file()] == [tmp_path / "net.ckpt"]
+
+
+class TestGraphAt:
+    """A k of batch_size - 1, given or omitted, is the dense graph at every n;
+    a sparse k stays as given, capped at n - 1."""
+
+    @pytest.mark.parametrize("graph", [{}, {"k": 23}], ids=["omitted", "explicit"])
+    @pytest.mark.parametrize("n", [16, 256, 500])
+    def test_dense_config_is_dense_at_every_n(self, graph, n):
+        config = make_config(loss="gkd", lambda_kd=1.0, graph=graph)  # batch_size 24
+        assert config.graph.k == 23
+        assert harness._graph_at(config, n) == GraphParams(k=n - 1)
+
+    @pytest.mark.parametrize("n, k", [(4, 3), (6, 5), (16, 5), (256, 5), (500, 5)])
+    def test_sparse_k_stays_capped_at_n_minus_one(self, n, k):
+        config = make_config(loss="gkd", lambda_kd=1.0, graph={"k": 5, "p": 2})
+        assert harness._graph_at(config, n) == GraphParams(k=k, p=2)
+
+    def test_config_without_a_graph_is_dense(self):
+        assert harness._graph_at(make_config(), 40) == GraphParams(k=39)
+
+    def test_dump_graph_of_a_dense_config_at_500_points(self, tmp_path):
+        # 700 points, of which 525 train
+        dataset = dict(tiny_config_dict()["dataset"], n=700)
+        config = write_config(tmp_path, loss="gkd", lambda_kd=1.0, dataset=dataset)
+        net = write_net(tmp_path, "net.ckpt", (12, 12), seed=1)
+        out = tmp_path / "graph"
+        assert main(["dump-graph", "--config", str(config), "--out", str(out),
+                     "--checkpoint", str(net), "--sample", "500"]) == 0
+        params = json.loads((out / "graph_params.json").read_text())
+        assert params == {"n": 500, "k": 499, "p": 1, "mask_mode": "all"}
+
+    def test_analysis_summary_records_the_concentration_graph(self, tmp_path):
+        # a dense config at analyze's default batch of 256: 400 points, 300 train
+        dataset = dict(tiny_config_dict()["dataset"], n=400)
+        config = load_config(write_config(tmp_path, loss="gkd", lambda_kd=1.0, dataset=dataset))
+        teacher = write_net(tmp_path, "teacher.ckpt", (12, 12), seed=1)
+        student = write_net(tmp_path, "student.ckpt", (4, 4), seed=2)
+        out = harness.run_analyze(config, tmp_path / "analysis", teacher, student, n_batches=2)
+        summary = json.loads((out / "analysis_summary.json").read_text())
+        assert summary["concentration"] == {"n_batches": 2, "batch_size": 256, "k": 255, "p": 1,
+                                            "mask_mode": "all"}
 
 
 class TestFixedSample:

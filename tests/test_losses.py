@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import graphkd
+from graphkd import losses
 from graphkd.autodiff import Tensor, backward
 from graphkd.config import GraphParams
 from graphkd.graphs import SimilarityGraph, _cosine, build_similarity_graph
@@ -26,6 +27,7 @@ from graphkd.losses import (
     gkd_tap_loss,
     ikd_loss,
     per_example_gkd,
+    per_example_gkd_taps,
     per_example_rkdd,
     rkdd_loss,
     task_loss,
@@ -749,6 +751,120 @@ class TestGkdTapRouting:
         assert got.data.tobytes() == ref.data.tobytes()
         for g, g_ref in zip(got_grads, ref_grads):
             assert g.tobytes() == g_ref.tobytes()
+
+
+def graph_rows(s, t, labels=None, **graph):
+    """``per_example_gkd`` of each pair's two graphs, built one tap at a time."""
+    return np.stack([per_example_gkd(build_similarity_graph(a, labels=labels, **graph),
+                                     build_similarity_graph(b, labels=labels, **graph))
+                     for a, b in zip(s, t)])
+
+
+class TestPerExampleGkdTaps:
+    """Per-example GKD from taps: the factored rows against rows of built
+    graphs, and every other pair's rows as ``per_example_gkd``'s, byte for byte."""
+
+    N = 16
+
+    def factored_rows(self, monkeypatch, s, t, **graph):
+        """``per_example_gkd_taps``'s rows, checked to come from the factored form."""
+        calls, rows = [], losses._factored_rows
+        monkeypatch.setattr(losses, "_factored_rows", lambda *a: calls.append(a) or rows(*a))
+        got = per_example_gkd_taps([leaf(a) for a in s], t, GraphParams(**graph), None)
+        assert len(calls) == 1
+        return got
+
+    @pytest.mark.parametrize("case", ["unequal_widths", "dead_row", "orthogonal_row"])
+    def test_factored_rows_match_built_graphs(self, monkeypatch, case):
+        rng = np.random.default_rng(90)
+        s, t = relu_taps(rng, self.N, (3, 5, 2)), relu_taps(rng, self.N, (6, 9, 4))
+        if case == "dead_row":
+            s[1][3] = 0.0
+            t[0][7] = 0.0
+        elif case == "orthogonal_row":
+            s[0][1:, 0] = 0.0
+            s[0][0] = [2.0, 0.0, 0.0]
+            assert _unit_stack(s)[3][0, 0] == 0.0
+        got = self.factored_rows(monkeypatch, s, t, k=self.N - 1)
+        assert got.shape == (3, self.N)
+        assert_allclose(got, graph_rows(s, t, k=self.N - 1), rtol=1e-12, atol=0.0)
+
+    def test_near_match_stays_within_the_error_of_its_terms(self, monkeypatch):
+        # the cancellation case: a student within 0.1% of its teacher has rows
+        # below 1e-5 of the Gram terms they are the difference of.  Each row is
+        # then good to a few ulps of those terms, ss_i + tt_i, which built
+        # graphs give as |A_i|^2 + 1/deg_i^2 per side (v_i = u_i / sqrt(deg_i))
+        rng = np.random.default_rng(91)
+        t = [rng.uniform(0.1, 1.0, size=(self.N, d)) for d in (4, 7)]
+        s = [a * (1.0 + 1e-3 * rng.normal(size=a.shape)) for a in t]
+        got = self.factored_rows(monkeypatch, s, t, k=self.N - 1)
+        ref = graph_rows(s, t, k=self.N - 1)
+        scale = sum(np.stack([(g.adjacency ** 2).sum(axis=1) + g.weights.sum(axis=1) ** -2.0
+                              for g in (build_similarity_graph(a, k=self.N - 1) for a in side)])
+                    for side in (s, t))
+        assert (ref / scale).max() < 1e-5
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
+        assert_allclose(got, ref, rtol=1e-7, atol=0.0)
+
+    def test_identical_taps_give_zero_rows(self, monkeypatch):
+        rng = np.random.default_rng(92)
+        t = relu_taps(rng, self.N, (5, 3))
+        got = self.factored_rows(monkeypatch, [a.copy() for a in t], t, k=self.N - 1)
+        assert_array_equal(got, 0.0)
+
+    def test_roundoff_takes_no_row_below_zero(self, monkeypatch):
+        # within 1e-8 of its teacher a row is below the roundoff of its terms,
+        # which would take some rows below 0
+        rng = np.random.default_rng(91)
+        t = [rng.uniform(0.1, 1.0, size=(self.N, d)) for d in (4, 7)]
+        s = [a * (1.0 + 1e-8 * rng.normal(size=a.shape)) for a in t]
+        assert self.factored_rows(monkeypatch, s, t, k=self.N - 1).min() == 0.0
+
+    def test_rows_sum_to_the_tap_loss(self):
+        # block taps beside a signed logits tap: both routes in one call
+        rng = np.random.default_rng(93)
+        s = [*relu_taps(rng, self.N, (3, 5)), rng.normal(size=(self.N, 2))]
+        t = [*relu_taps(rng, self.N, (6, 6)), rng.normal(size=(self.N, 2))]
+        graph = GraphParams(k=self.N - 1)
+        loss = gkd_tap_loss([leaf(a) for a in s], t, graph, None)
+        assert loss.data != 0.0
+        assert_allclose(per_example_gkd_taps(s, t, graph, None).sum(), loss.data, rtol=1e-12)
+
+    @pytest.mark.parametrize("case", ["logits", "nan", "sparse", "p2", "inter_class"])
+    def test_other_pairs_give_per_example_gkd_bytes(self, case):
+        rng = np.random.default_rng(94)
+        labels = rng.integers(0, 2, size=self.N)
+        s, t = relu_taps(rng, self.N, (3, 5)), relu_taps(rng, self.N, (6, 6))
+        graph, graph_taps = {"k": self.N - 1}, [0, 1]
+        if case == "logits":
+            s, t = s + [rng.normal(size=(self.N, 2))], t + [rng.normal(size=(self.N, 2))]
+            graph_taps = [2]
+        elif case == "nan":
+            t[1][4, 0] = np.nan
+            graph_taps = [1]
+        elif case == "sparse":
+            graph = {"k": 5}
+        elif case == "p2":
+            graph = {"k": self.N - 1, "p": 2}
+        elif case == "inter_class":
+            graph = {"k": self.N - 1, "mask_mode": case}
+        with np.errstate(all="ignore"):  # NaN flows through the graph pipeline
+            got = per_example_gkd_taps(s, t, GraphParams(**graph), labels)
+            ref = graph_rows(s, t, labels=labels, **graph)
+        for i in graph_taps:
+            assert got[i].tobytes() == ref[i].tobytes()
+        assert_allclose(got, ref, rtol=1e-12, atol=0.0)  # any factored tap, to roundoff
+
+    def test_the_tap_loss_and_the_rows_share_one_route(self, monkeypatch):
+        seen, route = [], losses._factored_route
+        monkeypatch.setattr(losses, "_factored_route",
+                            lambda pairs, graph: seen.append(len(pairs)) or route(pairs, graph))
+        rng = np.random.default_rng(95)
+        s, t = relu_taps(rng, self.N, (3, 5)), relu_taps(rng, self.N, (6, 6))
+        graph = GraphParams(k=self.N - 1)
+        gkd_tap_loss([leaf(a) for a in s], t, graph, None)
+        per_example_gkd_taps(s, t, graph, None)
+        assert seen == [2, 2]
 
 
 class TestSumNode:
