@@ -1,10 +1,10 @@
 """Post-hoc analyses: loss concentration, probe consistency, graph smoothness.
 
 These read networks and never update them: each forwards a net through
-``models.forward_with_taps`` and reads its taps as arrays.  The concentration
-and spectral reports need a teacher and students with the same taps.  Every
-report is a ``{tap: value}`` table keyed by ``tap_names()``, in that order,
-or a dict of such tables: the tables that ``harness`` writes.
+``models.forward_with_taps`` and reads its taps as arrays.  Every report
+needs a teacher and students with the same taps.  Every report is a
+``{tap: value}`` table keyed by ``tap_names()``, in that order, or a dict of
+such tables: the tables that ``harness`` writes.
 ``spectral_report`` uses every point it is given; ``harness`` draws the
 fixed sample.
 
@@ -32,34 +32,35 @@ from .config import GraphParams
 from .datasets import Dataset
 from .graphs import build_similarity_graph, fiedler_vector, laplacian, smoothness
 from .losses import per_example_gkd_taps, per_example_rkdd
-from .models import OUTPUT_TAP, BlockNet, forward_with_taps
+from .models import BlockNet, forward_with_taps
 
 _CONNECTIVITY_EPS = 1e-10  # lambda_2 below this marks a disconnected graph
 _PROBE_ITERATIONS = 500  # full-batch gradient steps per probe
 _PROBE_STEP = 0.1  # their step size
+_CONCENTRATION_FRACTION = 0.9  # share of a batch's loss that loss_concentration counts
 
 
-def loss_concentration(per_example, fraction: float = 0.9) -> float | None:
-    """Smallest percentage of examples carrying ``fraction`` of the total loss.
+def loss_concentration(per_example) -> float | None:
+    """Smallest percentage of examples carrying 90% of the total loss.
 
     Contributions are sorted descending and the shortest prefix reaching
-    fraction * total is counted, as a percentage of the batch.  An all-zero
-    vector has no concentration to speak of and yields None.
+    _CONCENTRATION_FRACTION * total is counted, as a percentage of the batch.
+    An all-zero vector has no concentration to speak of and yields None.
     """
     v = np.asarray(per_example, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"loss_concentration: expected a non-empty vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("loss_concentration: contributions must be finite")
     if np.any(v < 0):
         raise ValueError("loss_concentration: contributions must be nonnegative")
-    if not 0 < fraction <= 1:
-        raise ValueError(f"loss_concentration: fraction must lie in (0, 1], got {fraction}")
     total = float(v.sum())
     if total == 0.0:
         return None
     ordered = np.sort(v)[::-1]
     cumulative = np.cumsum(ordered)
     # tiny slack so e.g. cumsum 9.0 meets a target of 0.9*10 despite rounding
-    target = fraction * total - 1e-12 * total
+    target = _CONCENTRATION_FRACTION * total - 1e-12 * total
     count = int(np.searchsorted(cumulative, target) + 1)
     return 100.0 * count / v.size
 
@@ -220,53 +221,24 @@ def probe_agreement(
     return float(np.mean(pred_a == pred_b))
 
 
-def _agreements(
-    teacher: BlockNet, student: BlockNet, train_data: Dataset, eval_data: Dataset, blocks
-) -> list[float]:
-    """Probe agreement at each 1-based block in ``blocks``, then output agreement.
-
-    Each net is forwarded once per split, and all the probes fit in one lockstep.
-    """
-    for block in blocks:
-        if not 1 <= block <= teacher.num_blocks or not 1 <= block <= student.num_blocks:
-            raise ValueError(f"consistency_probe: block {block!r} out of range")
-    t_eval, s_eval = (forward_with_taps(net, eval_data.features) for net in (teacher, student))
-    fractions = []
-    if blocks:
-        t_train, s_train = (forward_with_taps(net, train_data.features)
-                            for net in (teacher, student))
-        reps = [taps[block - 1].data for block in blocks for taps in (t_train, s_train)]
-        probes = [LogisticProbe() for _ in reps]
-        _fit_lockstep(probes, reps, train_data.labels, train_data.num_classes)
-        fractions = [probe_agreement(t, s, t_eval[block - 1].data, s_eval[block - 1].data)
-                     for block, t, s in zip(blocks, probes[::2], probes[1::2])]
-    t_out, s_out = (np.argmax(taps[-1].data, axis=1) for taps in (t_eval, s_eval))
-    return fractions + [float(np.mean(t_out == s_out))]
-
-
-def consistency_probe(
-    teacher: BlockNet,
-    student: BlockNet,
-    train_data: Dataset,
-    eval_data: Dataset,
-    block,
-) -> float:
-    """Agreement between probes fitted on the two nets' block representations.
-
-    ``block`` is a 1-based block index, or "output" to compare the networks'
-    own argmax predictions directly.
-    """
-    blocks = [] if block == OUTPUT_TAP else [int(block)]
-    return _agreements(teacher, student, train_data, eval_data, blocks)[0]
-
-
 def consistency_curve(
     teacher: BlockNet, student: BlockNet, train_data: Dataset, eval_data: Dataset
 ) -> dict[str, float]:
-    """Probe consistency at every block, then output agreement, as ``{tap: fraction}``."""
-    blocks = list(range(1, student.num_blocks + 1))
-    return dict(zip(student.tap_names(),
-                    _agreements(teacher, student, train_data, eval_data, blocks)))
+    """Probe consistency at every block, then output agreement, as ``{tap: fraction}``.
+
+    Each net is forwarded once per split, and all the probes fit in one lockstep.
+    """
+    _check_same_taps(teacher, student)
+    t_train, s_train = (forward_with_taps(net, train_data.features) for net in (teacher, student))
+    t_eval, s_eval = (forward_with_taps(net, eval_data.features) for net in (teacher, student))
+    blocks = range(student.num_blocks)
+    reps = [taps[block].data for block in blocks for taps in (t_train, s_train)]
+    probes = [LogisticProbe() for _ in reps]
+    _fit_lockstep(probes, reps, train_data.labels, train_data.num_classes)
+    fractions = [probe_agreement(t, s, t_eval[block].data, s_eval[block].data)
+                 for block, t, s in zip(blocks, probes[::2], probes[1::2])]
+    t_out, s_out = (np.argmax(taps[-1].data, axis=1) for taps in (t_eval, s_eval))
+    return dict(zip(student.tap_names(), fractions + [float(np.mean(t_out == s_out))]))
 
 
 # ---------------------------------------------------------------------------

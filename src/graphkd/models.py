@@ -231,6 +231,8 @@ def load_checkpoint(path) -> BlockNet:
             f"checkpoint {path}: expected {expected} payload bytes, got {len(payload)}"
         )
     flat = np.frombuffer(payload, dtype="<f8")
+    if not np.isfinite(flat).all():
+        raise ValueError(f"checkpoint {path}: parameters are not finite")
     offset = 0
     for p in net.parameters():
         count = p.data.size

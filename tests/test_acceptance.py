@@ -29,7 +29,7 @@ from _oracles import (
 )
 from graphkd.analysis import (
     LogisticProbe,
-    consistency_probe,
+    consistency_curve,
     loss_concentration,
     probe_agreement,
 )
@@ -448,7 +448,7 @@ def test_criterion_5_spectral_suite():
 def test_criterion_6_analysis_protocol():
     uniform = loss_concentration(np.ones(10))
     point = loss_concentration(np.array([5.0] + [0.0] * 9))
-    four = loss_concentration(np.array([4.0, 3.0, 2.0, 1.0]), fraction=0.9)
+    four = loss_concentration(np.array([4.0, 3.0, 2.0, 1.0]))
     assert uniform == 90.0
     assert point == 10.0
     assert four == 75.0
@@ -456,9 +456,7 @@ def test_criterion_6_analysis_protocol():
     train_ds = gen_gaussian_mixture(n=120, classes=2, dim=3, separation=4.0, seed=0)
     eval_ds = gen_gaussian_mixture(n=80, classes=2, dim=3, separation=4.0, seed=1)
     net = build_blocknet((1, 1), (6, 6), 3, 2, seed=5)
-    self_consistency = [
-        consistency_probe(net, net, train_ds, eval_ds, block) for block in (1, 2, "output")
-    ]
+    self_consistency = list(consistency_curve(net, net, train_ds, eval_ds).values())
     assert all(value == 1.0 for value in self_consistency)
 
     rng = np.random.default_rng(3)

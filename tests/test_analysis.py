@@ -12,7 +12,6 @@ from graphkd.analysis import (
     _fit_lockstep,
     concentration_report,
     consistency_curve,
-    consistency_probe,
     loss_concentration,
     probe_agreement,
     spectral_report,
@@ -37,16 +36,16 @@ TAP_ORDER_BLOCKS = (1, 2, 3)
 
 class TestLossConcentration:
     def test_uniform_mass_needs_ninety_percent(self):
-        assert loss_concentration(np.ones(10), 0.9) == 90.0
+        assert loss_concentration(np.ones(10)) == 90.0
 
     def test_point_mass_needs_one_example(self):
         v = np.zeros(10)
         v[3] = 5.0
-        assert loss_concentration(v, 0.9) == 10.0
+        assert loss_concentration(v) == 10.0
 
     def test_hand_worked_four_values(self):
         # total 10; prefix 4+3+2=9 exactly meets 0.9 -> 3 of 4 -> 75%
-        assert loss_concentration(np.array([4.0, 3.0, 2.0, 1.0]), 0.9) == 75.0
+        assert loss_concentration(np.array([4.0, 3.0, 2.0, 1.0])) == 75.0
 
     def test_all_zero_returns_none(self):
         assert loss_concentration(np.zeros(5)) is None
@@ -54,7 +53,7 @@ class TestLossConcentration:
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
         v = rng.uniform(0.0, 2.0, size=50)
-        assert loss_concentration(v, 0.8) == loss_concentration(v * 123.4, 0.8)
+        assert loss_concentration(v) == loss_concentration(v * 123.4)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
@@ -65,13 +64,13 @@ class TestLossConcentration:
         rng = np.random.default_rng(2)
         for _ in range(20):
             v = rng.uniform(0.1, 1.0, size=12)
-            base = loss_concentration(v, 0.9)
+            base = loss_concentration(v)
             shifted = v.copy()
             big, small = np.argmax(shifted), np.argmin(shifted)
             delta = shifted[small] * 0.5
             shifted[big] += delta
             shifted[small] -= delta
-            assert loss_concentration(shifted, 0.9) <= base
+            assert loss_concentration(shifted) <= base
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -80,10 +79,10 @@ class TestLossConcentration:
             loss_concentration(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             loss_concentration(np.array([]))
-        with pytest.raises(ValueError):
-            loss_concentration(np.ones(3), fraction=0.0)
-        with pytest.raises(ValueError):
-            loss_concentration(np.ones(3), fraction=1.2)
+        for bad in ([1.0, np.inf, 2.0], [0.0, np.inf], [1.0, np.nan, 2.0]):
+            with pytest.raises(ValueError,
+                               match=r"^loss_concentration: contributions must be finite$"):
+                loss_concentration(np.array(bad))
 
 
 class TestLogisticProbe:
@@ -198,8 +197,9 @@ class TestConsistency:
         train = gen_gaussian_mixture(n=120, classes=2, dim=3, separation=4.0, seed=0)
         evald = gen_gaussian_mixture(n=80, classes=2, dim=3, separation=4.0, seed=1)
         net = build_blocknet((1, 1), (6, 6), 3, 2, seed=5)
-        for block in (1, 2, "output"):
-            assert consistency_probe(net, net, train, evald, block) == 1.0
+        curve = consistency_curve(net, net, train, evald)
+        assert list(curve) == net.tap_names()
+        assert all(value == 1.0 for value in curve.values())
 
     def test_curve_covers_blocks_and_output(self):
         train = gen_gaussian_mixture(n=120, classes=2, dim=3, separation=4.0, seed=0)
@@ -211,30 +211,30 @@ class TestConsistency:
             assert len(curve) == blocks + 1
             assert all(0.0 <= f <= 1.0 for f in curve.values())
 
-    def test_curve_equals_per_block_probes_and_output(self):
+    def test_curve_tap_order_and_output(self):
         train = gen_gaussian_mixture(n=120, classes=3, dim=3, separation=3.0, seed=0)
         evald = gen_gaussian_mixture(n=81, classes=3, dim=3, separation=3.0, seed=1)
         teacher = build_blocknet((1, 1, 1), (16, 16, 16), 3, 3, seed=3)
         student = build_blocknet((1, 1, 1), (4, 4, 4), 3, 3, seed=0)
         curve = consistency_curve(teacher, student, train, evald)
-        parts = [consistency_probe(teacher, student, train, evald, block)
-                 for block in (1, 2, 3, "output")]
-        assert curve == dict(zip(student.tap_names(), parts))
         assert list(curve) == student.tap_names()
-        assert 0.0 < parts[-1] < 1.0  # untrained nets often agree on no output at all
+        assert 0.0 < curve["output"] < 1.0  # untrained nets often agree on no output at all
 
     def test_curve_rejects_student_deeper_than_teacher(self):
         train = gen_gaussian_mixture(n=40, classes=2, dim=3, separation=4.0, seed=0)
         teacher = build_blocknet((1, 1), (4, 4), 3, 2, seed=0)
         student = build_blocknet((1, 1, 1), (4, 4, 4), 3, 2, seed=1)
-        with pytest.raises(ValueError, match=r"^consistency_probe: block 3 out of range$"):
+        message = (r"^teacher taps \['block1', 'block2', 'output'\] and student "
+                   r"taps \['block1', 'block2', 'block3', 'output'\] differ$")
+        with pytest.raises(ValueError, match=message):
             consistency_curve(teacher, student, train, train)
 
-    def test_block_out_of_range_rejected(self):
+    def test_curve_rejects_teacher_deeper_than_student(self):
         train = gen_gaussian_mixture(n=40, classes=2, dim=3, separation=4.0, seed=0)
-        net = build_blocknet((1,), (4,), 3, 2, seed=0)
-        with pytest.raises(ValueError):
-            consistency_probe(net, net, train, train, 2)
+        teacher = build_blocknet((1, 1, 1), (4, 4, 4), 3, 2, seed=0)
+        student = build_blocknet((1, 1), (4, 4), 3, 2, seed=1)
+        with pytest.raises(ValueError, match=r"^teacher taps .* differ$"):
+            consistency_curve(teacher, student, train, train)
 
 
 def identity_first_block_net(dim: int, seed: int = 0):

@@ -1,6 +1,7 @@
 """Config parsing, experiment runners, and the command-line interface."""
 
 import csv
+import hashlib
 import json
 import math
 from contextlib import contextmanager
@@ -32,6 +33,7 @@ from graphkd.harness import (
 from graphkd.models import atomic_open, build_blocknet, save_checkpoint
 
 from conftest import make_config, tiny_config_dict, write_config, write_net
+from test_datasets import write_idx_pair
 
 
 class TestConfigParsing:
@@ -120,6 +122,34 @@ class TestConfigParsing:
         obj["schedule"]["milestones"] = [5]
         with pytest.raises(ConfigError):
             parse_config(obj)  # milestone beyond total_epochs=2
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"batch_size": 1}, "config: batch_size must be at least 2, got 1"),
+        ({"momentum": 1.0}, "config: momentum must lie in [0, 1), got 1.0"),
+        ({"schedule": {"base_lr": 0.0}}, "schedule: base_lr must be positive, got 0.0"),
+        ({"schedule": {"decay_factor": 1.5}},
+         "schedule: decay_factor must lie in (0, 1], got 1.5"),
+        ({"schedule": {"total_epochs": 0}}, "schedule: total_epochs must be positive, got 0"),
+        ({"loss": "gkd", "graph": {"p": 0}}, "graph: p must be a positive integer, got 0"),
+        ({"teacher": {"depths": [1], "widths": [4, 4]}},
+         "teacher: depths and widths must be equal-length non-empty lists, "
+         "got (1,) and (4, 4)"),
+        ({"schedule": [0.1]}, "schedule: expected an object"),
+        ({"loss": "gkd", "lambda_kd": 10**400},
+         f"config: lambda_kd must be a number, got {10**400}"),
+    ], ids=["batch_size", "momentum", "base_lr", "decay_factor", "total_epochs", "graph-p",
+            "teacher-lists", "schedule-object", "lambda-overflow"])
+    def test_rule_names_its_value(self, edit, message):
+        obj = tiny_config_dict()
+        for key, value in edit.items():
+            # a dict edits the keys of an existing section; anything else replaces
+            if isinstance(value, dict) and isinstance(obj.get(key), dict):
+                obj[key] = {**obj[key], **value}
+            else:
+                obj[key] = value
+        with pytest.raises(ConfigError) as caught:
+            parse_config(obj)
+        assert str(caught.value) == message
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="config"):
@@ -677,9 +707,8 @@ class TestCliEndToEnd:
         assert "not found" in capsys.readouterr().err
 
     # training refuses to write a diverged checkpoint, so build one with the
-    # all-NaN parameters a diverged run used to save; analysing it must end
-    # in one error line, not a traceback
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # all-NaN parameters a diverged run used to save; loading it must end in
+    # one error line, not a traceback or a table of NaN
     def test_analyze_diverged_checkpoint_exits_two(self, tmp_path, capsys):
         config_path = write_config(tmp_path)
         net = build_blocknet((1, 1), (12, 12), input_dim=3, classes=2, seed=1)
@@ -687,11 +716,12 @@ class TestCliEndToEnd:
             p.data[:] = np.nan
         ckpt = tmp_path / "diverged.ckpt"
         save_checkpoint(net, ckpt)
+        out = tmp_path / "analysis"
         code = main(
             [
                 "analyze",
                 "--config", str(config_path),
-                "--out", str(tmp_path / "analysis"),
+                "--out", str(out),
                 "--teacher", str(ckpt),
                 "--student", str(ckpt),
                 "--batches", "2",
@@ -699,23 +729,44 @@ class TestCliEndToEnd:
             ]
         )
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "diverged" in err
-        assert len(err.strip().splitlines()) == 1
+        assert capsys.readouterr().err == f"error: checkpoint {ckpt}: parameters are not finite\n"
+        assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_analyze_failing_in_the_probe_fit_writes_nothing(self, tmp_path, capsys):
-        config_path = write_config(tmp_path)
+    # one non-finite parameter is enough, in whichever role the command loads it
+    NON_FINITE_RUNS = {
+        "spectral": ["--teacher", "{ckpt}", "--student", "base={bad}", "--sample", "16"],
+        "dump-graph": ["--checkpoint", "{bad}", "--block", "block1", "--sample", "16"],
+        "distill": ["--teacher", "{bad}"],
+    }
+
+    @pytest.mark.parametrize("command", list(NON_FINITE_RUNS))
+    def test_non_finite_parameter_exits_two(self, tmp_path, capsys, command):
+        config_path = write_config(tmp_path, loss="gkd", lambda_kd=1.0, seeds=[1])
+        ckpt = write_net(tmp_path, "net.ckpt", (12, 12), seed=1)
         net = build_blocknet((1, 1), (12, 12), input_dim=3, classes=2, seed=1)
-        for p in net.parameters():
-            p.data[:] = np.nan
-        ckpt = tmp_path / "diverged.ckpt"
-        save_checkpoint(net, ckpt)
+        net.parameters()[-1].data[0] = np.inf
+        bad = tmp_path / "overflowed.ckpt"
+        save_checkpoint(net, bad)
+        out = tmp_path / "out"
+        argv = [arg.format(ckpt=ckpt, bad=bad) for arg in self.NON_FINITE_RUNS[command]]
+        assert main([command, "--config", str(config_path), "--out", str(out), *argv]) == 2
+        assert capsys.readouterr().err == f"error: checkpoint {bad}: parameters are not finite\n"
+        assert not out.exists()
+
+    def test_analyze_failing_in_the_probe_fit_writes_nothing(self, tmp_path, capsys,
+                                                             monkeypatch):
+        config_path = write_config(tmp_path)
+        ckpt = write_net(tmp_path, "net.ckpt", (12, 12), seed=1)
+
+        def diverge(*args):
+            raise RuntimeError("probe 0 diverged at iteration 0")
+
+        monkeypatch.setattr(harness, "consistency_curve", diverge)
         out = tmp_path / "analysis"
         argv = ["analyze", "--config", str(config_path), "--out", str(out), "--teacher",
                 str(ckpt), "--student", str(ckpt), "--batches", "2", "--batch-size", "16"]
         assert main(argv) == 2
-        assert "diverged" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: probe 0 diverged at iteration 0\n"
         assert not out.exists()
 
     # each command's own arguments for a run that loads or checks its inputs
@@ -1118,6 +1169,26 @@ class TestTwoArcsConfig:
         assert main(["train-teacher", "--config", str(config_path), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert 0.0 <= summary["final"]["test_error"] <= 1.0
+
+
+class TestIdxConfig:
+    def test_idx_dataset_builds_its_split(self, tmp_path):
+        rng = np.random.default_rng(0)
+        images = rng.integers(0, 256, size=(12, 3, 2))
+        labels = np.arange(12) % 10
+        img_path, lbl_path = write_idx_pair(tmp_path, images, labels)
+        config = parse_config(tiny_config_dict(dataset={
+            "name": "idx", "images": str(img_path), "labels": str(lbl_path),
+            "seed": 0, "test_fraction": 0.25}))
+        split = harness.build_split(config)
+        assert (len(split.train), len(split.test)) == (9, 3)
+        for part in (split.train, split.test):
+            assert part.dim == 6 and part.num_classes == 10
+            assert part.features.min() >= 0.0 and part.features.max() <= 1.0
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+                   for path in (img_path, lbl_path)]
+        assert split.train.provenance.startswith(
+            f"idx(images=sha256:{digests[0]},labels=sha256:{digests[1]},count=12)|split(")
 
 
 class TestDumpGraph:

@@ -1,9 +1,10 @@
 """Stand-ins for a linter's unused-import and dead-code rules over the package's
 modules, a check that public is declared one way (no leading underscore, no
 ``__all__``, no re-export from ``__init__.py``), checks that every public
-constant is read, every public function or class has a caller beyond the tests
-and every defaulted parameter is passed by some caller but not by every one,
-and a check that perfbench's tracer still finds every function it wraps."""
+constant is read, every public function or class has a caller in the package
+and every defaulted parameter is passed by some package caller but not by
+every caller, and a check that perfbench's tracer still finds every function
+it wraps."""
 
 import argparse
 import ast
@@ -182,16 +183,13 @@ def test_package_exports_only_what_modules_list():
     assert unlisted_reexports((PACKAGE / "__init__.py").read_text()) == []
 
 
-def public_definitions_only_tests_call(
-    sources: dict[str, str], readers: dict[str, str]
-) -> list[str]:
+def public_definitions_only_tests_call(sources: dict[str, str]) -> list[str]:
     """``module:name`` for each public module-level function or class of
-    ``sources`` that no module of ``sources`` reads, and no module of
-    ``readers`` (the acceptance tests) reads either: code that only unit tests
+    ``sources`` that no module of ``sources`` reads: code that only tests
     call."""
     modules = {name: ast.parse(source) for name, source in sources.items()}
     referenced = set()
-    for tree in [*modules.values(), *(ast.parse(source) for source in readers.values())]:
+    for tree in modules.values():
         referenced |= read_names(tree)
     return [f"{module}:{node.name}" for module, tree in modules.items() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -204,14 +202,12 @@ def test_check_flags_a_public_definition_only_tests_call():
                 "def used():\n    pass\nclass Spare:\n    pass\ndef _private():\n    pass\n",
         "b.py": "from .a import helper\n",
     }
-    readers = {"test_acceptance.py": "from graphkd.a import used\n"}
-    assert public_definitions_only_tests_call(sources, readers) == ["a.py:Spare"]
+    assert public_definitions_only_tests_call(sources) == ["a.py:used", "a.py:Spare"]
 
 
 def test_no_public_definition_that_only_tests_call():
     sources = {p.name: p.read_text() for p in SOURCES}
-    readers = {ACCEPTANCE.name: ACCEPTANCE.read_text()}
-    assert public_definitions_only_tests_call(sources, readers) == []
+    assert public_definitions_only_tests_call(sources) == []
 
 
 def public_callees(modules: dict[str, ast.Module]) -> dict[str, tuple]:
@@ -255,19 +251,16 @@ def calls_by_name(tree: ast.AST, callees: dict[str, tuple]):
                      *(kw.arg for kw in call.keywords if kw.arg is not None)}
 
 
-def unpassed_defaults(
-    sources: dict[str, str], readers: dict[str, str], options: set, exempt: set
-) -> list[str]:
+def unpassed_defaults(sources: dict[str, str], options: set, exempt: set) -> list[str]:
     """``module:name(param)`` for each defaulted parameter of a public
     module-level function, or of a public class's ``__init__``, in ``sources``
-    that no call in ``sources`` or ``readers`` passes, by keyword or by
-    position, and that is not in ``options`` (the ``(runner, dest)`` pairs of
-    the command line) or ``exempt`` (``(name, param)`` pairs): a setting that
-    nothing sets."""
+    that no call in ``sources`` passes, by keyword or by position, and that is
+    not in ``options`` (the ``(runner, dest)`` pairs of the command line) or
+    ``exempt`` (``(name, param)`` pairs): a setting that only tests set."""
     modules = {name: ast.parse(source) for name, source in sources.items()}
     callees = public_callees(modules)
     passed = set(options) | set(exempt)
-    for tree in [*modules.values(), *(ast.parse(source) for source in readers.values())]:
+    for tree in modules.values():
         passed |= {(name, param) for name, params in calls_by_name(tree, callees)
                    for param in params}
     return [f"{module}:{name}({param})" for name, (module, _, defaulted) in callees.items()
@@ -283,11 +276,10 @@ def test_check_flags_a_default_nothing_passes():
                 "def _private(unset=1):\n    pass\n",
         "b.py": "from .a import K, f\nf(0, 1, by_keyword=2)\nK(4)\nrun(*[1, 2])\n",
     }
-    readers = {"test_acceptance.py": "from graphkd.a import f\nf(0, unset=3)\n"}
     options = {("f", "option"), ("run", "seed")}
     exempt = {("run", "exempt")}
-    assert unpassed_defaults(sources, readers, options, exempt) == [
-        "a.py:K(spare)", "a.py:run(splat)"]
+    assert unpassed_defaults(sources, options, exempt) == [
+        "a.py:f(unset)", "a.py:K(spare)", "a.py:run(splat)"]
 
 
 def command_line_options() -> set:
@@ -301,10 +293,11 @@ def command_line_options() -> set:
 
 def test_every_default_is_passed_somewhere():
     sources = {p.name: p.read_text() for p in SOURCES}
-    readers = {ACCEPTANCE.name: ACCEPTANCE.read_text()}
-    # main's argv is for callers outside the package: the console script passes none
-    exempt = {("main", "argv")}
-    assert unpassed_defaults(sources, readers, command_line_options(), exempt) == []
+    # main's argv is for callers outside the package: the console script passes
+    # none; requires_grad is the tape's leaf flag, which BlockNet.set_requires_grad
+    # sets on existing tensors and gradient tests pass
+    exempt = {("main", "argv"), ("Tensor", "requires_grad")}
+    assert unpassed_defaults(sources, command_line_options(), exempt) == []
 
 
 def restated_defaults(sources: dict[str, str], readers: dict[str, str]) -> list[str]:
