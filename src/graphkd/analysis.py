@@ -6,7 +6,19 @@ needs a teacher and students with the same taps.  Every report is a
 ``{tap: value}`` table keyed by ``tap_names()``, in that order, or a dict of
 such tables: the tables that ``harness`` writes.
 ``spectral_report`` uses every point it is given; ``harness`` draws the
-fixed sample.
+fixed sample, and it and ``dump-graph`` reject, with ``check_tap_norms``, a
+net whose forward overflows.
+
+``concentration_report`` runs on two threads.  For each batch it queues each
+tap pair's ``per_example_rkdd`` on one worker thread, started once for the
+whole report, and computes ``per_example_gkd_taps`` itself; then it runs
+itself, last tap first, every RKD-D task the worker has not started.  Both
+halves are bit-pinned numpy passes that release the interpreter lock.  For
+the report numpy's bundled OpenBLAS is pinned to one thread, so that its own
+threads do not compete with the worker, and the old count is restored
+afterwards, also on an error.  Where no thread-count setter is found or
+fewer than two CPUs are usable, the same tasks run inline; the tables, and
+the first error a batch raises, are the same on either path (``blas``).
 
 The probes of a consistency curve, one per net and block, fit in lockstep on
 the same labels.  Probes whose features share a shape form one group, with
@@ -25,9 +37,11 @@ is, and the loss itself is computed only to report a diverged probe.
 from __future__ import annotations
 
 import warnings
+from functools import partial
 
 import numpy as np
 
+from .blas import worker_at_one_blas_thread
 from .config import GraphParams
 from .datasets import Dataset
 from .graphs import build_similarity_graph, fiedler_vector, laplacian, smoothness
@@ -72,6 +86,18 @@ def _check_same_taps(teacher: BlockNet, student: BlockNet) -> None:
         raise ValueError(f"teacher taps {t_names} and student taps {s_names} differ")
 
 
+def check_tap_norms(who: str, names, taps) -> None:
+    """Reject a net whose tap has a squared row norm that is not finite, as a
+    net whose forward overflows gives: the graph pipeline would zero such a
+    row or carry NaN through its graph.  The error names ``who`` and the tap."""
+    for name, tap in zip(names, taps):
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.sum(tap.data * tap.data, axis=1)).all()
+        if not finite:
+            raise ValueError(f"{who}: tap {name} overflows (its squared row norms "
+                             f"are not finite)")
+
+
 def concentration_report(
     teacher: BlockNet,
     student: BlockNet,
@@ -91,7 +117,8 @@ def concentration_report(
     ``per_example_gkd_taps`` call per batch: it routes the taps as training's
     ``gkd_tap_loss`` does, so under the dense graph the block taps' rows come
     from the factored O(n d^2) form and only the rest build graphs.  For
-    "rkdd" each pair's Huber value is split half to each endpoint.
+    "rkdd" each pair's Huber value is split half to each endpoint; those rows
+    are computed on the worker thread of the module docstring.
     """
     if n_batches < 1 or batch_size < 2:
         raise ValueError(f"concentration_report: need n_batches >= 1 and batch_size >= 2, "
@@ -105,17 +132,20 @@ def concentration_report(
     rng = np.random.default_rng(seed)
     names = student.tap_names()
     collected = {loss: {name: [] for name in names} for loss in ("gkd", "rkdd")}
-    for _ in range(n_batches):
-        idx = rng.choice(len(data), size=batch_size, replace=False)
-        xb, yb = data.features[idx], data.labels[idx]
-        s_taps = forward_with_taps(student, xb)
-        t_taps = forward_with_taps(teacher, xb)
-        gkd_rows = per_example_gkd_taps(s_taps, t_taps, graph, yb)
-        for name, s_tap, t_tap, gkd in zip(names, s_taps, t_taps, gkd_rows):
-            for loss, per_ex in (("gkd", gkd), ("rkdd", per_example_rkdd(s_tap, t_tap))):
-                pct = loss_concentration(per_ex)
-                if pct is not None:
-                    collected[loss][name].append(pct)
+    with worker_at_one_blas_thread() as beside:
+        for _ in range(n_batches):
+            idx = rng.choice(len(data), size=batch_size, replace=False)
+            xb, yb = data.features[idx], data.labels[idx]
+            s_taps = forward_with_taps(student, xb)
+            t_taps = forward_with_taps(teacher, xb)
+            gkd_rows, rkdd_rows = beside(
+                partial(per_example_gkd_taps, s_taps, t_taps, graph, yb),
+                [partial(per_example_rkdd, s, t) for s, t in zip(s_taps, t_taps)])
+            for name, gkd, rkdd in zip(names, gkd_rows, rkdd_rows):
+                for loss, per_ex in (("gkd", gkd), ("rkdd", rkdd)):
+                    pct = loss_concentration(per_ex)
+                    if pct is not None:
+                        collected[loss][name].append(pct)
     return {loss: {name: float(np.median(vals)) if vals else None
                    for name, vals in table.items()} for loss, table in collected.items()}
 
@@ -229,12 +259,15 @@ def consistency_curve(
     Each net is forwarded once per split, and all the probes fit in one lockstep.
     """
     _check_same_taps(teacher, student)
-    t_train, s_train = (forward_with_taps(net, train_data.features) for net in (teacher, student))
-    t_eval, s_eval = (forward_with_taps(net, eval_data.features) for net in (teacher, student))
     blocks = range(student.num_blocks)
-    reps = [taps[block].data for block in blocks for taps in (t_train, s_train)]
+    train = [forward_with_taps(net, train_data.features) for net in (teacher, student)]
+    reps = [taps[block].data for block in blocks for taps in train]
     probes = [LogisticProbe() for _ in reps]
     _fit_lockstep(probes, reps, train_data.labels, train_data.num_classes)
+    # the training taps go before the eval split is forwarded, so no two
+    # splits' taps are held at once
+    del train, reps
+    t_eval, s_eval = (forward_with_taps(net, eval_data.features) for net in (teacher, student))
     fractions = [probe_agreement(t, s, t_eval[block].data, s_eval[block].data)
                  for block, t, s in zip(blocks, probes[::2], probes[1::2])]
     t_out, s_out = (np.argmax(taps[-1].data, axis=1) for taps in (t_eval, s_eval))
@@ -267,6 +300,10 @@ def spectral_report(
         _check_same_taps(teacher, student)
 
     teacher_taps = forward_with_taps(teacher, data.features)
+    student_taps = {name: forward_with_taps(net, data.features) for name, net in students.items()}
+    check_tap_norms("teacher", names, teacher_taps)
+    for student_name, taps in student_taps.items():
+        check_tap_norms(f"student {student_name!r}", names, taps)
     indicator_signals = [
         (data.labels == c).astype(np.float64) for c in range(data.num_classes)
     ]
@@ -285,9 +322,9 @@ def spectral_report(
         fiedlers.append(fied)
 
     report = {}
-    for student_name, student in students.items():
+    for student_name, taps in student_taps.items():
         label_vals, fiedler_vals = {}, {}
-        for name, tap, fied in zip(names, forward_with_taps(student, data.features), fiedlers):
+        for name, tap, fied in zip(names, taps, fiedlers):
             lap_s = laplacian(build_similarity_graph(tap.data, k=k).weights)
             label_vals[name] = sum(smoothness(lap_s, sig) for sig in indicator_signals)
             fiedler_vals[name] = smoothness(lap_s, fied)

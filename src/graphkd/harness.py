@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import concentration_report, consistency_curve, spectral_report
+from .analysis import (check_tap_norms, concentration_report, consistency_curve,
+                       spectral_report)
 from .config import ConfigError, DistillConfig, GraphParams, _check_seeds, config_digest
 from .datasets import (
     Dataset,
@@ -393,8 +394,9 @@ def run_dump_graph(
     seed: int = 0,
 ) -> Path:
     """Build one tap's similarity graph on a fixed sample; write its upper-triangle
-    edges (i,j,weight, row-major, every nonzero weight, NaN included) to
-    graph_edges.csv and its parameters to graph_params.json.  An explicit
+    edges (i,j,weight, row-major, every nonzero weight) to graph_edges.csv and
+    its parameters to graph_params.json.  A tap whose squared row norms are
+    not finite is rejected before anything is written.  An explicit
     ``k``, ``p`` or ``mask_mode`` overrides ``_graph_at``'s graph as given:
     such a ``k`` is not capped, so one outside [1, n - 1] is rejected."""
     out_dir = Path(out_dir)
@@ -411,12 +413,13 @@ def run_dump_graph(
     tap_names = net.tap_names()
     if block not in tap_names:
         raise ConfigError(f"unknown tap {block!r}; available: {tap_names}")
-    reps = forward_with_taps(net, sample.features)[tap_names.index(block)].data
+    tap = forward_with_taps(net, sample.features)[tap_names.index(block)]
+    check_tap_norms(f"network {checkpoint_path}", [block], [tap])
     graph = build_similarity_graph(
-        reps, k=params.k, p=params.p, mask_mode=params.mask_mode, labels=sample.labels
+        tap.data, k=params.k, p=params.p, mask_mode=params.mask_mode, labels=sample.labels
     )
     w = graph.weights
-    rows, cols = np.nonzero(np.triu(w, 1))  # a NaN weight is nonzero, -0.0 is not
+    rows, cols = np.nonzero(np.triu(w, 1))  # -0.0 counts as zero
     _write_table(out_dir / "graph_edges.csv", ("i", "j", "weight"),
                  zip(rows.tolist(), cols.tolist(), w[rows, cols].tolist()))
     _write_json(out_dir / "graph_params.json", {"n": len(sample), **asdict(params)})

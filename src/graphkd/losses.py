@@ -110,7 +110,7 @@ def _distances(reps) -> tuple[np.ndarray, np.ndarray, float]:
     mean = np.sum(dist) * (1.0 / (n * (n - 1)))
     if mean == 0.0:
         return np.zeros_like(dist), dist, mean
-    return dist / mean, dist, mean
+    return np.divide(dist, mean, out=gram), dist, mean  # the spent gram buffer
 
 
 def _rkdd_tap(student: Tensor, teacher: np.ndarray) -> Tensor:
@@ -399,7 +399,8 @@ def per_example_gkd(student: SimilarityGraph, teacher: SimilarityGraph) -> np.nd
             f"per_example_gkd: adjacency shapes differ: {a_s.shape} vs {a_t.shape}"
         )
     diff = a_s - a_t
-    return (diff * diff).sum(axis=1)
+    diff *= diff
+    return diff.sum(axis=1)
 
 
 def per_example_rkdd(student_tap, teacher_tap) -> np.ndarray:
@@ -408,7 +409,11 @@ def per_example_rkdd(student_tap, teacher_tap) -> np.ndarray:
     the per-tap loss."""
     s = student_tap.data if isinstance(student_tap, Tensor) else student_tap
     t = teacher_tap.data if isinstance(teacher_tap, Tensor) else teacher_tap
-    ds = _distances(s)[0]
-    n = ds.shape[0]
-    h = _huber(ds - _distances(t)[0])  # 0 on the diagonal
+    h = _distances(s)[0]
+    n = h.shape[0]
+    h -= _distances(t)[0]
+    # _huber in place: c * (d - c / 2), 0 on the diagonal
+    c = np.clip(h, -1.0, 1.0)
+    h -= c * 0.5
+    h *= c
     return 0.5 * (h.sum(axis=1) + h.sum(axis=0)) / (n * (n - 1))

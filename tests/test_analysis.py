@@ -1,12 +1,13 @@
 """Loss-concentration, probe-consistency, and spectral-smoothness analyses."""
 
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from graphkd import analysis
+from graphkd import analysis, blas
 from graphkd.analysis import (
     LogisticProbe,
     _fit_lockstep,
@@ -382,3 +383,88 @@ class TestConcentrationReport:
         with pytest.raises(ValueError):
             concentration_report(net, net, data, GraphParams(k=63), n_batches=20,
                                  batch_size=64, seed=0)
+
+
+def fake_thread_calls(count: int = 2):
+    """A stand-in for numpy's OpenBLAS ``(get, set)``; the list records every set."""
+    sets = []
+
+    def set_threads(n):
+        sets.append(n)
+
+    return (lambda: sets[-1] if sets else count), set_threads, sets
+
+
+class TestConcentrationWorker:
+    """concentration_report queues each batch's RKD-D rows on one worker thread
+    beside its GKD rows, with BLAS at one thread; its tables are the inline ones."""
+
+    @staticmethod
+    def report(nets=None):
+        from graphkd.harness import build_split
+
+        teacher, student = nets or blocks_nets(3, 3, 2, widths=(8, 4))
+        return concentration_report(teacher, student, build_split(make_config()).train,
+                                    GraphParams(k=31), n_batches=4, batch_size=32, seed=0)
+
+    def test_threaded_tables_equal_the_inline_ones(self, monkeypatch):
+        get, set_threads, sets = fake_thread_calls()
+        monkeypatch.setattr(blas, "_thread_calls", lambda: (get, set_threads))
+        monkeypatch.setattr(blas, "_usable_cpus", lambda: 2)
+        threaded = self.report()
+        assert sets == [1, 2]  # the threaded path ran, and put the count back
+        monkeypatch.setattr(blas, "_thread_calls", lambda: None)  # no setter found
+        assert self.report() == threaded
+
+    @pytest.mark.skipif(blas._thread_calls() is None,
+                        reason="numpy has no bundled OpenBLAS with thread-count calls")
+    def test_blas_runs_on_one_thread_and_gets_its_count_back(self, monkeypatch):
+        get, set_threads = blas._thread_calls()
+        seen, rows = [], analysis.per_example_rkdd
+        monkeypatch.setattr(analysis, "per_example_rkdd",
+                            lambda *args: seen.append(get()) or rows(*args))
+        monkeypatch.setattr(blas, "_usable_cpus", lambda: 2)
+        before = get()
+        set_threads(2)
+        try:
+            self.report()
+            assert set(seen) == {1}
+            assert get() == 2
+        finally:
+            set_threads(before)
+
+    def test_a_failing_batch_keeps_the_inline_error_and_the_thread_count(self, monkeypatch):
+        nets = (build_blocknet((1, 1, 1), (8, 8, 8), 3, 2, seed=0),
+                build_blocknet((1, 1, 1), (4, 5, 6), 3, 2, seed=1))
+        rows = analysis.per_example_rkdd
+        monkeypatch.setattr(analysis, "per_example_rkdd",
+                            lambda s, t: self.fail_in_the_middle(rows, s, t))
+        get, set_threads, sets = fake_thread_calls(3)
+        monkeypatch.setattr(blas, "_usable_cpus", lambda: 2)
+        messages = []
+        for calls in ((get, set_threads), None):  # threaded, then inline
+            monkeypatch.setattr(blas, "_thread_calls", lambda: calls)
+            with pytest.raises(ValueError) as err:
+                self.report(nets)
+            messages.append(str(err.value))
+        assert sets == [1, 3]  # set back to the count before the report
+        assert messages == ["rkdd failed at width 5"] * 2
+
+    @staticmethod
+    def fail_in_the_middle(rows, s_tap, t_tap):
+        # the student's taps are 4, 5, 6 and 2 wide; the middle two fail
+        width = s_tap.data.shape[1]
+        if width in (5, 6):
+            raise ValueError(f"rkdd failed at width {width}")
+        return rows(s_tap, t_tap)
+
+    def test_one_usable_cpu_runs_inline(self, monkeypatch):
+        get, set_threads, sets = fake_thread_calls()
+        monkeypatch.setattr(blas, "_thread_calls", lambda: (get, set_threads))
+        monkeypatch.setattr(blas, "_usable_cpus", lambda: 1)
+        threads, rows = set(), analysis.per_example_rkdd
+        monkeypatch.setattr(analysis, "per_example_rkdd",
+                            lambda *args: threads.add(threading.get_ident()) or rows(*args))
+        self.report()
+        assert threads == {threading.get_ident()}
+        assert sets == []  # the thread count was left alone

@@ -4,12 +4,17 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphkd
 from graphkd import harness
 from graphkd.cli import main
 from graphkd.config import (
@@ -753,6 +758,37 @@ class TestCliEndToEnd:
         assert capsys.readouterr().err == f"error: checkpoint {bad}: parameters are not finite\n"
         assert not out.exists()
 
+    # a finite checkpoint whose forward overflows: with every parameter scaled
+    # by 1e200, block1's squared row norms overflow to inf and block2 on is
+    # inf or NaN; each command names the net and its first such tap it reads
+    OVERFLOW_RUNS = {
+        "spectral": (["--teacher", "{ckpt}", "--student", "big={big}", "--sample", "32"],
+                     "student 'big': tap block1"),
+        "spectral-teacher": (["--teacher", "{big}", "--student", "base={ckpt}"],
+                             "teacher: tap block1"),
+        "dump-graph": (["--checkpoint", "{big}", "--block", "block2"],
+                       "network {big}: tap block2"),
+    }
+
+    @pytest.mark.parametrize("case", list(OVERFLOW_RUNS))
+    def test_overflowing_forward_exits_two(self, tmp_path, capsys, case):
+        config_path = write_config(tmp_path)
+        ckpt = write_net(tmp_path, "net.ckpt", (4, 4), seed=0)
+        net = build_blocknet((1, 1), (4, 4), input_dim=3, classes=2, seed=1)
+        for p in net.parameters():
+            p.data *= 1e200
+        big = tmp_path / "big.ckpt"
+        save_checkpoint(net, big)
+        args, who = self.OVERFLOW_RUNS[case]
+        out = tmp_path / "out"
+        argv = [case.split("-teacher")[0], "--config", str(config_path), "--out", str(out),
+                *(arg.format(ckpt=ckpt, big=big) for arg in args)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 2
+        assert capsys.readouterr().err == (f"error: {who.format(big=big)} overflows (its "
+                                           f"squared row norms are not finite)\n")
+        assert not out.exists()
+
     def test_analyze_failing_in_the_probe_fit_writes_nothing(self, tmp_path, capsys,
                                                              monkeypatch):
         config_path = write_config(tmp_path)
@@ -1394,3 +1430,26 @@ def test_every_table_has_its_header_first_and_newline_line_ends(command_runs, co
         lines = data.decode().splitlines()
         assert lines[0] == CSV_HEADERS[table.name]
         assert len(lines) > 1 and {line.count(",") for line in lines} == {lines[0].count(",")}
+
+
+def test_analyze_tables_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # batches of 256 on a 64-wide teacher, large enough for OpenBLAS to split
+    # its products over threads where the count allows
+    dataset = dict(tiny_config_dict()["dataset"], n=400)
+    config = str(write_config(tmp_path, dataset=dataset, teacher={"depths": [1, 1],
+                                                                  "widths": [64, 64]}))
+    teacher = write_net(tmp_path, "teacher.ckpt", (64, 64), seed=0)
+    student = write_net(tmp_path, "student.ckpt", (8, 8), seed=1)
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(graphkd.__file__).parents[1])
+    tables = []
+    for threads in ("1", None):
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-m", "graphkd.cli", "analyze", "--config", config,
+                        "--out", str(out), "--teacher", str(teacher), "--student",
+                        str(student), "--batches", "3", "--batch-size", "256"],
+                       check=True, capture_output=True,
+                       env=env if threads is None else dict(env, OPENBLAS_NUM_THREADS=threads))
+        tables.append([(out / name).read_bytes()
+                       for name in ("concentration.csv", "consistency.csv")])
+    assert tables[0] == tables[1]
