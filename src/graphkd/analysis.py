@@ -6,8 +6,11 @@ needs a teacher and students with the same taps.  Every report is a
 ``{tap: value}`` table keyed by ``tap_names()``, in that order, or a dict of
 such tables: the tables that ``harness`` writes.
 ``spectral_report`` uses every point it is given; ``harness`` draws the
-fixed sample, and it and ``dump-graph`` reject, with ``check_tap_norms``, a
-net whose forward overflows.
+fixed sample.  ``check_tap_norms`` rejects a net whose forward overflows,
+naming the net and the tap: ``spectral_report`` checks every net's taps
+before it builds a graph, ``concentration_report`` checks a batch's taps
+only once that batch's loss rows are not all finite, and
+``consistency_curve`` checks none (a probe fit on such taps diverges).
 
 ``concentration_report`` runs on two threads.  For each batch it queues each
 tap pair's ``per_example_rkdd`` on one worker thread, started once for the
@@ -141,6 +144,10 @@ def concentration_report(
             gkd_rows, rkdd_rows = beside(
                 partial(per_example_gkd_taps, s_taps, t_taps, graph, yb),
                 [partial(per_example_rkdd, s, t) for s, t in zip(s_taps, t_taps)])
+            if not all(np.isfinite(rows).all() for rows in (*gkd_rows, *rkdd_rows)):
+                # a forward that overflowed: name its net and tap
+                check_tap_norms("student", names, s_taps)
+                check_tap_norms("teacher", names, t_taps)
             for name, gkd, rkdd in zip(names, gkd_rows, rkdd_rows):
                 for loss, per_ex in (("gkd", gkd), ("rkdd", rkdd)):
                     pct = loss_concentration(per_ex)
@@ -292,9 +299,6 @@ def spectral_report(
     each student's Laplacian.  A disconnected teacher graph makes the Fiedler vector
     degenerate, which is reported as a warning rather than a failure.
     """
-    n = len(data)
-    if n < 2:
-        raise ValueError(f"spectral_report: need at least 2 examples, got {n}")
     names = teacher.tap_names()
     for student in students.values():
         _check_same_taps(teacher, student)

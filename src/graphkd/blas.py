@@ -7,10 +7,11 @@ the worker for the same cores, and it yields ``beside(work, tasks)``, which
 returns ``(work(), [task() for task in tasks])``.  The tasks are queued on one
 worker thread that lives for the whole block while the caller runs ``work``;
 then the caller runs itself, last first, every task the worker has not
-started, so both threads finish together.  Results come back in task order,
-and an error raised by ``work`` or a task is the one the same calls made in
-order would raise first.  The old thread count is restored when the block
-exits, by return or by error.
+started, so both threads finish together.  A task runs in a copy of the
+caller's context, so under its ``np.errstate``.  Results come back in task
+order, and an error raised by ``work`` or a task is the one the same calls
+made in order would raise first.  The old thread count is restored when the
+block exits, by return or by error.
 
 Where numpy ships no OpenBLAS with the thread-count symbols, or fewer than
 two CPUs are usable, ``beside`` runs ``work`` and then each task inline and
@@ -19,6 +20,7 @@ the thread count is left as it is.
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import os
 from contextlib import contextmanager
@@ -68,7 +70,7 @@ def _beside(pool, work, tasks):
     """``_inline(work, tasks)``, with the tasks queued on ``pool``'s one worker."""
     from concurrent.futures import Future
 
-    futures = [pool.submit(task) for task in tasks]
+    futures = [pool.submit(contextvars.copy_context().run, task) for task in tasks]
     try:
         done = work()
         for i in reversed(range(len(tasks))):

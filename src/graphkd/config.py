@@ -35,7 +35,14 @@ _STR = ("a string", lambda v: isinstance(v, str), None)
 _INTS = ("a list of integers",
          lambda v: isinstance(v, (list, tuple)) and all(_is(i, int) for i in v), tuple)
 _INT_OR_NULL = ("an integer or null", lambda v: v is None or _is(v, int), None)
-_VERSION = (str(CONFIG_VERSION), lambda v: _is(v, int) and v == CONFIG_VERSION, None)
+
+
+def _version(n: int):
+    """The JSON kind of format version ``n``: that integer alone, not true or 1.0."""
+    return (str(n), lambda v: _is(v, int) and v == n, None)
+
+
+_VERSION = _version(CONFIG_VERSION)
 _OBJECT = ("an object", lambda v: True, None)  # checked when its own table reads it
 _REQUIRED = object()  # the default of a key that must be given
 

@@ -263,9 +263,7 @@ def _sweep_value(param: str, raw: str):
 def _apply_sweep(config: DistillConfig, param: str, value) -> DistillConfig:
     if param == "lambda_kd":
         return replace(config, lambda_kd=float(value))
-    if config.loss != "gkd":
-        raise ConfigError(f"sweeping {param!r} requires loss='gkd' with graph parameters")
-    return replace(config, graph=replace(config.graph, **{param: value}))
+    return replace(config, graph=replace(_graph_at(config, config.batch_size), **{param: value}))
 
 
 def run_sweep(config: DistillConfig, out_dir, param: str, values, teacher_path=None) -> Path:

@@ -20,14 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, record
-from .config import _INT, _INTS, _REQUIRED, ArchSpec, _is, _section
+from .config import _INT, _INTS, _REQUIRED, ArchSpec, _section, _version
 
 CHECKPOINT_FORMAT_VERSION = 1
 OUTPUT_TAP = "output"
-# the checkpoint header's schema table: the keys save_checkpoint writes
-_HEADER = {"format_version": (_INT, _REQUIRED), "depths": (_INTS, _REQUIRED),
-           "widths": (_INTS, _REQUIRED), "input_dim": (_INT, _REQUIRED),
-           "classes": (_INT, _REQUIRED)}
+# the checkpoint header's schema table: the keys save_checkpoint writes, the
+# format version, then the net's attributes of those names
+_HEADER = {"format_version": (_version(CHECKPOINT_FORMAT_VERSION), _REQUIRED),
+           "depths": (_INTS, _REQUIRED), "widths": (_INTS, _REQUIRED),
+           "input_dim": (_INT, _REQUIRED), "classes": (_INT, _REQUIRED)}
 
 
 @dataclass
@@ -182,16 +183,8 @@ def atomic_open(path):
 
 def save_checkpoint(net: BlockNet, path) -> None:
     path = Path(path)
-    header = json.dumps(
-        {
-            "format_version": CHECKPOINT_FORMAT_VERSION,
-            "depths": list(net.depths),
-            "widths": list(net.widths),
-            "input_dim": net.input_dim,
-            "classes": net.classes,
-        },
-        sort_keys=True,
-    )
+    fields = {key: getattr(net, key) for key in _HEADER if key != "format_version"}
+    header = json.dumps({"format_version": CHECKPOINT_FORMAT_VERSION, **fields}, sort_keys=True)
     with atomic_open(path) as fh:
         fh.write(header.encode("utf-8") + b"\n")
         for p in net.parameters():
@@ -208,15 +201,6 @@ def load_checkpoint(path) -> BlockNet:
         header = json.loads(raw[:newline].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ValueError(f"checkpoint {path}: malformed header ({err})") from err
-    if not isinstance(header, dict):
-        raise ValueError(f"checkpoint {path}: header is not a JSON object")
-    version = header.get("format_version")
-    # JSON true and 1.0 compare equal to 1, so check the type too
-    if not _is(version, int) or version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(
-            f"checkpoint {path}: format version {version!r} is not supported "
-            f"(expected {CHECKPOINT_FORMAT_VERSION})"
-        )
     header = _section(header, _HEADER, f"checkpoint {path}", label="header field {!r}")
     try:
         net = build_blocknet(

@@ -296,7 +296,7 @@ class TestSpectralReport:
         data = gen_gaussian_mixture(n=30, classes=2, dim=3, separation=4.0, seed=0)
         data = replace(data, features=data.features[:n], labels=data.labels[:n])
         net = build_blocknet((1,), (4,), 3, 2, seed=0)
-        message = f"^spectral_report: need at least 2 examples, got {n}$"
+        message = f"^build_similarity_graph: need at least 2 rows, got {n}$"
         with pytest.raises(ValueError, match=message):
             spectral_report(net, {"s": net}, data, k=1)
 
@@ -468,3 +468,18 @@ class TestConcentrationWorker:
         self.report()
         assert threads == {threading.get_ident()}
         assert sets == []  # the thread count was left alone
+
+    def test_a_worker_task_keeps_the_callers_errstate(self, monkeypatch):
+        get, set_threads, _ = fake_thread_calls()
+        monkeypatch.setattr(blas, "_thread_calls", lambda: (get, set_threads))
+        monkeypatch.setattr(blas, "_usable_cpus", lambda: 2)
+        started = threading.Event()
+
+        def task():  # the caller waits for it, so it runs on the worker
+            started.set()
+            return threading.get_ident(), np.geterr()["over"]
+
+        with np.errstate(over="raise"), blas.worker_at_one_blas_thread() as beside:
+            _, [(thread, over)] = beside(lambda: started.wait(5), [task])
+        assert thread != threading.get_ident()
+        assert over == "raise"

@@ -768,6 +768,11 @@ class TestCliEndToEnd:
                              "teacher: tap block1"),
         "dump-graph": (["--checkpoint", "{big}", "--block", "block2"],
                        "network {big}: tap block2"),
+        # analyze checks the taps once a batch's loss rows are not finite
+        "analyze": (["--teacher", "{ckpt}", "--student", "{big}", "--batches", "2",
+                     "--batch-size", "16"], "student: tap block1"),
+        "analyze-teacher": (["--teacher", "{big}", "--student", "{ckpt}", "--batches", "2",
+                             "--batch-size", "16"], "teacher: tap block1"),
     }
 
     @pytest.mark.parametrize("case", list(OVERFLOW_RUNS))
@@ -918,7 +923,7 @@ class TestCliEndToEnd:
                      "--teacher", str(ckpt), "--param", "k", "--values", "5"])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: sweeping 'k' requires loss='gkd' with graph parameters\n"
+            "error: config: graph parameters are only valid for loss='gkd', not 'rkdd'\n"
         )
         assert not out.exists()
 
@@ -1069,30 +1074,35 @@ class TestCliEndToEnd:
 
     # dump-graph arguments that the graph pipeline rejects: the error names
     # build_similarity_graph, the one public function of that path; an
-    # explicit --k is taken as given, not capped at the sample
-    @pytest.mark.parametrize("argv, fragment", [
-        (["--k", "0"], "k=0 outside the valid range"),
-        (["--sample", "24", "--k", "1000"], "k=1000 outside the valid range [1, 23]"),
-        (["--p", "0"], "p must be a positive integer"),
-        (["--sample", "1"], "need at least 2 rows"),
-        (["--sample", "0"], "need at least 2 rows"),
-    ], ids=["k0", "k1000", "p0", "sample1", "sample0"])
+    # explicit --k is taken as given, not capped at the sample.  Too few
+    # points give spectral the same line.  The tiny config has 60 training points
+    @pytest.mark.parametrize("argv, message", [
+        (["dump-graph", "--k", "0"], "k=0 outside the valid range [1, 59]"),
+        (["dump-graph", "--sample", "24", "--k", "1000"],
+         "k=1000 outside the valid range [1, 23]"),
+        (["dump-graph", "--p", "0"], "p must be a positive integer, got 0"),
+        (["dump-graph", "--sample", "1"], "need at least 2 rows, got 1"),
+        (["dump-graph", "--sample", "0"], "need at least 2 rows, got 0"),
+        (["spectral", "--sample", "1"], "need at least 2 rows, got 1"),
+        (["spectral", "--sample", "0"], "need at least 2 rows, got 0"),
+    ], ids=["k0", "k1000", "p0", "sample1", "sample0", "spectral-sample1", "spectral-sample0"])
     def test_dump_graph_errors_name_build_similarity_graph(
-        self, tmp_path, capsys, argv, fragment
+        self, tmp_path, capsys, argv, message
     ):
         config_path = write_config(tmp_path)
         ckpt = tmp_path / "net.ckpt"
         save_checkpoint(build_blocknet((1, 1), (4, 4), input_dim=3, classes=2, seed=1), ckpt)
         out = tmp_path / "out"
-        code = main(["dump-graph", "--config", str(config_path), "--out", str(out),
-                     "--checkpoint", str(ckpt), *argv])
+        command, *args = argv
+        nets = {"dump-graph": ["--checkpoint", str(ckpt)],
+                "spectral": ["--teacher", str(ckpt), "--student", f"s={ckpt}"]}[command]
+        code = main([command, "--config", str(config_path), "--out", str(out), *nets, *args])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: build_similarity_graph: ") and fragment in err
+        assert err == f"error: build_similarity_graph: {message}\n"
         for gone in ("cosine_similarity_matrix", "knn_sparsify", "degree_normalize",
                      "adjacency_power"):
             assert gone not in err
-        assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
     # both commands draw their sample by one rule, harness._fixed_sample
@@ -1127,7 +1137,7 @@ class TestCliEndToEnd:
 
     # a checkpoint header line, and a fragment of its one error line
     BAD_HEADERS = {
-        "not_an_object": ("[1]", "header is not a JSON object"),
+        "not_an_object": ("[1]", "expected an object"),
         "null_input_dim": (
             '{"classes": 2, "depths": [1, 1], "format_version": 1, "input_dim": null, '
             '"widths": [12, 12]}',

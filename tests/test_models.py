@@ -1,6 +1,7 @@
 """Block MLP construction, forward taps, and checkpoint serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -256,12 +257,22 @@ class TestCheckpoint:
         path = tmp_path / "net.ckpt"
         save_checkpoint(net, path)
         header, payload = path.read_bytes().split(b"\n", 1)
+        # the writer's keys come from the reader's table; the bytes stay these
+        assert header == (b'{"classes": 2, "depths": [1], "format_version": 1, '
+                          b'"input_dim": 2, "widths": [4]}')
         meta = json.loads(header)
+
+        def rejects(message):
+            path.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load_checkpoint(path)
+
         for version in (99, True, 1.0):  # JSON true and 1.0 compare equal to 1
             meta["format_version"] = version
-            path.write_bytes(json.dumps(meta).encode() + b"\n" + payload)
-            with pytest.raises(ValueError, match="version"):
-                load_checkpoint(path)
+            rejects(f"checkpoint {path}: header field 'format_version' must be 1, "
+                    f"got {version!r}")
+        del meta["format_version"]
+        rejects(f"checkpoint {path}: missing required key 'format_version'")
 
     def test_rejects_truncated_payload(self, tmp_path):
         net = build_blocknet((1,), (4,), 2, 2, seed=0)
